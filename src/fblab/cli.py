@@ -17,58 +17,33 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import ExponentSuite, criteria_monitor, ledger_configs, ledger_run
+from .diagnostics import _ROW_TERMS, criteria_monitor, ledger_configs, ledger_run
 from .commutators import estimate_constant
 from .fields import SpectralField
 from .grid import make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError, Trajectory,
-                    convert_state, initial_state, integrate, theta_dissipation_rate,
-                    velocity_decomposition_for_state)
-from .multipliers import Multiplier, apply_multiplier
-from .norms import lp_norm
-from .operators import gradient
-from .dyadic import besov_norm
+                    convert_state, initial_state, integrate, theta_dissipation_rate)
 from .registry import ConstraintError, build_registry
 from .reporting import write_csv, write_json
 from .selftest import run_selftest
-from .snapshot import read_snapshot, write_snapshot
+from .snapshot import SnapshotFormatError, read_snapshot, write_snapshot
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
 
+# field names of diagnostics.StateNorms, in column order
 SERIES_HEADER = ("t", "theta_l2", "theta_linf", "f_l2", "f_l4", "f_l6",
                  "f_halfalpha_l2", "uf_linf", "grad_uf_linf", "f_besov")
 
 
-def _series_row(state: SimState) -> Tuple:
-    alpha = state.params.alpha
-    ex = ExponentSuite(alpha)
-    fs = convert_state(state, "f")
-    f = fs.primary
-    uf, _ = velocity_decomposition_for_state(fs)
-    gx0, gy0 = gradient(uf[0])
-    gx1, gy1 = gradient(uf[1])
-    grad_uf = max(lp_norm(c, np.inf) for c in (gx0, gy0, gx1, gy1))
-    return (state.time,
-            lp_norm(state.theta, 2), lp_norm(state.theta, np.inf),
-            lp_norm(f, 2), lp_norm(f, 4), lp_norm(f, 6),
-            lp_norm(apply_multiplier(f, Multiplier.lambda_pow(alpha / 2)), 2),
-            max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf)),
-            grad_uf,
-            besov_norm(f, ex.besov_smoothness, ex.besov_integrability))
-
-
 def _build_initial(cfg: RunConfig) -> SimState:
     grid = make_grid(cfg.n, cfg.length)
-    params = ModelParams(alpha=cfg.alpha, nu=cfg.nu, kappa=cfg.kappa, eps0=cfg.eps0)
-    return initial_state(grid, params, cfg.formulation, kind=cfg.init, seed=cfg.seed,
+    return initial_state(grid, cfg.params(), cfg.formulation, kind=cfg.init, seed=cfg.seed,
                          amplitude_theta=cfg.amplitude_theta,
                          amplitude_primary=cfg.amplitude_primary, decay=cfg.decay)
 
@@ -119,7 +94,6 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     try:
         traj = integrate(state, cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl, cadence=cfg.cadence,
                          accumulators={"theta_dissipation": theta_dissipation_rate})
-        rows = [_series_row(s) for s in traj.states]
     except IntegrationBlowupError as exc:
         diagnostic = ("DIAGNOSTIC", f"blowup at t={exc.time:.6g}", exc.detail)
         status = EXIT_NUMERICAL
@@ -128,20 +102,22 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
         diagnostic = ("DIAGNOSTIC", "state outgrew the step-size guard", str(exc))
         status = EXIT_NUMERICAL
         traj = None
-    if traj is not None and cfg.write_snapshots:
-        _write_trajectory(out_dir, traj)
+    if traj is not None:
         report = criteria_monitor(traj)
-        write_json(os.path.join(out_dir, "criteria.json"), {
-            "domain": "torus",
-            "alpha": report.alpha,
-            "sup_f_l6": report.sup_f_l6,
-            "sup_uf_linf": report.sup_uf_linf,
-            "sup_grad_uf_linf": report.sup_grad_uf_linf,
-            "sup_grad_theta_linf": report.sup_grad_theta_linf,
-            "sup_besov": report.sup_besov,
-            "embedding_ratio_torus": report.embedding_ratio,
-            "finite": report.is_finite(),
-        })
+        rows = [tuple(getattr(norms, key) for key in SERIES_HEADER) for norms in report.norms]
+        if cfg.write_snapshots:
+            _write_trajectory(out_dir, traj)
+            write_json(os.path.join(out_dir, "criteria.json"), {
+                "domain": "torus",
+                "alpha": report.alpha,
+                "sup_f_l6": report.sup_f_l6,
+                "sup_uf_linf": report.sup_uf_linf,
+                "sup_grad_uf_linf": report.sup_grad_uf_linf,
+                "sup_grad_theta_linf": report.sup_grad_theta_linf,
+                "sup_besov": report.sup_besov,
+                "embedding_ratio_torus": report.embedding_ratio,
+                "finite": report.is_finite(),
+            })
     all_rows = list(rows)
     if diagnostic is not None:
         all_rows.append(diagnostic + ("",) * (len(SERIES_HEADER) - len(diagnostic)))
@@ -156,9 +132,7 @@ LEDGER_HEADER = ("t", "config_id", "row_kind", "functional", "lhs_rate", "dissip
 
 
 def run_ledger(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.nu != 1.0 or cfg.kappa != 1.0:
-        raise ConfigError("the energy ledger requires nu = kappa = 1")
-    params = ModelParams(alpha=cfg.alpha, nu=1.0, kappa=1.0, eps0=cfg.eps0)
+    params = cfg.params()
     if cfg.snapshots_dir:
         states = _load_trajectory(cfg.snapshots_dir, params)
     else:
@@ -177,9 +151,7 @@ def run_ledger(cfg: RunConfig, out_dir: str) -> int:
             for kind in ("s", "kappa", "p"):
                 if kind not in row.lhs_rate:
                     continue
-                rhs_sum = sum(row.terms[t] for t in
-                              {"s": ("I1", "I2", "I3", "I4"), "kappa": ("I5",),
-                               "p": ("K1", "K2", "K3")}[kind])
+                rhs_sum = sum(row.terms[t] for t in _ROW_TERMS[kind])
                 csv_rows.append((row.t, cid, kind, row.functionals[kind], row.lhs_rate[kind],
                                  row.dissipation[kind], rhs_sum, row.tolerance[kind],
                                  int(row.verdicts[kind]),
@@ -285,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.mode == "ledger":
             return run_ledger(cfg, cfg.out_dir)
         return run_estimate(cfg, cfg.out_dir, grids)
-    except ConfigError as exc:
+    except (ConfigError, SnapshotFormatError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except IntegrationBlowupError as exc:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 from .diagnostics import ledger_configs
+from .grid import make_grid
+from .model import ModelParams
 from .registry import ConstraintError, build_registry
 
 
@@ -54,6 +56,9 @@ class RunConfig:
     out_dir: str = "out"
     write_snapshots: bool = True
 
+    def params(self) -> ModelParams:
+        return ModelParams(alpha=self.alpha, nu=self.nu, kappa=self.kappa, eps0=self.eps0)
+
     def resolve_estimate_ids(self) -> List[str]:
         registry = build_registry(self.alpha)
         if self.estimate_ids == ["all"]:
@@ -65,12 +70,14 @@ class RunConfig:
         estimate-registry checks to runs that reference those specs."""
         if self.formulation not in ("omega", "f", "scaled"):
             raise ConfigError(f"formulation must be omega, f or scaled, got {self.formulation!r}")
-        if not 0.5 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (1/2, 1), got {self.alpha}")
-        if not 0.0 < self.eps0 <= 1.0:
-            raise ConfigError(f"eps0 must lie in (0, 1], got {self.eps0}")
-        if self.formulation in ("f", "scaled") and (self.nu != 1.0 or self.kappa != 1.0):
-            raise ConfigError("the hybrid formulations require nu = kappa = 1")
+        try:
+            params = self.params()
+            make_grid(self.n, self.length)
+            # the ledger replays its run in the hybrid formulation
+            if self.formulation != "omega" or mode == "ledger":
+                params.require_unit_dissipation("the hybrid formulation")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         if self.dt is not None and self.dt <= 0:

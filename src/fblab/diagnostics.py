@@ -17,9 +17,16 @@ int F|F|^(p-2) Lambda^alpha F, which is nonnegative).  Rates of the
 tracked functionals are centered finite differences of stored values, so
 the ledger never re-enters the integrator.
 
-Every velocity-dependent term is also split through u = u_F + u_Theta;
-the commutator is linear in the velocity, so the signed splits add back
-to the full term exactly.
+The eps0 weights and the source operators are those of
+:func:`fblab.model.nonlinear` (one table, ``hybrid_terms``), so the
+ledger and the integrator cannot drift apart; ``test_substitution_oracle``
+checks those weights independently, by rescaling a state and comparing
+tendencies.
+
+Every velocity-dependent term is also split through u = u_F + u_Theta.
+The full-velocity terms are computed on their own, not summed from the
+splits; the commutator is linear in the velocity, so the signed splits
+add back to the full term up to roundoff.
 
 Ledger evaluation is independent per time slice (rates come from stored
 functional values), so slices parallelize trivially.
@@ -34,8 +41,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .fields import SpectralField, nice_fft_size
-from .model import (SimState, Trajectory, convert_state, scaled_velocity_split,
-                    velocity_decomposition_for_state)
+from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split
 from .multipliers import Multiplier, apply_multiplier
 from .norms import inner, integral_product, l2_norm_sq, lp_norm
 from .operators import advect, commutator_apply, gradient
@@ -173,40 +179,39 @@ def energy_terms(state: SimState, s: float, kappa: float, p: int) -> EnergyLedge
         raise ValueError("the L^p pairing keeps the integrand polynomial; p must be even")
     if s < 0 or kappa < 0:
         raise ValueError("derivative weights must be nonnegative")
-    params = state.params
-    params.require_unit_dissipation("the energy ledger")
-    if state.tag not in ("f", "scaled"):
+    if state.tag != "f":
         raise ValueError("the ledger runs on hybrid-formulation states")
+    params = state.params
     a, b, e = params.alpha, params.beta, params.eps0
+    h = hybrid_terms(params)
+    (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
     F, Th = state.primary, state.theta
 
     uf, ut = scaled_velocity_split(F, Th, params)
     u_full = (uf[0] + ut[0], uf[1] + ut[1])
     velocities = {"": u_full, "_f": uf, "_t": ut}
-
-    riesz_op = Multiplier.riesz(a)
-    smooth_op = Multiplier.compose(Multiplier.lambda_pow(b - 2 * a), Multiplier.partial(0))
-    linear_term = apply_multiplier(Th, Multiplier.compose(
-        Multiplier.lambda_pow(2 * (b - a)), Multiplier.partial(0)))
+    linear_term = apply_multiplier(Th, lin)
 
     signed: Dict[str, float] = {}
     for suffix, u in velocities.items():
-        signed[f"I1{suffix}"] = (e ** a) * _signed_pair_L2(advect(u, F), F, s)
-        signed[f"I3{suffix}"] = e * _signed_pair_L2(commutator_apply(riesz_op, u, Th), F, s)
-        signed[f"I4{suffix}"] = (e ** (2 * b)) * _signed_pair_L2(commutator_apply(smooth_op, u, Th), F, s)
-        signed[f"I5{suffix}"] = (e ** a) * _signed_pair_L2(advect(u, Th), Th, kappa)
-        signed[f"K2{suffix}"] = e * _signed_pair_power(commutator_apply(riesz_op, u, Th), F, p)
-        signed[f"K3{suffix}"] = (e ** (2 * b)) * _signed_pair_power(commutator_apply(smooth_op, u, Th), F, p)
-    signed["I2"] = (e ** (2 - 3 * a)) * _signed_pair_L2(linear_term, F, s)
-    signed["K1"] = (e ** (2 - 3 * a)) * _signed_pair_power(linear_term, F, p)
+        riesz_comm = commutator_apply(riesz, u, Th)
+        smooth_comm = commutator_apply(smooth, u, Th)
+        signed[f"I1{suffix}"] = h.advect * _signed_pair_L2(advect(u, F), F, s)
+        signed[f"I3{suffix}"] = w_rc * _signed_pair_L2(riesz_comm, F, s)
+        signed[f"I4{suffix}"] = w_sc * _signed_pair_L2(smooth_comm, F, s)
+        signed[f"I5{suffix}"] = h.advect * _signed_pair_L2(advect(u, Th), Th, kappa)
+        signed[f"K2{suffix}"] = w_rc * _signed_pair_power(riesz_comm, F, p)
+        signed[f"K3{suffix}"] = w_sc * _signed_pair_power(smooth_comm, F, p)
+    signed["I2"] = w_lin * _signed_pair_L2(linear_term, F, s)
+    signed["K1"] = w_lin * _signed_pair_power(linear_term, F, p)
 
     terms = {name: abs(signed[name]) for name in
              ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3")}
 
     lam_a = apply_multiplier(F, Multiplier.lambda_pow(a))
-    diss_p_signed = (e ** (a - b)) * integral_product(lam_a, F, p - 1)
+    diss_p_signed = h.dissipation * integral_product(lam_a, F, p - 1)
     dissipation = {
-        "s": (e ** (a - b)) * l2_norm_sq(_lam(F, s + a / 2.0)),
+        "s": h.dissipation * l2_norm_sq(_lam(F, s + a / 2.0)),
         "kappa": l2_norm_sq(_lam(Th, kappa + b / 2.0)),
         "p": diss_p_signed,
     }
@@ -293,9 +298,8 @@ def ledger_run(states: Sequence[SimState], config: LedgerConfig,
             passed += int(ok)
         j_val = row.functionals["s"] + row.functionals["kappa"]
         if j_val > 0:
-            max_rate_ratio = max(max_rate_ratio,
-                                 (row.terms["I1"] + row.terms["I2"] + row.terms["I3"]
-                                  + row.terms["I4"] + row.terms["I5"]) / j_val)
+            rhs_sum = sum(row.terms[name] for name in _ROW_TERMS["s"] + _ROW_TERMS["kappa"])
+            max_rate_ratio = max(max_rate_ratio, rhs_sum / j_val)
 
     richardson = {k: abs(integrals[k] - integrals_coarse[k]) / max(integrals[k], 1e-30)
                   for k in integrals}
@@ -307,6 +311,45 @@ def ledger_run(states: Sequence[SimState], config: LedgerConfig,
 # -- regularity-criterion monitor ---------------------------------------------
 
 
+@dataclass(frozen=True)
+class StateNorms:
+    """Norms of one stored state; one record feeds both the series row
+    and the criteria suprema."""
+
+    t: float
+    theta_l2: float
+    theta_linf: float
+    f_l2: float
+    f_l4: float
+    f_l6: float
+    f_halfalpha_l2: float
+    uf_linf: float
+    grad_uf_linf: float
+    f_besov: float
+    grad_theta_linf: float
+
+
+def _grad_linf(field: SpectralField) -> float:
+    gx, gy = gradient(field)
+    return max(lp_norm(gx, np.inf), lp_norm(gy, np.inf))
+
+
+def state_norms(state: SimState) -> StateNorms:
+    ex = ExponentSuite(state.params.alpha)
+    fs = convert_state(state, "f")
+    f = fs.primary
+    uf, _ = scaled_velocity_split(f, fs.theta, fs.params)
+    return StateNorms(
+        t=state.time,
+        theta_l2=lp_norm(state.theta, 2), theta_linf=lp_norm(state.theta, np.inf),
+        f_l2=lp_norm(f, 2), f_l4=lp_norm(f, 4), f_l6=lp_norm(f, 6),
+        f_halfalpha_l2=lp_norm(apply_multiplier(f, Multiplier.lambda_pow(ex.alpha / 2)), 2),
+        uf_linf=max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf)),
+        grad_uf_linf=max(_grad_linf(uf[0]), _grad_linf(uf[1])),
+        f_besov=besov_norm(f, ex.besov_smoothness, ex.besov_integrability),
+        grad_theta_linf=_grad_linf(state.theta))
+
+
 @dataclass
 class CriteriaReport:
     sup_f_l6: float
@@ -316,33 +359,26 @@ class CriteriaReport:
     sup_besov: float
     embedding_ratio: float
     alpha: float
+    norms: List[StateNorms] = dc_field(default_factory=list)
 
     def is_finite(self) -> bool:
         return all(map(math.isfinite, (self.sup_f_l6, self.sup_uf_linf, self.sup_grad_uf_linf,
                                        self.sup_grad_theta_linf, self.sup_besov)))
 
 
-def _grad_linf(field: SpectralField) -> float:
-    gx, gy = gradient(field)
-    return max(lp_norm(gx, np.inf), lp_norm(gy, np.inf))
+def _sup(values) -> float:
+    return max([0.0, *values])
 
 
 def criteria_monitor(traj: Trajectory) -> CriteriaReport:
-    """Running suprema of the blow-up-controlling quantities along a run."""
-    alpha = traj.states[0].params.alpha
-    ex = ExponentSuite(alpha)
-    sup_f6 = sup_uf = sup_guf = sup_gth = sup_bes = 0.0
-    ratio = 0.0
-    for st in traj.states:
-        fs = convert_state(st, "f")
-        uf, _ = velocity_decomposition_for_state(fs)
-        f6 = lp_norm(fs.primary, 6.0)
-        uf_inf = max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf))
-        guf_inf = max(_grad_linf(uf[0]), _grad_linf(uf[1]))
-        gth_inf = _grad_linf(st.theta)
-        bes = besov_norm(fs.primary, ex.besov_smoothness, ex.besov_integrability)
-        sup_f6, sup_uf, sup_guf = max(sup_f6, f6), max(sup_uf, uf_inf), max(sup_guf, guf_inf)
-        sup_gth, sup_bes = max(sup_gth, gth_inf), max(sup_bes, bes)
-        if bes > 0:
-            ratio = max(ratio, guf_inf / bes)
-    return CriteriaReport(sup_f6, sup_uf, sup_guf, sup_gth, sup_bes, ratio, alpha)
+    """Running suprema of the blow-up-controlling quantities along a run,
+    with the per-state norms they are taken over."""
+    norms = [state_norms(st) for st in traj.states]
+    return CriteriaReport(
+        sup_f_l6=_sup(n.f_l6 for n in norms),
+        sup_uf_linf=_sup(n.uf_linf for n in norms),
+        sup_grad_uf_linf=_sup(n.grad_uf_linf for n in norms),
+        sup_grad_theta_linf=_sup(n.grad_theta_linf for n in norms),
+        sup_besov=_sup(n.f_besov for n in norms),
+        embedding_ratio=_sup(n.grad_uf_linf / n.f_besov for n in norms if n.f_besov > 0),
+        alpha=traj.states[0].params.alpha, norms=norms)

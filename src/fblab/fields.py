@@ -90,9 +90,6 @@ class SpectralField:
         mirrored = np.roll(self.coef[::-1, ::-1], 1, axis=(0, 1))
         return float(np.max(np.abs(self.coef - np.conj(mirrored))))
 
-    def l2_coef(self) -> float:
-        return float(np.linalg.norm(self.coef))
-
     # -- algebra --------------------------------------------------------
 
     def _check_grid(self, other: "SpectralField"):

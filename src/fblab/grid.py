@@ -65,10 +65,6 @@ class Grid:
         """Physical coordinates X1, X2 with 'ij' indexing."""
         return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
-    def cell_area(self) -> float:
-        return self.dx * self.dx
-
-
 def make_grid(n: int, length: float) -> Grid:
     """Build a periodic grid; rejects non-power-of-two n and length <= 0."""
     return Grid(n, length)

@@ -1,6 +1,6 @@
 """Time integration of the fractional Boussinesq system on the torus.
 
-Three formulations of the same dynamics are available:
+A state carries one of two tags:
 
 ``omega``   vorticity/temperature,
             d_t omega + u.grad omega + nu Lambda^alpha omega = d1 theta,
@@ -14,13 +14,17 @@ Three formulations of the same dynamics are available:
                   + [Lambda^(beta-2alpha) d1, u.grad] theta,
             with u = u_f + u_theta recovered from (f, theta).
 
-``scaled``  the f-system after t -> eps0^beta t, x -> eps0 x; each term
-            picks up the power of eps0 dictated by that substitution and
-            the velocity is the rescaled one (resolves to the f-system
-            when eps0 = 1).
+The ``f`` tag also carries the rescaled hybrid system (the config word
+``scaled``, meaning the ``f`` form with eps0 < 1): after
+t -> eps0^beta t, x -> eps0 x each term picks up the power of eps0 in
+:func:`hybrid_terms` and the velocity split is the rescaled one.  eps0
+lives in :class:`ModelParams`, and eps0 = 1 gives the equation above.
+:func:`nonlinear` is the one definition of these source terms.
 
-The hybrid form requires nu = kappa = 1 (the change of variables mixes
-the two dissipations).  Dissipation is integrated exactly through an
+Stepping the hybrid form requires nu = kappa = 1 (the change of
+variables mixes the two dissipations); :func:`hybrid_terms` checks it.
+An ``f`` state of any parameters can still be built and converted, which
+the diagnostics of a vorticity run rely on.  Dissipation is integrated exactly through an
 integrating-factor RK4 step; advection and source terms are treated
 explicitly with alias-free products.
 
@@ -41,11 +45,10 @@ from .fields import SpectralField, dealias_projection
 from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import l2_norm_sq
-from .operators import (Velocity, advect, apply_symbol_sum, biot_savart, check_alpha,
-                        commutator_apply, curl, gradient, leray_project, require_mean_free,
-                        temperature_vorticity_operator, velocity_decomposition)
+from .operators import (Velocity, advect, biot_savart, check_alpha, commutator_apply,
+                        leray_project, require_mean_free, temperature_vorticity_operator)
 
-FORMULATIONS = ("omega", "g", "f", "scaled")
+FORMULATIONS = ("omega", "f")
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -115,27 +118,16 @@ def transform_to_g(omega: SpectralField, theta: SpectralField, alpha: float) -> 
     return omega - apply_multiplier(theta, Multiplier.riesz(alpha))
 
 
-def g_to_omega(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
-    check_alpha(alpha)
-    return g + apply_multiplier(theta, Multiplier.riesz(alpha))
-
-
-def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float,
-                   beta: float | None = None) -> SpectralField:
+def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     """Second-stage hybrid variable f = omega - R_alpha (I + Lambda^(beta-alpha)) theta."""
     check_alpha(alpha)
-    beta = 1.0 - alpha if beta is None else beta
-    if abs(alpha + beta - 1.0) > 1e-14:
-        raise ValueError("transform requires alpha + beta = 1")
     require_mean_free(omega, "vorticity")
-    return omega - apply_symbol_sum(theta, temperature_vorticity_operator(alpha, beta))
+    return omega - apply_multiplier(theta, temperature_vorticity_operator(alpha))
 
 
-def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float,
-                     beta: float | None = None) -> SpectralField:
+def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     check_alpha(alpha)
-    beta = 1.0 - alpha if beta is None else beta
-    return f + apply_symbol_sum(theta, temperature_vorticity_operator(alpha, beta))
+    return f + apply_multiplier(theta, temperature_vorticity_operator(alpha))
 
 
 def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
@@ -147,22 +139,14 @@ def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralFi
 
 
 def convert_state(state: SimState, tag: str) -> SimState:
-    """Re-express the state in another formulation at fixed theta."""
-    if tag == state.tag or (tag, state.tag) in (("f", "scaled"), ("scaled", "f")):
-        return replace(state, tag=tag)
+    """Re-express the state in the other formulation at fixed theta."""
+    if tag == state.tag:
+        return state
     a = state.params.alpha
-    if state.tag == "omega":
-        omega = state.primary
-    elif state.tag == "g":
-        omega = g_to_omega(state.primary, state.theta, a)
+    if tag == "f":
+        new = transform_to_f(state.primary, state.theta, a)
     else:
-        omega = vorticity_from_f(state.primary, state.theta, a)
-    if tag == "omega":
-        new = omega
-    elif tag == "g":
-        new = transform_to_g(omega, state.theta, a)
-    else:
-        new = transform_to_f(omega, state.theta, a)
+        new = vorticity_from_f(state.primary, state.theta, a)
     return replace(state, primary=new, tag=tag)
 
 
@@ -171,12 +155,14 @@ def convert_state(state: SimState, tag: str) -> SimState:
 
 def scaled_velocity_split(f: SpectralField, theta: SpectralField,
                           params: ModelParams) -> Tuple[Velocity, Velocity]:
-    """Velocity split (U_F, U_Theta) in scaled variables.
+    """Velocity split (U_F, U_Theta) of the hybrid formulation.
 
-    Substituting t -> eps0^beta t, x -> eps0 x into the stream-function
-    inversion gives U_F = eps0^{-1} grad_perp Delta^{-1} F and rescales
-    the two temperature factors by eps0^{beta-1} and eps0^{2beta-alpha-1}.
-    With eps0 = 1 this is the plain velocity decomposition.
+    u_f = grad_perp Delta^{-1} f carries the hybrid variable and
+    u_theta = grad_perp Delta^{-1} R_alpha (I + Lambda^(beta-alpha)) theta
+    the temperature.  Substituting t -> eps0^beta t, x -> eps0 x into the
+    stream-function inversion gives U_F = eps0^{-1} grad_perp Delta^{-1} F
+    and rescales the two temperature factors by eps0^{beta-1} and
+    eps0^{2beta-alpha-1}; with eps0 = 1 the factors are 1.
     """
     a, b, e = params.alpha, params.beta, params.eps0
     require_mean_free(f, "hybrid variable")
@@ -191,95 +177,77 @@ def scaled_velocity_split(f: SpectralField, theta: SpectralField,
     return uf, ut
 
 
-def velocity_decomposition_for_state(state: SimState) -> Tuple[Velocity, Velocity]:
-    """(u_f, u_theta) for a hybrid-formulation state, honoring eps0."""
-    if state.tag not in ("f", "scaled"):
-        raise ValueError("velocity decomposition applies to hybrid-formulation states")
-    return scaled_velocity_split(state.primary, state.theta, state.params)
-
-
 def state_velocity(state: SimState) -> Velocity:
-    """Full advecting velocity for any formulation."""
-    a = state.params.alpha
+    """Full advecting velocity for either formulation."""
     if state.tag == "omega":
         return biot_savart(state.primary)
-    if state.tag == "g":
-        omega = g_to_omega(state.primary, state.theta, a)
-        return biot_savart(omega)
-    if state.tag == "f":
-        uf, ut = velocity_decomposition(state.primary, state.theta, a)
-    else:
-        uf, ut = scaled_velocity_split(state.primary, state.theta, state.params)
+    uf, ut = scaled_velocity_split(state.primary, state.theta, state.params)
     return uf[0] + ut[0], uf[1] + ut[1]
 
 
 # -- right-hand sides -------------------------------------------------------
 
 
-def _theta_tendency(u: Velocity, theta: SpectralField, params: ModelParams,
-                    advection_weight: float = 1.0) -> SpectralField:
-    adv = advect(u, theta)
-    lam_b = apply_multiplier(theta, Multiplier.lambda_pow(params.beta))
-    return -advection_weight * adv - params.kappa * lam_b
+@dataclass(frozen=True)
+class HybridTerms:
+    """Terms of the hybrid equation with the power of eps0 each picks up
+    under t -> eps0^beta t, x -> eps0 x (all weights are 1 when eps0 = 1).
+    Each theta-driven source is a (weight, operator) pair."""
+
+    advect: float
+    dissipation: float
+    linear: Tuple[float, Multiplier]        # Lambda^(2(beta-alpha)) d1 theta
+    riesz_comm: Tuple[float, Multiplier]    # [R_alpha, u.grad] theta
+    smooth_comm: Tuple[float, Multiplier]   # [Lambda^(beta-2alpha) d1, u.grad] theta
 
 
-def rhs_vorticity(state: SimState) -> Tuple[SpectralField, SpectralField]:
-    """Full tendencies (d omega/dt, d theta/dt)."""
-    if state.tag != "omega":
-        raise ValueError("rhs_vorticity needs a state in the vorticity formulation")
+def hybrid_terms(params: ModelParams) -> HybridTerms:
+    """The one table of hybrid weights and operators; the change of
+    variables mixes the two dissipations, so it needs nu = kappa = 1."""
+    params.require_unit_dissipation("the hybrid formulation")
+    a, b, e = params.alpha, params.beta, params.eps0
+    return HybridTerms(
+        advect=e ** a,
+        dissipation=e ** (a - b),
+        linear=(e ** (2.0 - 3.0 * a),
+                Multiplier.compose(Multiplier.lambda_pow(2 * (b - a)), Multiplier.partial(0))),
+        riesz_comm=(e, Multiplier.riesz(a)),
+        smooth_comm=(e ** (2.0 * b),
+                     Multiplier.compose(Multiplier.lambda_pow(b - 2 * a), Multiplier.partial(0))),
+    )
+
+
+def nonlinear(state: SimState) -> Tuple[SpectralField, SpectralField]:
+    """Everything except the stiff fractional dissipation."""
+    u = state_velocity(state)
+    if state.tag == "omega":
+        dP = -advect(u, state.primary) + apply_multiplier(state.theta, Multiplier.partial(0))
+        dT = -advect(u, state.theta)
+        return dP, dT
+    h, th = hybrid_terms(state.params), state.theta
+    (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
+    dP = (-h.advect * advect(u, state.primary)
+          + w_lin * apply_multiplier(th, lin)
+          + w_rc * commutator_apply(riesz, u, th)
+          + w_sc * commutator_apply(smooth, u, th))
+    dT = -h.advect * advect(u, th)
+    return dP, dT
+
+
+def _dissipation_rates(state: SimState) -> Tuple[float, float, float, float]:
+    """(coefficient, order) pairs for the primary field and theta."""
     p = state.params
-    u = biot_savart(state.primary)
-    domega = (-advect(u, state.primary)
-              - p.nu * apply_multiplier(state.primary, Multiplier.lambda_pow(p.alpha))
-              + apply_multiplier(state.theta, Multiplier.partial(0)))
-    return domega, _theta_tendency(u, state.theta, p)
+    if state.tag == "omega":
+        return p.nu, p.alpha, p.kappa, p.beta
+    return hybrid_terms(p).dissipation, p.alpha, 1.0, p.beta
 
 
-def _hybrid_sources(u: Velocity, theta: SpectralField, alpha: float) -> Dict[str, SpectralField]:
-    """The three theta-driven source terms of the hybrid-variable equation."""
-    beta = 1.0 - alpha
-    linear_op = Multiplier.compose(Multiplier.lambda_pow(2 * (beta - alpha)), Multiplier.partial(0))
-    smooth_op = Multiplier.compose(Multiplier.lambda_pow(beta - 2 * alpha), Multiplier.partial(0))
-    return {
-        "linear": apply_multiplier(theta, linear_op),
-        "riesz_comm": commutator_apply(Multiplier.riesz(alpha), u, theta),
-        "smooth_comm": commutator_apply(smooth_op, u, theta),
-    }
-
-
-def rhs_f_system(state: SimState) -> Tuple[SpectralField, SpectralField]:
-    """Full tendencies (df/dt, d theta/dt) for the unscaled hybrid system."""
-    if state.tag not in ("f", "scaled"):
-        raise ValueError("rhs_f_system needs a state in the hybrid formulation")
-    p = state.params
-    p.require_unit_dissipation("the hybrid formulation")
-    a = p.alpha
-    uf, ut = velocity_decomposition(state.primary, state.theta, a)
-    u = (uf[0] + ut[0], uf[1] + ut[1])
-    src = _hybrid_sources(u, state.theta, a)
-    df = (-advect(u, state.primary)
-          - apply_multiplier(state.primary, Multiplier.lambda_pow(a))
-          + src["linear"] + src["riesz_comm"] + src["smooth_comm"])
-    return df, _theta_tendency(u, state.theta, p)
-
-
-def rhs_scaled(state: SimState) -> Tuple[SpectralField, SpectralField]:
-    """Tendencies of the rescaled hybrid system; equals rhs_f_system at eps0 = 1."""
-    if state.tag not in ("f", "scaled"):
-        raise ValueError("rhs_scaled needs a state in the hybrid formulation")
-    p = state.params
-    p.require_unit_dissipation("the scaled hybrid formulation")
-    a, b, e = p.alpha, p.beta, p.eps0
-    uf, ut = scaled_velocity_split(state.primary, state.theta, p)
-    u = (uf[0] + ut[0], uf[1] + ut[1])
-    src = _hybrid_sources(u, state.theta, a)
-    dF = (-(e ** a) * advect(u, state.primary)
-          - (e ** (a - b)) * apply_multiplier(state.primary, Multiplier.lambda_pow(a))
-          + (e ** (2.0 - 3.0 * a)) * src["linear"]
-          + e * src["riesz_comm"]
-          + (e ** (2.0 * b)) * src["smooth_comm"])
-    dTheta = _theta_tendency(u, state.theta, p, advection_weight=e ** a)
-    return dF, dTheta
+def rhs(state: SimState) -> Tuple[SpectralField, SpectralField]:
+    """Full tendencies (d primary/dt, d theta/dt) in the state's formulation."""
+    dP, dT = nonlinear(state)
+    cP, ordP, cT, ordT = _dissipation_rates(state)
+    return (dP - cP * apply_multiplier(state.primary, Multiplier.lambda_pow(ordP)),
+            dT - cT * apply_multiplier(state.theta, Multiplier.lambda_pow(ordT)))
 
 
 def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams) -> Tuple[Velocity, SpectralField]:
@@ -292,41 +260,11 @@ def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams) -> Tup
     lam = Multiplier.lambda_pow(params.alpha)
     du = (proj[0] - params.nu * apply_multiplier(u[0], lam),
           proj[1] - params.nu * apply_multiplier(u[1], lam))
-    dtheta = _theta_tendency(u, theta, params)
+    dtheta = -advect(u, theta) - params.kappa * apply_multiplier(theta, Multiplier.lambda_pow(params.beta))
     return du, dtheta
 
 
 # -- integrating-factor RK4 --------------------------------------------------
-
-
-def _nonlinear(state: SimState) -> Tuple[SpectralField, SpectralField]:
-    """Everything except the stiff fractional dissipation."""
-    p = state.params
-    if state.tag == "g":
-        raise ValueError("time stepping runs in the omega or hybrid formulations; convert first")
-    if state.tag == "omega":
-        u = biot_savart(state.primary)
-        dP = -advect(u, state.primary) + apply_multiplier(state.theta, Multiplier.partial(0))
-        dT = -advect(u, state.theta)
-        return dP, dT
-    a, e = p.alpha, p.eps0
-    uf, ut = scaled_velocity_split(state.primary, state.theta, p)
-    u = (uf[0] + ut[0], uf[1] + ut[1])
-    src = _hybrid_sources(u, state.theta, a)
-    dP = (-(e ** a) * advect(u, state.primary)
-          + (e ** (2.0 - 3.0 * a)) * src["linear"]
-          + e * src["riesz_comm"]
-          + (e ** (2.0 * p.beta)) * src["smooth_comm"])
-    dT = -(e ** a) * advect(u, state.theta)
-    return dP, dT
-
-
-def _dissipation_rates(state: SimState) -> Tuple[float, float, float, float]:
-    """(coefficient, order) pairs for the primary field and theta."""
-    p = state.params
-    if state.tag == "omega":
-        return p.nu, p.alpha, p.kappa, p.beta
-    return p.eps0 ** (p.alpha - p.beta), p.alpha, 1.0, p.beta
 
 
 def cfl_limit(state: SimState, c: float = 0.4) -> float:
@@ -338,17 +276,6 @@ def cfl_limit(state: SimState, c: float = 0.4) -> float:
     return c * min(advective, dx ** state.params.alpha)
 
 
-@dataclass
-class StageView:
-    """Lightweight view of an RK stage, handed to quadrature accumulators."""
-
-    time: float
-    theta: SpectralField
-    primary: SpectralField
-    tag: str
-    params: ModelParams
-
-
 def _check_finite(state: SimState):
     for name, fld in (("theta", state.theta), ("primary", state.primary)):
         if not np.all(np.isfinite(fld.coef)):
@@ -356,13 +283,13 @@ def _check_finite(state: SimState):
 
 
 def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = True,
-         accumulators: Optional[Dict[str, Callable[[StageView], float]]] = None,
+         accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None,
          totals: Optional[Dict[str, float]] = None) -> SimState:
     """One integrating-factor RK4 step.
 
     The linear dissipation is propagated exactly by exp(-dt c |k|^order)
     on each component; the remaining terms go through classical RK4.
-    Optional accumulators integrate scalar functionals of the stage
+    Optional accumulators integrate scalar functionals of the four stage
     states alongside (RK4-consistent quadrature), adding into ``totals``.
 
     Negative dt is allowed only when both dissipation coefficients are
@@ -398,20 +325,20 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     p0, t0 = state.primary.coef, state.theta.coef
     s0 = state
 
-    k1 = _nonlinear(s0)
+    k1 = nonlinear(s0)
     a_p, a_t = prop((p0 + 0.5 * dt * k1[0].coef, t0 + 0.5 * dt * k1[1].coef), half=True)
     s_a = wrap(a_p, a_t, state.time + 0.5 * dt)
 
-    k2 = _nonlinear(s_a)
+    k2 = nonlinear(s_a)
     hp, ht = prop((p0, t0), half=True)
     s_b = wrap(hp + 0.5 * dt * k2[0].coef, ht + 0.5 * dt * k2[1].coef, state.time + 0.5 * dt)
 
-    k3 = _nonlinear(s_b)
+    k3 = nonlinear(s_b)
     k3p_half, k3t_half = prop((k3[0].coef, k3[1].coef), half=True)
     fp, ft = prop((p0, t0), half=False)
     s_c = wrap(fp + dt * k3p_half, ft + dt * k3t_half, state.time + dt)
 
-    k4 = _nonlinear(s_c)
+    k4 = nonlinear(s_c)
     k1p_full, k1t_full = prop((k1[0].coef, k1[1].coef), half=False)
     k2p_half, k2t_half = prop((k2[0].coef, k2[1].coef), half=True)
     new_p = fp + dt / 6.0 * (k1p_full + 2.0 * k2p_half + 2.0 * k3p_half + k4[0].coef)
@@ -422,8 +349,7 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
 
     if accumulators and totals is not None:
         for name, func in accumulators.items():
-            vals = [func(StageView(s.time, s.theta, s.primary, s.tag, s.params))
-                    for s in (s0, s_a, s_b, s_c)]
+            vals = [func(s) for s in (s0, s_a, s_b, s_c)]
             totals[name] = totals.get(name, 0.0) + dt / 6.0 * (vals[0] + 2 * vals[1] + 2 * vals[2] + vals[3])
     return out
 
@@ -445,7 +371,7 @@ class Trajectory:
 
 def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: float = 0.4,
               cadence: int = 1,
-              accumulators: Optional[Dict[str, Callable[[StageView], float]]] = None) -> Trajectory:
+              accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None) -> Trajectory:
     """Advance to t_end, storing every ``cadence``-th state (and always the last)."""
     if dt is None:
         dt = cfl_limit(state, cfl_c)
@@ -467,15 +393,14 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
 # -- standard accumulators ---------------------------------------------------
 
 
-def theta_dissipation_rate(view: StageView) -> float:
-    half = apply_multiplier(view.theta, Multiplier.lambda_pow(view.params.beta / 2.0))
+def theta_dissipation_rate(state: SimState) -> float:
+    half = apply_multiplier(state.theta, Multiplier.lambda_pow(state.params.beta / 2.0))
     return l2_norm_sq(half)
 
 
-def velocity_dissipation_rate(view: StageView) -> float:
-    state = SimState(view.time, view.theta, view.primary, view.tag, view.params)
+def velocity_dissipation_rate(state: SimState) -> float:
     u = state_velocity(state)
-    lam = Multiplier.lambda_pow(view.params.alpha / 2.0)
+    lam = Multiplier.lambda_pow(state.params.alpha / 2.0)
     return l2_norm_sq(apply_multiplier(u[0], lam)) + l2_norm_sq(apply_multiplier(u[1], lam))
 
 

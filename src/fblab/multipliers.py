@@ -69,7 +69,7 @@ def smooth_zeta(r):
 # -- multiplier spec ------------------------------------------------------
 
 _KINDS = ("lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "dyadic_bump",
-          "smooth_bump", "lowpass", "composite")
+          "smooth_bump", "lowpass", "composite", "sum")
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,15 @@ class Multiplier:
         rule = ANNIHILATE if any(p.zero_mode == ANNIHILATE for p in parts) else IDENTITY
         return Multiplier("composite", (), rule, tuple(parts))
 
+    @staticmethod
+    def sum(*parts: "Multiplier") -> "Multiplier":
+        """Unweighted sum of symbols.  Its zero mode is the sum of the
+        parts' zero modes, so at most one part may be the identity there."""
+        n_identity = len([p for p in parts if p.zero_mode == IDENTITY])
+        if n_identity > 1:
+            raise ValueError("a sum with several identity zero modes has no zero-mode rule")
+        return Multiplier("sum", (), IDENTITY if n_identity else ANNIHILATE, tuple(parts))
+
     def with_zero_mode(self, rule: str) -> "Multiplier":
         return Multiplier(self.kind, self.params, rule, self.parts)
 
@@ -139,7 +148,7 @@ class Multiplier:
             return self.params[0] >= 1
         if self.kind == "inv_lap_perp_grad":
             return True
-        if self.kind == "composite":
+        if self.kind in ("composite", "sum"):
             return any(p.singular_at_zero() for p in self.parts)
         return False
 
@@ -153,6 +162,12 @@ class Multiplier:
             sym = np.ones((grid.n, grid.n), dtype=np.complex128)
             for p in self.parts:
                 sym = sym * p.with_zero_mode(ANNIHILATE).symbol(grid)
+            sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
+            return sym
+        if self.kind == "sum":
+            sym = np.zeros((grid.n, grid.n), dtype=np.complex128)
+            for p in self.parts:
+                sym += p.with_zero_mode(ANNIHILATE).symbol(grid)
             sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
             return sym
 

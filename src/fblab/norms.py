@@ -118,11 +118,6 @@ def refined_sup(field: SpectralField, pad_factor: int = 4, newton_steps: int = 6
     return max(best, abs(sign * f))
 
 
-def relative_diff(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
-
-
 def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
     num = math.sqrt(l2_norm_sq(a - b))
     den = max(math.sqrt(l2_norm_sq(a)), math.sqrt(l2_norm_sq(b)), 1e-300)

@@ -61,29 +61,12 @@ def biot_savart(omega: SpectralField) -> Velocity:
     return apply_multiplier(omega, _BS1), apply_multiplier(omega, _BS2)
 
 
-def temperature_vorticity_operator(alpha: float, beta: float) -> Multiplier:
+def temperature_vorticity_operator(alpha: float) -> Multiplier:
     """Multiplier mapping the temperature to its vorticity contribution,
-    i.e. the symbol of R_alpha (I + Lambda^(beta-alpha))."""
+    i.e. the symbol of R_alpha (I + Lambda^(beta-alpha)) with beta = 1 - alpha."""
+    beta = 1.0 - alpha
     riesz = Multiplier.riesz(alpha)
-    tail = Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha))
-    return _SumMultiplier((riesz, tail))
-
-
-class _SumMultiplier:
-    """Sum of multiplier symbols (not part of the composed-kind algebra)."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def symbol(self, grid):
-        out = np.zeros((grid.n, grid.n), dtype=np.complex128)
-        for p in self.parts:
-            out += p.symbol(grid)
-        return out
-
-
-def apply_symbol_sum(field: SpectralField, op: "_SumMultiplier") -> SpectralField:
-    return SpectralField(field.grid, field.coef * op.symbol(field.grid), real=field.real)
+    return Multiplier.sum(riesz, Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha)))
 
 
 def check_alpha(alpha: float):
@@ -91,32 +74,10 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
 
 
-def velocity_decomposition(f: SpectralField, theta: SpectralField, alpha: float,
-                           beta: float | None = None) -> Tuple[Velocity, Velocity]:
-    """Split the velocity into the part carried by the hybrid variable f
-    and the part carried by the temperature.
-
-    u_f = grad_perp Delta^{-1} f
-    u_theta = grad_perp Delta^{-1} R_alpha (I + Lambda^(beta-alpha)) theta
-    """
-    check_alpha(alpha)
-    if beta is None:
-        beta = 1.0 - alpha
-    if abs((alpha + beta) - 1.0) > 1e-14:
-        raise ValueError("velocity decomposition requires alpha + beta = 1")
-    require_mean_free(f, "hybrid variable")
-    require_mean_free(theta, "temperature")
-    u_f = biot_savart(f)
-    theta_contrib = apply_symbol_sum(theta, temperature_vorticity_operator(alpha, beta))
-    u_theta = (apply_multiplier(theta_contrib, _BS1), apply_multiplier(theta_contrib, _BS2))
-    return u_f, u_theta
-
-
-def commutator_apply(op, v: Velocity, phi: SpectralField, dealias: bool = True) -> SpectralField:
+def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField, dealias: bool = True) -> SpectralField:
     """[op, v.grad] phi = op(v.grad phi) - v.grad(op phi), products dealiased."""
-    applied = apply_symbol_sum(phi, op) if isinstance(op, _SumMultiplier) else apply_multiplier(phi, op)
-    first = apply_symbol_sum(advect(v, phi, dealias), op) if isinstance(op, _SumMultiplier) \
-        else apply_multiplier(advect(v, phi, dealias), op)
+    applied = apply_multiplier(phi, op)
+    first = apply_multiplier(advect(v, phi, dealias), op)
     return first - advect(v, applied, dealias)
 
 

@@ -382,9 +382,8 @@ def _draw_eq25(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
     return fields
 
 
-def _mid_block_level(grid: Grid) -> int:
-    # keep every product inside the alias-safe band of the smallest grid used
-    return 3
+# keep every product inside the alias-safe band of the smallest grid used
+_MID_BLOCK_LEVEL = 3
 
 
 def _draw_g50(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
@@ -394,7 +393,7 @@ def _draw_g50(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
                              _resolve_band(cfg["vband"], grid), cfg["vdecay"])
     f = random_scalar_field(grid, (base, trial, attempt, 1),
                             _resolve_band(cfg["pband"], grid), cfg["pdecay"])
-    return {"v": v, "phi": f, "k": _mid_block_level(grid)}
+    return {"v": v, "phi": f, "k": _MID_BLOCK_LEVEL}
 
 
 def _g50_fields(spec, grid, fields):

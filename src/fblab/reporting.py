@@ -12,8 +12,6 @@ import json
 import os
 from typing import Iterable, Sequence
 
-DOMAIN_NOTE = "torus"
-
 
 def fmt(value) -> str:
     if isinstance(value, float):
@@ -39,7 +37,3 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
 
 def write_json(path: str, payload):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def write_text(path: str, text: str):
-    _atomic_write(path, text)

@@ -18,7 +18,7 @@ from .dyadic import build_partition, dyadic_block, maximal_function, paraproduct
 from .ensembles import random_divfree_field, random_scalar_field
 from .fields import SpectralField, multiply
 from .grid import make_grid
-from .model import ModelParams, SimState, initial_state, rhs_f_system, rhs_scaled, rhs_vorticity, step, transform_to_f, transform_to_g
+from .model import ModelParams, SimState, initial_state, rhs, step, transform_to_f, transform_to_g
 from .multipliers import Multiplier, apply_multiplier
 from .norms import l2_norm_sq, lp_norm
 from .operators import biot_savart, divergence
@@ -132,24 +132,14 @@ def check_rhs_trivial_cases() -> bool:
     p = ModelParams(alpha=0.75)
     # single-mode vorticity: no self-advection
     st = SimState(0.0, SpectralField.zero(g), SpectralField.from_physical(g, np.cos(3 * X)), "omega", p)
-    dw, _ = rhs_vorticity(st)
+    dw, _ = rhs(st)
     expected = -3.0 ** 0.75 * np.cos(3 * X)
     if float(np.max(np.abs(dw.physical() - expected))) > 1e-11:
         return False
     # theta with no x1 dependence: buoyancy source vanishes
     st2 = SimState(0.0, SpectralField.from_physical(g, np.sin(Y)), SpectralField.zero(g), "omega", p)
-    dw2, _ = rhs_vorticity(st2)
+    dw2, _ = rhs(st2)
     return float(np.max(np.abs(dw2.coef))) < _TOL
-
-
-def check_scaled_reduction() -> bool:
-    g = _grid()
-    p = ModelParams(alpha=0.75)
-    st = initial_state(g, p, "f", seed=5, amplitude_theta=0.3, amplitude_primary=0.3)
-    df1, dt1 = rhs_f_system(st)
-    df2, dt2 = rhs_scaled(st)
-    return (float(np.max(np.abs(df1.coef - df2.coef))) < 1e-13
-            and float(np.max(np.abs(dt1.coef - dt2.coef))) < 1e-13)
 
 
 def check_exact_dissipation_step() -> bool:
@@ -230,7 +220,6 @@ CHECKS: List[Tuple[str, Callable[[], bool]]] = [
     ("maximal_of_constant", check_maximal_constant),
     ("transform_closed_forms", check_transform_closed_forms),
     ("rhs_trivial_cases", check_rhs_trivial_cases),
-    ("scaled_reduces_to_hybrid", check_scaled_reduction),
     ("exact_dissipation_step", check_exact_dissipation_step),
     ("ledger_null_terms", check_ledger_null_terms),
     ("commutator_null_cases", check_commutator_nulls),

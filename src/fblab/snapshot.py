@@ -52,25 +52,33 @@ def write_snapshot(path: str, grid: Grid, fields: Dict[str, SpectralField | np.n
 
 
 def read_snapshot(path: str) -> Tuple[Grid, Dict[str, np.ndarray]]:
+    """Read a snapshot; any malformed input raises SnapshotFormatError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {blob[:4]!r}")
     off = 4
-    (n,) = struct.unpack_from("<I", blob, off); off += 4
-    (length,) = struct.unpack_from("<d", blob, off); off += 8
-    (count,) = struct.unpack_from("<H", blob, off); off += 2
-    names = []
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<H", blob, off); off += 2
-        names.append(blob[off:off + ln].decode("utf-8")); off += ln
-    grid = make_grid(int(n), float(length))
-    out = {}
+    try:
+        (n,) = struct.unpack_from("<I", blob, off); off += 4
+        (length,) = struct.unpack_from("<d", blob, off); off += 8
+        (count,) = struct.unpack_from("<H", blob, off); off += 2
+        names = []
+        for _ in range(count):
+            (ln,) = struct.unpack_from("<H", blob, off); off += 2
+            names.append(blob[off:off + ln].decode("utf-8")); off += ln
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SnapshotFormatError(f"{path}: malformed header ({exc})") from exc
     block = n * n * 8
+    # checked before the grid is built, so a damaged n allocates nothing
+    if len(blob) != off + count * block:
+        raise SnapshotFormatError(f"{path}: {len(blob) - off} data bytes, "
+                                  f"expected {count} blocks of {block}")
+    try:
+        grid = make_grid(int(n), float(length))
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from exc
+    out = {}
     for name in names:
-        arr = np.frombuffer(blob[off:off + block], dtype="<f8").reshape(n, n).copy()
-        out[name] = arr
+        out[name] = np.frombuffer(blob[off:off + block], dtype="<f8").reshape(n, n).copy()
         off += block
-    if off != len(blob):
-        raise SnapshotFormatError(f"{path}: {len(blob) - off} trailing bytes")
     return grid, out

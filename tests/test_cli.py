@@ -80,6 +80,15 @@ class TestConfig:
         cfg_path.write_text(BASE_INI.format(out=str(tmp_path / "o")).replace("alpha = 0.75", "alpha = 0.3"))
         assert main(["--config", str(cfg_path), "simulate"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("old,new,word", [("n = 32", "n = 100", "power of two"),
+                                              ("n = 32", "n = 32\nlength = -1", "period")])
+    def test_bad_grid_exit_code(self, tmp_path, capsys, old, new, word):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(BASE_INI.format(out=str(tmp_path / "o")).replace(old, new))
+        assert main(["--config", str(cfg_path), "simulate"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and word in err
+
 
 class TestSnapshotFormat:
     def test_round_trip_and_layout(self, tmp_path):
@@ -93,6 +102,23 @@ class TestSnapshotFormat:
         grid2, fields = read_snapshot(path)
         assert grid2.length == pytest.approx(2 * np.pi)
         assert np.array_equal(fields["theta"], f.physical())
+
+    @pytest.mark.parametrize("cut", [6, -8])
+    def test_malformed_snapshot_in_replay(self, tmp_path, capsys, cut):
+        # a 6-byte file (cut-off header) and a cut-off data block
+        path, out = write_ini(tmp_path)
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        snap = os.path.join(out, "snap_000001.fbl")
+        blob = open(snap, "rb").read()
+        open(snap, "wb").write(blob[:cut])
+        with pytest.raises(SnapshotFormatError, match="snap_000001"):
+            read_snapshot(snap)
+        replay = BASE_INI.format(out=str(tmp_path / "replay")) + f"\n[ledger]\nsnapshots_dir = {out}\n"
+        rpath = tmp_path / "replay.ini"
+        rpath.write_text(replay)
+        assert main(["--config", str(rpath), "ledger"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "snap_000001.fbl" in err
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fbl"
@@ -123,6 +149,18 @@ class TestSimulate:
                           "f_halfalpha_l2", "uf_linf", "grad_uf_linf", "f_besov"]
         assert os.path.exists(os.path.join(out, "snapshots.csv"))
         assert os.path.exists(os.path.join(out, "criteria.json"))
+
+    def test_omega_run_with_non_unit_dissipation(self, tmp_path):
+        # only the hybrid formulations need nu = kappa = 1; the series and
+        # criteria of a vorticity run still read the state in the f form
+        ini = BASE_INI.format(out=str(tmp_path / "o")).replace("formulation = f", "formulation = omega\nnu = 0.5") \
+                                                      .replace("t_end = 0.12", "t_end = 0.03")
+        path = tmp_path / "omega.ini"
+        path.write_text(ini)
+        assert main(["--config", str(path), "simulate"]) == EXIT_OK
+        rows = open(tmp_path / "o" / "series.csv").read().strip().splitlines()
+        assert len(rows) == 3 and rows[0].startswith("t,theta_l2")
+        assert json.load(open(tmp_path / "o" / "criteria.json"))
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         path1, out1 = write_ini(tmp_path, name="a.ini", out=str(tmp_path / "o1"))

@@ -249,7 +249,7 @@ class TestLedgerRun:
         # signed terms must reproduce < d/dt functional > computed from the
         # actual tendencies, with no finite differences involved; any wrong
         # eps0 power on either side breaks this at leading order
-        from fblab.model import rhs_scaled
+        from fblab.model import rhs
         from fblab.multipliers import Multiplier, apply_multiplier
         from fblab.norms import inner, integral_product
 
@@ -258,7 +258,7 @@ class TestLedgerRun:
         st = initial_state(g, p, "scaled", seed=9, amplitude_theta=0.3, amplitude_primary=0.3)
         s, kappa, pp = 0.375, 0.25, 4
         row = energy_terms(st, s, kappa, pp)
-        dF, dTh = rhs_scaled(st)
+        dF, dTh = rhs(st)
 
         lam_s = Multiplier.lambda_pow(s)
         rate_s = inner(apply_multiplier(dF, lam_s), apply_multiplier(st.primary, lam_s))

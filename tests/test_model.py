@@ -15,13 +15,13 @@ from fblab.ensembles import random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
-                         Trajectory, cfl_limit, convert_state, f_from_g, g_to_omega,
-                         initial_state, integrate, primitive_rhs, rhs_f_system, rhs_scaled,
-                         rhs_vorticity, step, theta_dissipation_rate, transform_to_f,
-                         transform_to_g, velocity_dissipation_rate, vorticity_from_f)
+                         Trajectory, cfl_limit, convert_state, f_from_g, initial_state,
+                         integrate, primitive_rhs, rhs, scaled_velocity_split, step,
+                         theta_dissipation_rate, transform_to_f, transform_to_g,
+                         velocity_dissipation_rate, vorticity_from_f)
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, refined_sup, rel_l2_diff
-from fblab.operators import apply_symbol_sum, biot_savart, curl, temperature_vorticity_operator
+from fblab.operators import biot_savart, curl, temperature_vorticity_operator
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
@@ -110,7 +110,8 @@ class TestTransforms:
         w = random_scalar_field(g, seed, band=(0, 3))
         th = random_scalar_field(g, seed + 1, band=(0, 3))
         scale = np.max(np.abs(w.coef))
-        assert np.max(np.abs(g_to_omega(transform_to_g(w, th, alpha), th, alpha).coef - w.coef)) < 1e-13 * scale
+        g_back = transform_to_g(w, th, alpha) + apply_multiplier(th, Multiplier.riesz(alpha))
+        assert np.max(np.abs(g_back.coef - w.coef)) < 1e-13 * scale
         assert np.max(np.abs(vorticity_from_f(transform_to_f(w, th, alpha), th, alpha).coef - w.coef)) < 1e-13 * scale
 
     def test_two_formulas_for_f_agree(self):
@@ -128,9 +129,21 @@ class TestTransforms:
         with pytest.raises(ValueError):
             transform_to_g(z, z, 0.45)
 
+    def test_only_two_tags(self):
+        st0 = make_state()
+        for tag in ("g", "scaled"):
+            with pytest.raises(ValueError, match="formulation tag"):
+                SimState(0.0, st0.theta, st0.primary, tag, st0.params)
+        # an f state of any parameters can be built (the diagnostics of an
+        # omega run convert to it); stepping the hybrid form needs nu = kappa = 1
+        st_f = SimState(0.0, st0.theta, st0.primary, "f", ModelParams(alpha=ALPHA, nu=0.5))
+        for advance in (rhs, lambda s: step(s, 1e-3)):
+            with pytest.raises(ValueError, match="nu = kappa = 1"):
+                advance(st_f)
+
     def test_state_conversion_cycle(self):
         st0 = make_state()
-        for tag in ("f", "g", "omega"):
+        for tag in ("f", "omega"):
             st1 = convert_state(convert_state(st0, tag), "omega")
             assert np.max(np.abs(st1.primary.coef - st0.primary.coef)) < 1e-12
 
@@ -141,7 +154,7 @@ class TestVorticityRHS:
         X, _ = g.meshgrid()
         p = ModelParams(alpha=ALPHA)
         st_ = SimState(0.0, SpectralField.zero(g), SpectralField.from_physical(g, np.cos(3 * X)), "omega", p)
-        dw, _ = rhs_vorticity(st_)
+        dw, _ = rhs(st_)
         expected = -(3.0 ** ALPHA) * np.cos(3 * X)
         assert np.max(np.abs(dw.physical() - expected)) < 1e-12
 
@@ -150,12 +163,12 @@ class TestVorticityRHS:
         _, Y = g.meshgrid()
         p = ModelParams(alpha=ALPHA)
         st_ = SimState(0.0, SpectralField.from_physical(g, np.sin(Y)), SpectralField.zero(g), "omega", p)
-        dw, _ = rhs_vorticity(st_)
+        dw, _ = rhs(st_)
         assert np.max(np.abs(dw.coef)) < 1e-15
 
     def test_matches_fine_grid_oracle(self):
         st_ = make_state(n=64, seed=7)
-        dw, dth = rhs_vorticity(st_)
+        dw, dth = rhs(st_)
         ow, oth = fine_grid_rhs_oracle(st_.theta.physical(), st_.primary.physical(),
                                        64, TWO_PI, ALPHA, 1 - ALPHA)
         scale = max(np.max(np.abs(ow)), np.max(np.abs(oth)))
@@ -169,9 +182,9 @@ class TestHybridRHS:
         g = make_grid(64, TWO_PI)
         p = ModelParams(alpha=ALPHA)
         th = random_scalar_field(g, 8, band=(0, 3))
-        f = SpectralField.zero(g) - apply_symbol_sum(th, temperature_vorticity_operator(ALPHA, 1 - ALPHA))
+        f = SpectralField.zero(g) - apply_multiplier(th, temperature_vorticity_operator(ALPHA))
         st_ = SimState(0.0, th, f, "f", p)
-        df, dth = rhs_f_system(st_)
+        df, dth = rhs(st_)
         lam_f = apply_multiplier(f, Multiplier.lambda_pow(ALPHA))
         lin_op = Multiplier.compose(Multiplier.lambda_pow(2 * (1 - 2 * ALPHA)), Multiplier.partial(0))
         expected = SpectralField.zero(g) - lam_f + apply_multiplier(th, lin_op)
@@ -182,7 +195,7 @@ class TestHybridRHS:
         st_ = make_state(formulation="f", seed=9)
         z = SpectralField.zero(st_.theta.grid)
         st0 = SimState(0.0, z, st_.primary, "f", st_.params)
-        df, dth = rhs_f_system(st0)
+        df, dth = rhs(st0)
         u = biot_savart(st0.primary)
         from fblab.operators import advect
         expected = SpectralField.zero(z.grid) - advect(u, st0.primary) \
@@ -193,10 +206,10 @@ class TestHybridRHS:
     def test_tendencies_conjugate_to_vorticity_form(self):
         st_w = make_state(seed=10)
         st_f = convert_state(st_w, "f")
-        dw, dth_w = rhs_vorticity(st_w)
-        df, dth_f = rhs_f_system(st_f)
-        Q = temperature_vorticity_operator(ALPHA, 1 - ALPHA)
-        df_expected = dw - apply_symbol_sum(dth_w, Q)
+        dw, dth_w = rhs(st_w)
+        df, dth_f = rhs(st_f)
+        Q = temperature_vorticity_operator(ALPHA)
+        df_expected = dw - apply_multiplier(dth_w, Q)
         scale = np.max(np.abs(df_expected.coef))
         assert np.max(np.abs(dth_w.coef - dth_f.coef)) < 1e-14
         assert np.max(np.abs(df.coef - df_expected.coef)) < 1e-12 * scale
@@ -211,13 +224,6 @@ class TestHybridRHS:
 
 
 class TestScaledSystem:
-    def test_eps_one_reduction(self):
-        st_f = make_state(formulation="f", seed=12)
-        df1, dt1 = rhs_f_system(st_f)
-        df2, dt2 = rhs_scaled(st_f)
-        assert np.max(np.abs(df1.coef - df2.coef)) < 1e-13
-        assert np.max(np.abs(dt1.coef - dt2.coef)) < 1e-13
-
     def test_substitution_oracle(self):
         # Solutions related by t -> eps^beta t, x -> eps x must have
         # tendencies related by the same substitution: build Theta on the
@@ -241,14 +247,14 @@ class TestScaledSystem:
         fvar = SpectralField(g_big, np.where(mask, st_big.primary.coef, 0))
         params1 = ModelParams(alpha=alpha, eps0=1.0)
         st1 = SimState(0.0, theta, fvar, "f", params1)
-        df1, dth1 = rhs_f_system(st1)
+        df1, dth1 = rhs(st1)
 
         g_small = make_grid(n // 2, TWO_PI * eps)
         params_eps = ModelParams(alpha=alpha, eps0=eps)
         Theta = SpectralField.from_physical(g_small, subsample(theta))
         F = SpectralField.from_physical(g_small, subsample(fvar))
-        st2 = SimState(0.0, Theta, F, "scaled", params_eps)
-        dF, dTheta = rhs_scaled(st2)
+        st2 = SimState(0.0, Theta, F, "f", params_eps)
+        dF, dTheta = rhs(st2)
 
         want_dTheta = subsample(dth1) * eps ** (-beta)
         want_dF = subsample(df1) * eps ** (-beta)
@@ -313,6 +319,18 @@ class TestStepper:
         limit = cfl_limit(st_, 0.4)
         with pytest.raises(StabilityError):
             step(st_, 10 * limit)
+
+    def test_cfl_uses_the_rescaled_velocity(self):
+        # a scaled run advects with the eps0-rescaled split; the guard must
+        # measure that velocity, not the unscaled one
+        g = make_grid(64, TWO_PI)
+        st_ = initial_state(g, ModelParams(alpha=ALPHA, eps0=0.5), "scaled", seed=1,
+                            amplitude_theta=2.0, amplitude_primary=2.0)
+        uf, ut = scaled_velocity_split(st_.primary, st_.theta, st_.params)
+        umax = max(lp_norm(uf[0] + ut[0], np.inf), lp_norm(uf[1] + ut[1], np.inf))
+        want = 0.4 * min(g.dx / umax, g.dx ** ALPHA)
+        assert cfl_limit(st_, 0.4) == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(0.0417, abs=5e-4)
 
     def test_blowup_detection(self):
         g = make_grid(32, TWO_PI)
@@ -404,7 +422,7 @@ class TestPrimitiveForm:
         u = biot_savart(st_.primary)
         du, dth = primitive_rhs(u, st_.theta, st_.params)
         dw_from_u = curl(du)
-        dw, dth2 = rhs_vorticity(st_)
+        dw, dth2 = rhs(st_)
         scale = np.max(np.abs(dw.coef))
         assert np.max(np.abs(dw_from_u.coef - dw.coef)) < 1e-11 * scale
         assert np.max(np.abs(dth.coef - dth2.coef)) < 1e-13

@@ -12,9 +12,14 @@ from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField, multiply
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
+from fblab.model import ModelParams, scaled_velocity_split
 from fblab.norms import l2_norm_sq, lp_norm, sobolev_norm
-from fblab.operators import (MeanFreeError, biot_savart, curl, divergence,
-                             leray_project, velocity_decomposition)
+from fblab.operators import MeanFreeError, biot_savart, curl, divergence, leray_project
+
+
+def unscaled_split(f, theta, alpha):
+    """The unscaled split (eps0 = 1)."""
+    return scaled_velocity_split(f, theta, ModelParams(alpha=alpha))
 
 TWO_PI = 2 * np.pi
 
@@ -124,6 +129,24 @@ class TestMultipliers:
             raw = np.fft.ifft2(out.coef) * g.n**2
             assert np.max(np.abs(raw.imag)) < 1e-13 * max(1.0, np.max(np.abs(raw.real)))
 
+    def test_sum_symbol(self):
+        # the sum kind adds the parts' symbols; its zero mode is the sum of
+        # theirs, and it obeys its own rule like a composite
+        g = make_grid(32, TWO_PI)
+        f = random_scalar_field(g, 6, band=(0, 3))
+        parts = (Multiplier.riesz(0.75), Multiplier.lambda_pow(0.0), Multiplier.partial(1))
+        total = Multiplier.sum(*parts)
+        assert total.zero_mode == "identity"
+        assert np.array_equal(total.symbol(g), sum(p.symbol(g) for p in parts))
+        want = sum((apply_multiplier(f, p) for p in parts[1:]), apply_multiplier(f, parts[0]))
+        assert np.max(np.abs(apply_multiplier(f, total).coef - want.coef)) < 1e-15
+        assert Multiplier.sum(*parts[::2]).zero_mode == "annihilate"
+        assert total.with_zero_mode("annihilate").symbol(g)[0, 0] == 0.0
+        with pytest.raises(ValueError, match="zero-mode rule"):
+            Multiplier.sum(Multiplier.lambda_pow(0.0), Multiplier.lambda_pow(0.0))
+        with pytest.raises(ValueError, match="singular"):
+            Multiplier.sum(Multiplier.inv_lap_perp_grad(0)).with_zero_mode("identity").symbol(g)
+
     def test_cutoff_shapes(self):
         assert upsilon(0.3) == 1.0 and upsilon(1.0) == 1.0
         assert upsilon(2.0) == 0.0 and upsilon(3.5) == 0.0
@@ -169,7 +192,7 @@ class TestVelocityDecomposition:
     def test_zero_theta_reduces_to_biot_savart(self):
         g = make_grid(32, TWO_PI)
         f = random_scalar_field(g, 6, band=(0, 3))
-        uf, ut = velocity_decomposition(f, SpectralField.zero(g), 0.8)
+        uf, ut = unscaled_split(f, SpectralField.zero(g), 0.8)
         ub = biot_savart(f)
         assert np.max(np.abs(ut[0].coef)) == 0.0 and np.max(np.abs(ut[1].coef)) == 0.0
         for a, b in zip(uf, ub):
@@ -182,7 +205,7 @@ class TestVelocityDecomposition:
         g = make_grid(32, TWO_PI)
         X, _ = g.meshgrid()
         theta = SpectralField.from_physical(g, np.cos(X))
-        _, ut = velocity_decomposition(SpectralField.zero(g), theta, 0.75)
+        _, ut = unscaled_split(SpectralField.zero(g), theta, 0.75)
         assert np.max(np.abs(ut[0].coef)) < 1e-15
         assert np.max(np.abs(ut[1].physical() - 2 * np.cos(X))) < 1e-13
 
@@ -190,7 +213,7 @@ class TestVelocityDecomposition:
         alpha, beta = 0.75, 0.25
         g = make_grid(64, TWO_PI)
         theta = random_scalar_field(g, 8, band=(0, 3))
-        _, ut = velocity_decomposition(SpectralField.zero(g), theta, alpha)
+        _, ut = unscaled_split(SpectralField.zero(g), theta, alpha)
 
         def sym_u2(kx, ky):
             kk = np.hypot(kx, ky)
@@ -207,7 +230,7 @@ class TestVelocityDecomposition:
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 9, band=(0, 3))
         theta = random_scalar_field(g, 10, band=(0, 3))
-        uf, ut = velocity_decomposition(f, theta, 0.7)
+        uf, ut = unscaled_split(f, theta, 0.7)
         omega = vorticity_from_f(f, theta, 0.7)
         ub = biot_savart(omega)
         for a, b, c in zip(uf, ut, ub):
@@ -217,8 +240,8 @@ class TestVelocityDecomposition:
     def test_alpha_out_of_range(self):
         g = make_grid(32, TWO_PI)
         z = SpectralField.zero(g)
-        with pytest.raises(ValueError):
-            velocity_decomposition(z, z, 0.4)
+        with pytest.raises(ValueError, match="alpha"):
+            unscaled_split(z, z, 0.4)
 
 
 class TestNorms:
