@@ -3,17 +3,33 @@
 A :class:`SpectralField` stores normalized Fourier-series coefficients
 c_k, defined so that f(x) = sum_k c_k exp(i k.x).  With numpy's FFT this
 means ``coef = fft2(samples) / n**2`` and ``samples = n**2 * ifft2(coef)``.
-Fields are immutable after construction (the coefficient array is marked
-read-only), so all operations are pure functions and safe to run
-concurrently.
+The coefficient array is marked read-only, so all operations are pure
+functions and safe to run concurrently.
+
+The samples of a real field are Re(ifft2(c)), which is ifft2 of the
+Hermitian part (c_k + conj c_-k) / 2 of its spectrum.  On a padded grid
+they come from ``irfft2``, and the half spectrum handed to it is that
+Hermitian part, never a plain slice: a spectrum need not be Hermitian to
+the last bit, and on the padded lattice the Nyquist line k_i = -n/2
+gains a partner at +n/2 that a slice would drop.  Samples on the field's
+own grid (:meth:`SpectralField.physical`) keep the complex transform, so
+what is read from them, such as the CFL guard of a state, does not move
+by a bit.  The full n-by-n ``coef`` layout is kept for every field.
 
 Products of fields are computed alias-free by zero-padding both spectra
 to a finer grid (the 3/2 a.k.a. 2/3 rule), multiplying pointwise there
-and truncating back.  The Nyquist row/column is zeroed on truncation:
-those modes cannot carry a Hermitian partner on the coarse lattice.
+and truncating back; a real product is transformed back with ``rfft2``.
+The Nyquist row/column is zeroed on truncation: those modes cannot carry
+a Hermitian partner on the coarse lattice.  A product operand keeps its
+padded samples (one velocity component feeds several products), in a
+slot only :func:`multiply` writes.  The padded samples that the norms
+request through :meth:`SpectralField.physical_on` are not kept: they are
+taken once per field at grids of several sizes, and holding them would
+only raise the peak memory of a ledger run.
 
 numpy's FFT is stateless (no shared plans or workspaces), so concurrent
-evaluation needs no synchronization beyond the immutability above.
+evaluation needs no synchronization: the cached samples are pure
+functions of the read-only coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ _PAD_DENOMINATOR = 2
 class SpectralField:
     """A real (or complex) scalar field on a periodic grid."""
 
-    __slots__ = ("grid", "coef", "real", "_physical")
+    __slots__ = ("grid", "coef", "real", "_physical", "_padded")
 
     def __init__(self, grid: Grid, coef: np.ndarray, real: bool = True):
         if coef.shape != (grid.n, grid.n):
@@ -40,6 +56,7 @@ class SpectralField:
         self.coef = coef
         self.real = bool(real)
         self._physical = None
+        self._padded = None
 
     # -- constructors -------------------------------------------------
 
@@ -75,8 +92,9 @@ class SpectralField:
         """Samples of the same trigonometric polynomial on a finer m-grid."""
         if m == self.grid.n:
             return self.physical()
-        raw = np.fft.ifft2(pad_coef(self.coef, m)) * m**2
-        return raw.real if self.real else raw
+        if self.real:
+            return np.fft.irfft2(hermitian_half(self.coef, m), s=(m, m)) * m**2
+        return np.fft.ifft2(pad_coef(self.coef, m)) * m**2
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
@@ -157,6 +175,43 @@ def truncate_coef(coef: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def hermitian_half(coef: np.ndarray, m: int) -> np.ndarray:
+    """Columns 0..m/2 of the Hermitian part of the spectrum padded to m.
+
+    ``irfft2`` of it equals Re(ifft2) of the padded spectrum.  The Nyquist
+    line k_i = -n/2 is split evenly with its partner at +n/2, which the
+    padded lattice (m > n) has and the n-lattice lacks.
+    """
+    n = coef.shape[0]
+    if m <= n:
+        raise ValueError("padding target must exceed the source size")
+    h = n // 2
+    box = np.zeros((n + 1, n + 1), dtype=np.complex128)  # frequencies -h..h on both axes
+    box[h:n, h:n] = coef[:h, :h]
+    box[h:n, :h] = coef[:h, h:]
+    box[:h, h:n] = coef[h:, :h]
+    box[:h, :h] = coef[h:, h:]
+    herm = 0.5 * (box[:, h:] + np.conj(box[::-1, h::-1]))
+    out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    out[:h + 1, :h + 1] = herm[h:]
+    out[m - h:, :h + 1] = herm[:h]
+    return out
+
+
+def truncate_half(half: np.ndarray, n: int) -> np.ndarray:
+    """Full n-grid band of a real signal's half spectrum (columns 0..m/2),
+    with the Nyquist line zeroed as in :func:`truncate_coef`."""
+    m = half.shape[0]
+    h = n // 2
+    band = np.concatenate((half[:h, :h], half[m - h:, :h]))  # rows 0..h-1, -h..-1
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :h] = band
+    out[:, h + 1:] = np.conj(band[-np.arange(n) % n, h - 1:0:-1])
+    out[h, :] = 0.0
+    out[:, h] = 0.0
+    return out
+
+
 def nice_fft_size(minimum: int) -> int:
     """Smallest even 5-smooth integer >= minimum (keeps padded FFTs fast)."""
     m = max(2, int(minimum))
@@ -183,16 +238,27 @@ def multiply(a: SpectralField, b: SpectralField, dealias: bool = True) -> Spectr
     zero-padded grid and truncated back, so every retained coefficient
     (|k_i| <= n/2 - 1) is the exact product coefficient: aliases of true
     product modes land outside the retained band on the padded grid.
-    Without it the raw grid product is used.
+    Without it the raw grid product is used.  Each operand's padded
+    samples are kept on it for its next product.
     """
     a._check_grid(b)
     n = a.grid.n
     if not dealias:
         return SpectralField.from_physical(a.grid, a.physical() * b.physical())
     m = pad_size(n)
-    prod = a.physical_on(m) * b.physical_on(m)
-    coef = truncate_coef(np.fft.fft2(prod) / m**2, n)
+    prod = _padded_samples(a, m) * _padded_samples(b, m)
+    if a.real and b.real:
+        coef = truncate_half(np.fft.rfft2(prod) / m**2, n)
+    else:
+        coef = truncate_coef(np.fft.fft2(prod) / m**2, n)
     return SpectralField(a.grid, coef, real=a.real and b.real)
+
+
+def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
+    if field._padded is None:
+        field._padded = field.physical_on(m)
+        field._padded.setflags(write=False)
+    return field._padded
 
 
 def dealias_projection(field: SpectralField) -> SpectralField:

@@ -19,7 +19,10 @@ The ``f`` tag also carries the rescaled hybrid system (the config word
 t -> eps0^beta t, x -> eps0 x each term picks up the power of eps0 in
 :func:`hybrid_terms` and the velocity split is the rescaled one.  eps0
 lives in :class:`ModelParams`, and eps0 = 1 gives the equation above.
-:func:`nonlinear` is the one definition of these source terms.
+:func:`nonlinear` is the one definition of these source terms.  It
+evaluates the two temperature commutators as one, [C, u.grad] theta with
+C the eps0-weighted sum of their operators, since a commutator is linear
+in its operator.
 
 Stepping the hybrid form requires nu = kappa = 1 (the change of
 variables mixes the two dissipations); :func:`hybrid_terms` checks it.
@@ -200,6 +203,12 @@ class HybridTerms:
     riesz_comm: Tuple[float, Multiplier]    # [R_alpha, u.grad] theta
     smooth_comm: Tuple[float, Multiplier]   # [Lambda^(beta-2alpha) d1, u.grad] theta
 
+    def commutator(self) -> Multiplier:
+        """w_rc R_alpha + w_sc Lambda^(beta-2alpha) d1: the commutator is
+        linear in its operator, so one call gives both weighted terms."""
+        (w_rc, riesz), (w_sc, smooth) = self.riesz_comm, self.smooth_comm
+        return Multiplier.sum(riesz, smooth, weights=(w_rc, w_sc))
+
 
 def hybrid_terms(params: ModelParams) -> HybridTerms:
     """The one table of hybrid weights and operators; the change of
@@ -217,19 +226,24 @@ def hybrid_terms(params: ModelParams) -> HybridTerms:
     )
 
 
-def nonlinear(state: SimState) -> Tuple[SpectralField, SpectralField]:
-    """Everything except the stiff fractional dissipation."""
-    u = state_velocity(state)
+def nonlinear(state: SimState, u: Optional[Velocity] = None) -> Tuple[SpectralField, SpectralField]:
+    """Everything except the stiff fractional dissipation.
+
+    ``u`` is the state's velocity if the caller has already built it.  In
+    the ``f`` form the two temperature commutators are evaluated as one,
+    with the merged operator of :meth:`HybridTerms.commutator`.
+    """
+    if u is None:
+        u = state_velocity(state)
     if state.tag == "omega":
         dP = -advect(u, state.primary) + apply_multiplier(state.theta, Multiplier.partial(0))
         dT = -advect(u, state.theta)
         return dP, dT
     h, th = hybrid_terms(state.params), state.theta
-    (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
+    w_lin, lin = h.linear
     dP = (-h.advect * advect(u, state.primary)
           + w_lin * apply_multiplier(th, lin)
-          + w_rc * commutator_apply(riesz, u, th)
-          + w_sc * commutator_apply(smooth, u, th))
+          + commutator_apply(h.commutator(), u, th))
     dT = -h.advect * advect(u, th)
     return dP, dT
 
@@ -267,10 +281,12 @@ def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams) -> Tup
 # -- integrating-factor RK4 --------------------------------------------------
 
 
-def cfl_limit(state: SimState, c: float = 0.4) -> float:
-    """dt bound c * min(dx / ||u||_inf, dx^alpha)."""
+def cfl_limit(state: SimState, c: float = 0.4, u: Optional[Velocity] = None) -> float:
+    """dt bound c * min(dx / ||u||_inf, dx^alpha); ``u`` is the state's
+    velocity if the caller has already built it."""
     dx = state.grid.dx
-    u = state_velocity(state)
+    if u is None:
+        u = state_velocity(state)
     umax = max(float(np.max(np.abs(u[0].physical()))), float(np.max(np.abs(u[1].physical()))))
     advective = dx / umax if umax > 0 else np.inf
     return c * min(advective, dx ** state.params.alpha)
@@ -301,8 +317,10 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     if dt < 0 and (state.params.nu != 0 or state.params.kappa != 0):
         raise ValueError("backward steps are only meaningful for the inviscid system")
     _check_finite(state)
+    u0 = None
     if enforce_cfl:
-        limit = cfl_limit(state, cfl_c)
+        u0 = state_velocity(state)  # shared with stage 1
+        limit = cfl_limit(state, cfl_c, u0)
         if abs(dt) > limit * (1 + 1e-9):
             raise StabilityError(f"dt={dt:g} exceeds the advective/dissipative guard {limit:g}")
 
@@ -325,7 +343,8 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     p0, t0 = state.primary.coef, state.theta.coef
     s0 = state
 
-    k1 = nonlinear(s0)
+    k1 = nonlinear(s0, u0)
+    del u0  # its samples are not held through stages 2-4
     a_p, a_t = prop((p0 + 0.5 * dt * k1[0].coef, t0 + 0.5 * dt * k1[1].coef), half=True)
     s_a = wrap(a_p, a_t, state.time + 0.5 * dt)
 

@@ -128,13 +128,19 @@ class Multiplier:
         return Multiplier("composite", (), rule, tuple(parts))
 
     @staticmethod
-    def sum(*parts: "Multiplier") -> "Multiplier":
-        """Unweighted sum of symbols.  Its zero mode is the sum of the
-        parts' zero modes, so at most one part may be the identity there."""
-        n_identity = len([p for p in parts if p.zero_mode == IDENTITY])
-        if n_identity > 1:
+    def sum(*parts: "Multiplier", weights: Tuple[float, ...] | None = None) -> "Multiplier":
+        """Weighted sum of symbols, the weights (all 1 by default) held in
+        ``params``.  Its zero mode is the sum of the parts' zero modes, so
+        at most one part may be the identity there, with weight 1."""
+        weights = (1.0,) * len(parts) if weights is None else tuple(float(w) for w in weights)
+        if len(weights) != len(parts):
+            raise ValueError("a weighted sum needs one weight per part")
+        identity = [w for p, w in zip(parts, weights) if p.zero_mode == IDENTITY]
+        if len(identity) > 1:
             raise ValueError("a sum with several identity zero modes has no zero-mode rule")
-        return Multiplier("sum", (), IDENTITY if n_identity else ANNIHILATE, tuple(parts))
+        if identity and identity[0] != 1.0:
+            raise ValueError("an identity zero mode must carry weight 1 in a sum")
+        return Multiplier("sum", weights, IDENTITY if identity else ANNIHILATE, tuple(parts))
 
     def with_zero_mode(self, rule: str) -> "Multiplier":
         return Multiplier(self.kind, self.params, rule, self.parts)
@@ -166,8 +172,8 @@ class Multiplier:
             return sym
         if self.kind == "sum":
             sym = np.zeros((grid.n, grid.n), dtype=np.complex128)
-            for p in self.parts:
-                sym += p.with_zero_mode(ANNIHILATE).symbol(grid)
+            for p, w in zip(self.parts, self.params):
+                sym += w * p.with_zero_mode(ANNIHILATE).symbol(grid)
             sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
             return sym
 

@@ -5,12 +5,14 @@ The closed-form oracle expands [A, V.grad]phi for single-mode V and phi
 by hand over the four output wavenumbers p +- q.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fblab.commutators import (block_kernels, commutator_field, estimate_constant,
-                               kernel_tail_fraction, representation_check,
-                               smoothing_comparison)
+from fblab.commutators import (KERNEL_TAIL_WARN, _direct_convolution, block_kernels,
+                               commutator_field, estimate_constant, kernel_tail_fraction,
+                               representation_check, smoothing_comparison)
 from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
@@ -157,6 +159,29 @@ class TestRepresentationFormula:
         kernel, _, _ = block_kernels(g, 4)
         tail = kernel_tail_fraction(kernel)
         assert 0 <= tail < 1e-2
+
+    def test_kernel_tail_is_a_field_not_a_warning(self):
+        g = make_grid(64, TWO_PI)
+        v = random_divfree_field(g, 16, band=(1, 3), decay=1.0)
+        f = random_scalar_field(g, 17, band=(1, 3), decay=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = representation_check(3, v, f)
+        assert res.kernel_tail > KERNEL_TAIL_WARN and res.aliasing_warning
+        assert res.relative <= 1e-8
+
+    def test_direct_convolution_is_the_displacement_sum(self):
+        # one np.roll per kept displacement, as the definition reads
+        n = 32
+        rng = np.random.default_rng(18)
+        kernel = rng.standard_normal((n, n)) * np.exp(-rng.uniform(0, 60, (n, n)))
+        values = rng.standard_normal((n, n))
+        for skip in (1e-20, 1e-6):
+            want = np.zeros_like(values)
+            for d1, d2 in np.argwhere(np.abs(kernel) > skip * np.max(np.abs(kernel))):
+                want += kernel[d1, d2] * np.roll(values, (d1, d2), axis=(0, 1))
+            got = _direct_convolution(kernel, values, skip)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSampling:

@@ -15,13 +15,15 @@ from fblab.ensembles import random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
-                         Trajectory, cfl_limit, convert_state, f_from_g, initial_state,
-                         integrate, primitive_rhs, rhs, scaled_velocity_split, step,
-                         theta_dissipation_rate, transform_to_f, transform_to_g,
-                         velocity_dissipation_rate, vorticity_from_f)
+                         Trajectory, cfl_limit, convert_state, f_from_g, hybrid_terms,
+                         initial_state, integrate, nonlinear, primitive_rhs, rhs,
+                         scaled_velocity_split, state_velocity, step, theta_dissipation_rate,
+                         transform_to_f, transform_to_g, velocity_dissipation_rate,
+                         vorticity_from_f)
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, refined_sup, rel_l2_diff
-from fblab.operators import biot_savart, curl, temperature_vorticity_operator
+from fblab.operators import (advect, biot_savart, commutator_apply, curl,
+                             temperature_vorticity_operator)
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
@@ -223,6 +225,35 @@ class TestHybridRHS:
         assert rel_l2_diff(got, want) < dt**5 + 1e-11
 
 
+class TestMergedCommutator:
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    @pytest.mark.parametrize("eps0", [1.0, 0.5])
+    def test_nonlinear_matches_two_commutator_sum(self, n, eps0):
+        # the two temperature commutators, each with its own weight, as
+        # nonlinear evaluated them before they were merged into one
+        g = make_grid(n, TWO_PI)
+        for seed in (0, 1, 2):
+            for tag in ("omega", "f"):
+                st_ = initial_state(g, ModelParams(alpha=ALPHA, eps0=eps0), tag, seed=seed,
+                                    amplitude_theta=1.0, amplitude_primary=1.0)
+                u, th = state_velocity(st_), st_.theta
+                if tag == "omega":
+                    want_p = -advect(u, st_.primary) + apply_multiplier(th, Multiplier.partial(0))
+                    want_t = -advect(u, th)
+                else:
+                    h = hybrid_terms(st_.params)
+                    (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
+                    want_p = (-h.advect * advect(u, st_.primary)
+                              + w_lin * apply_multiplier(th, lin)
+                              + w_rc * commutator_apply(riesz, u, th)
+                              + w_sc * commutator_apply(smooth, u, th))
+                    want_t = -h.advect * advect(u, th)
+                got_p, got_t = nonlinear(st_)
+                for got, want in ((got_p, want_p), (got_t, want_t)):
+                    err = np.max(np.abs(got.coef - want.coef)) / np.max(np.abs(want.coef))
+                    assert err <= 1e-13, (tag, seed)
+
+
 class TestScaledSystem:
     def test_substitution_oracle(self):
         # Solutions related by t -> eps^beta t, x -> eps x must have
@@ -319,6 +350,21 @@ class TestStepper:
         limit = cfl_limit(st_, 0.4)
         with pytest.raises(StabilityError):
             step(st_, 10 * limit)
+
+    def test_guard_reuses_the_stage_one_velocity(self):
+        # step hands its guard's velocity to stage 1; the guard value is
+        # bit-identical to a fresh cfl_limit, and so is the stage result
+        st_ = make_state(formulation="f", seed=17, amp=1.0)
+        limit = cfl_limit(st_, 0.4)
+        u = state_velocity(st_)
+        assert cfl_limit(st_, 0.4, u) == limit
+        for got, want in zip(nonlinear(st_, u), nonlinear(st_)):
+            assert np.array_equal(got.coef, want.coef)
+        step(st_, limit)
+        with pytest.raises(StabilityError):
+            step(st_, limit * (1 + 1e-8))
+        out = step(st_, limit, enforce_cfl=False)
+        assert np.array_equal(step(st_, limit).primary.coef, out.primary.coef)
 
     def test_cfl_uses_the_rescaled_velocity(self):
         # a scaled run advects with the eps0-rescaled split; the guard must

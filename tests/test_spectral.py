@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fblab.ensembles import random_divfree_field, random_scalar_field
-from fblab.fields import SpectralField, multiply
+from fblab.fields import SpectralField, multiply, pad_coef, pad_size, truncate_coef
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
 from fblab.model import ModelParams, scaled_velocity_split
@@ -146,6 +146,20 @@ class TestMultipliers:
             Multiplier.sum(Multiplier.lambda_pow(0.0), Multiplier.lambda_pow(0.0))
         with pytest.raises(ValueError, match="singular"):
             Multiplier.sum(Multiplier.inv_lap_perp_grad(0)).with_zero_mode("identity").symbol(g)
+
+    def test_weighted_sum_symbol(self):
+        # weights live in params, default to 1, and scale each part's symbol
+        g = make_grid(32, TWO_PI)
+        parts = (Multiplier.riesz(0.75), Multiplier.compose(Multiplier.lambda_pow(-0.5), Multiplier.partial(0)))
+        weighted = Multiplier.sum(*parts, weights=(0.5, 1.5))
+        assert weighted.params == (0.5, 1.5)
+        assert Multiplier.sum(*parts) == Multiplier.sum(*parts, weights=(1, 1))
+        want = 0.5 * parts[0].symbol(g) + 1.5 * parts[1].symbol(g)
+        assert np.max(np.abs(weighted.symbol(g) - want)) <= 1e-15 * np.max(np.abs(want))
+        with pytest.raises(ValueError, match="one weight per part"):
+            Multiplier.sum(*parts, weights=(1.0,))
+        with pytest.raises(ValueError, match="weight 1"):
+            Multiplier.sum(Multiplier.lambda_pow(0.0), parts[0], weights=(2.0, 1.0))
 
     def test_cutoff_shapes(self):
         assert upsilon(0.3) == 1.0 and upsilon(1.0) == 1.0
@@ -347,3 +361,85 @@ class TestProductsAndProjection:
                     assert energy == pytest.approx(total, rel=1e-12)
                 else:
                     assert energy <= 1e-24 * total
+
+
+def complex_physical_on(field, m):
+    """Padded samples by the complex path: pad, ifft2, and the real part
+    of a real field."""
+    raw = np.fft.ifft2(pad_coef(field.coef, m)) * m**2
+    return raw.real if field.real else raw
+
+
+def complex_multiply(a, b):
+    """Dealiased product by the complex path: pad both, ifft2, multiply,
+    fft2, truncate."""
+    n = a.grid.n
+    m = pad_size(n)
+    prod = complex_physical_on(a, m) * complex_physical_on(b, m)
+    return truncate_coef(np.fft.fft2(prod) / m**2, n)
+
+
+def rel_max(got, want):
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+def oracle_fields(n, seed):
+    """A band-limited real field, a real field whose Nyquist row and
+    column are nonzero, a real-tagged field with a non-Hermitian
+    spectrum, and a complex field."""
+    g = make_grid(n, TWO_PI)
+    rng = np.random.default_rng(seed)
+    smooth = random_scalar_field(g, seed, band=(0, 3))
+    nyquist = SpectralField.from_physical(g, rng.standard_normal((n, n)))
+    skew = SpectralField(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), real=True)
+    cplx = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return {"smooth": smooth, "nyquist": nyquist, "skew": skew, "complex": cplx}
+
+
+class TestRealProductPath:
+    """The real transforms against the complex path they replace."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_multiply_matches_complex_path(self, n):
+        fields = oracle_fields(n, seed=n)
+        names = sorted(fields)
+        for i, x in enumerate(names):
+            for y in names[i:]:
+                a, b = fields[x], fields[y]
+                got = multiply(a, b)
+                assert got.real == (a.real and b.real)
+                assert rel_max(got.coef, complex_multiply(a, b)) <= 1e-13, (x, y)
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_physical_on_matches_complex_path(self, n):
+        for name, f in oracle_fields(n, seed=n + 1).items():
+            for m in (n, pad_size(n), 2 * n, 4 * n):
+                got = f.physical_on(m)
+                assert got.dtype == (np.float64 if f.real else np.complex128)
+                assert rel_max(got, complex_physical_on(f, m)) <= 1e-13, (name, m)
+
+    def test_nyquist_line_is_split_not_dropped(self):
+        # a plain slice of the padded spectrum loses the Nyquist column,
+        # so the oracle above must see a large error for it
+        n = 64
+        f = oracle_fields(n, seed=5)["nyquist"]
+        m = pad_size(n)
+        plain = np.fft.irfft2(pad_coef(f.coef, m)[:, :m // 2 + 1], s=(m, m)) * m**2
+        want = complex_physical_on(f, m)
+        assert rel_max(plain, want) > 1e-2
+        assert rel_max(f.physical_on(m), want) <= 1e-13
+
+    def test_operands_keep_padded_samples_norms_do_not(self):
+        fields = oracle_fields(32, seed=9)
+        a, b = fields["smooth"], fields["nyquist"]
+        a.physical_on(2 * 32)
+        lp_norm(a, 4.0, pad=pad_size(32))
+        assert a._padded is None
+        first = multiply(a, b)
+        kept = a._padded
+        assert kept is not None and b._padded is not None
+        assert np.array_equal(kept, a.physical_on(pad_size(32)))
+        assert np.array_equal(multiply(a, b).coef, first.coef)
+        assert a._padded is kept
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1.0
