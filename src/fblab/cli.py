@@ -77,7 +77,11 @@ def _load_trajectory(snap_dir: str, params: ModelParams) -> List[SimState]:
                 if abs(stored - want) > 1e-12:
                     raise ConfigError(f"snapshot set was produced with {key}={stored:g}, "
                                       f"config says {want:g}")
-            grid, fields = read_snapshot(os.path.join(snap_dir, row["file"]))
+            path = os.path.join(snap_dir, row["file"])
+            grid, fields = read_snapshot(path)
+            for name in ("theta", "f"):
+                if name not in fields:
+                    raise SnapshotFormatError(f"{path}: no {name!r} field")
             theta = SpectralField.from_physical(grid, fields["theta"])
             f = SpectralField.from_physical(grid, fields["f"])
             states.append(SimState(float(row["t"]), theta, f, "f", params))

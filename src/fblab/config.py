@@ -102,8 +102,10 @@ class RunConfig:
                     except ConstraintError as exc:
                         raise ConfigError(str(exc)) from exc
             for g in self.grids:
-                if g & (g - 1):
-                    raise ConfigError(f"grids must be powers of two, got {g}")
+                try:
+                    make_grid(g, 2 * math.pi)  # the estimates run on the 2*pi box
+                except ValueError as exc:
+                    raise ConfigError(f"estimate grids: {exc}") from exc
                 if g < 64:
                     raise ConfigError(f"estimate grids must be >= 64 so every registered "
                                       f"ensemble band is representable, got {g}")
@@ -113,9 +115,17 @@ def _parse_list(raw: str) -> List[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+# what a malformed file raises: a bad header, duplicate, continuation
+# line or interpolation, an undecodable byte or an unparsable value
+_PARSE_ERRORS = (configparser.Error, ValueError)
+
+
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"could not parse {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     cfg = RunConfig()
@@ -157,6 +167,6 @@ def load_config(path: str) -> RunConfig:
             o = parser["output"]
             cfg.out_dir = o.get("directory", cfg.out_dir)
             cfg.write_snapshots = o.getboolean("snapshots", cfg.write_snapshots)
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise ConfigError(f"could not parse {path!r}: {exc}") from exc
     return cfg

@@ -137,9 +137,6 @@ def ledger_configs(alpha: float, rho: float = DEFAULT_RHO) -> Dict[str, LedgerCo
     return {c.config_id: c for c in cfgs}
 
 
-ACCEPTANCE_CONFIG_IDS = ("l2", "l4", "l6")
-
-
 # -- term evaluation -----------------------------------------------------------
 
 

@@ -92,7 +92,7 @@ def dyadic_block(f: SpectralField, j: int, partition: DyadicPartition | None = N
     part = partition or build_partition(f.grid)
     if not part.jmin <= j <= part.jmax:
         raise ValueError(f"block index {j} outside partition range [{part.jmin}, {part.jmax}]")
-    return SpectralField(f.grid, f.coef * part.ring_symbol(j), real=f.real)
+    return SpectralField(f.grid, f.coef * part.ring_symbol(j))
 
 
 @dataclass
@@ -118,13 +118,12 @@ class BlockSet:
 
     def low_remainder(self) -> SpectralField:
         """Content below the partition range (contains the mean)."""
-        return SpectralField(self.f.grid, self.f.coef * self.partition.lowpass_symbol(self.partition.jmin),
-                             real=self.f.real)
+        return SpectralField(self.f.grid, self.f.coef * self.partition.lowpass_symbol(self.partition.jmin))
 
     def below(self, k: int) -> SpectralField:
         """f_{<k}: every block strictly below level k plus the low remainder."""
         sym = self.partition.lowpass_symbol(k)
-        return SpectralField(self.f.grid, self.f.coef * sym, real=self.f.real)
+        return SpectralField(self.f.grid, self.f.coef * sym)
 
     def near(self, k: int) -> SpectralField:
         """f_{~k}: blocks within ``offset`` of k, clipped to the partition range."""
@@ -133,13 +132,13 @@ class BlockSet:
         coef = np.zeros_like(self.f.coef)
         for j in range(lo, hi + 1):
             coef += self.block(j).coef
-        return SpectralField(self.f.grid, coef, real=self.f.real)
+        return SpectralField(self.f.grid, coef)
 
     def reconstruct(self) -> SpectralField:
         coef = self.low_remainder().coef.copy()
         for j in self.levels:
             coef = coef + self.block(j).coef
-        return SpectralField(self.f.grid, coef, real=self.f.real)
+        return SpectralField(self.f.grid, coef)
 
 
 def square_function(f: SpectralField, weight_s: float = 0.0,
@@ -196,7 +195,7 @@ def paraproduct_split(f: SpectralField, g: SpectralField, k: int,
     hh_coef = np.zeros_like(f.coef)
     for l in range(k + offset, part.jmax + 1):
         hh_coef += multiply(fb.block(l), gb.near(l)).coef
-    highhigh = dyadic_block(SpectralField(f.grid, hh_coef, real=f.real and g.real), k, part)
+    highhigh = dyadic_block(SpectralField(f.grid, hh_coef), k, part)
     return lowhigh, highlow, highhigh
 
 

@@ -1,31 +1,34 @@
-"""Scalar fields with synchronized physical/spectral representations.
+"""Real scalar fields with synchronized physical/spectral representations.
 
-A :class:`SpectralField` stores normalized Fourier-series coefficients
-c_k, defined so that f(x) = sum_k c_k exp(i k.x).  With numpy's FFT this
-means ``coef = fft2(samples) / n**2`` and ``samples = n**2 * ifft2(coef)``.
-The coefficient array is marked read-only, so all operations are pure
-functions and safe to run concurrently.
+Every field is real: the unknowns of the Boussinesq system (theta, omega,
+the hybrid variable f, the velocity) and every field fed to a commutator
+estimate.  A :class:`SpectralField` stores normalized Fourier-series
+coefficients c_k, defined so that f(x) = sum_k c_k exp(i k.x).  With
+numpy's FFT this means ``coef = fft2(samples) / n**2`` and
+``samples = n**2 * Re(ifft2(coef))``.  The coefficient array is marked
+read-only, so all operations are pure functions and safe to run
+concurrently.
 
-The samples of a real field are Re(ifft2(c)), which is ifft2 of the
-Hermitian part (c_k + conj c_-k) / 2 of its spectrum.  On a padded grid
-they come from ``irfft2``, and the half spectrum handed to it is that
-Hermitian part, never a plain slice: a spectrum need not be Hermitian to
-the last bit, and on the padded lattice the Nyquist line k_i = -n/2
-gains a partner at +n/2 that a slice would drop.  Samples on the field's
-own grid (:meth:`SpectralField.physical`) keep the complex transform, so
-what is read from them, such as the CFL guard of a state, does not move
-by a bit.  The full n-by-n ``coef`` layout is kept for every field.
+The samples are Re(ifft2(c)), which is ifft2 of the Hermitian part
+(c_k + conj c_-k) / 2 of the spectrum.  On a padded grid they come from
+``irfft2``, and the half spectrum handed to it is that Hermitian part,
+never a plain slice: a spectrum need not be Hermitian to the last bit,
+and on the padded lattice the Nyquist line k_i = -n/2 gains a partner at
++n/2 that a slice would drop.  Samples on the field's own grid
+(:meth:`SpectralField.physical`) keep the complex transform, so what is
+read from them, such as the CFL guard of a state, does not move by a
+bit.  The full n-by-n ``coef`` layout is kept for every field.
 
-Products of fields are computed alias-free by zero-padding both spectra
-to a finer grid (the 3/2 a.k.a. 2/3 rule), multiplying pointwise there
-and truncating back; a real product is transformed back with ``rfft2``.
-The Nyquist row/column is zeroed on truncation: those modes cannot carry
-a Hermitian partner on the coarse lattice.  A product operand keeps its
-padded samples (one velocity component feeds several products), in a
-slot only :func:`multiply` writes.  The padded samples that the norms
-request through :meth:`SpectralField.physical_on` are not kept: they are
-taken once per field at grids of several sizes, and holding them would
-only raise the peak memory of a ledger run.
+Every product of fields is dealiased: both spectra are zero-padded to a
+grid 3/2 as fine (the 3/2 a.k.a. 2/3 rule), multiplied pointwise there
+and transformed back with ``rfft2`` and truncated.  The Nyquist
+row/column is zeroed on truncation: those modes cannot carry a Hermitian
+partner on the coarse lattice.  A product operand keeps its padded
+samples (one velocity component feeds several products), in a slot only
+:func:`multiply` writes.  The padded samples that the norms request
+through :meth:`SpectralField.physical_on` are not kept: they are taken
+once per field at grids of several sizes, and holding them would only
+raise the peak memory of a ledger run.
 
 numpy's FFT is stateless (no shared plans or workspaces), so concurrent
 evaluation needs no synchronization: the cached samples are pure
@@ -38,23 +41,18 @@ import numpy as np
 
 from .grid import Grid
 
-_PAD_NUMERATOR = 3
-_PAD_DENOMINATOR = 2
-
-
 class SpectralField:
-    """A real (or complex) scalar field on a periodic grid."""
+    """A real scalar field on a periodic grid."""
 
-    __slots__ = ("grid", "coef", "real", "_physical", "_padded")
+    __slots__ = ("grid", "coef", "_physical", "_padded")
 
-    def __init__(self, grid: Grid, coef: np.ndarray, real: bool = True):
+    def __init__(self, grid: Grid, coef: np.ndarray):
         if coef.shape != (grid.n, grid.n):
             raise ValueError(f"coefficient array shape {coef.shape} does not match grid n={grid.n}")
         coef = np.ascontiguousarray(coef, dtype=np.complex128)
         coef.setflags(write=False)
         self.grid = grid
         self.coef = coef
-        self.real = bool(real)
         self._physical = None
         self._padded = None
 
@@ -65,13 +63,9 @@ class SpectralField:
         values = np.asarray(values)
         if values.shape != (grid.n, grid.n):
             raise ValueError(f"sample array shape {values.shape} does not match grid n={grid.n}")
-        real = not np.iscomplexobj(values)
-        coef = np.fft.fft2(values) / grid.n**2
-        return cls(grid, coef, real=real)
-
-    @classmethod
-    def from_coef(cls, grid: Grid, coef: np.ndarray, real: bool = True) -> "SpectralField":
-        return cls(grid, coef, real=real)
+        if np.iscomplexobj(values):
+            raise ValueError("fields are real; got complex samples")
+        return cls(grid, np.fft.fft2(values) / grid.n**2)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -82,8 +76,7 @@ class SpectralField:
     def physical(self) -> np.ndarray:
         """Grid samples; cached after the first inverse transform."""
         if self._physical is None:
-            raw = np.fft.ifft2(self.coef) * self.grid.n**2
-            out = raw.real if self.real else raw
+            out = (np.fft.ifft2(self.coef) * self.grid.n**2).real
             out.setflags(write=False)
             self._physical = out
         return self._physical
@@ -92,9 +85,7 @@ class SpectralField:
         """Samples of the same trigonometric polynomial on a finer m-grid."""
         if m == self.grid.n:
             return self.physical()
-        if self.real:
-            return np.fft.irfft2(hermitian_half(self.coef, m), s=(m, m)) * m**2
-        return np.fft.ifft2(pad_coef(self.coef, m)) * m**2
+        return np.fft.irfft2(hermitian_half(self.coef, m), s=(m, m)) * m**2
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
@@ -116,28 +107,31 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_grid(other)
-        return SpectralField(self.grid, self.coef + other.coef, real=self.real and other.real)
+        return SpectralField(self.grid, self.coef + other.coef)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_grid(other)
-        return SpectralField(self.grid, self.coef - other.coef, real=self.real and other.real)
+        return SpectralField(self.grid, self.coef - other.coef)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coef, real=self.real)
+        return SpectralField(self.grid, -self.coef)
 
     def __mul__(self, scalar) -> "SpectralField":
         if isinstance(scalar, SpectralField):
             raise TypeError("use multiply() for field products, * is scalar-only")
-        return SpectralField(self.grid, self.coef * scalar, real=self.real and not np.iscomplexobj(scalar))
+        if np.iscomplexobj(scalar):
+            raise TypeError("fields are real; * takes a real scalar")
+        return SpectralField(self.grid, self.coef * scalar)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        kind = "real" if self.real else "complex"
-        return f"SpectralField(n={self.grid.n}, L={self.grid.length:.6g}, {kind})"
+        return f"SpectralField(n={self.grid.n}, L={self.grid.length:.6g})"
 
 
 # -- spectrum padding / truncation -------------------------------------
+# pad_coef and truncate_coef are the complex path: the reference that the
+# real transforms below (hermitian_half, truncate_half) are tested against.
 
 
 def pad_coef(coef: np.ndarray, m: int) -> np.ndarray:
@@ -227,31 +221,25 @@ def nice_fft_size(minimum: int) -> int:
         m += 2
 
 
-def pad_size(n: int, factor_num: int = _PAD_NUMERATOR, factor_den: int = _PAD_DENOMINATOR) -> int:
-    return nice_fft_size(-(-n * factor_num // factor_den))
+def pad_size(n: int) -> int:
+    """Size of the product grid: 3/2 of n, rounded up to a fast FFT size."""
+    return nice_fft_size(-(-n * 3 // 2))
 
 
-def multiply(a: SpectralField, b: SpectralField, dealias: bool = True) -> SpectralField:
-    """Pointwise product of two fields.
+def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
+    """Dealiased pointwise product of two fields.
 
-    With ``dealias=True`` (the default) the product is evaluated on a
-    zero-padded grid and truncated back, so every retained coefficient
-    (|k_i| <= n/2 - 1) is the exact product coefficient: aliases of true
-    product modes land outside the retained band on the padded grid.
-    Without it the raw grid product is used.  Each operand's padded
-    samples are kept on it for its next product.
+    The product is evaluated on a zero-padded grid and truncated back, so
+    every retained coefficient (|k_i| <= n/2 - 1) is the exact product
+    coefficient: aliases of true product modes land outside the retained
+    band on the padded grid.  Each operand's padded samples are kept on it
+    for its next product.
     """
     a._check_grid(b)
     n = a.grid.n
-    if not dealias:
-        return SpectralField.from_physical(a.grid, a.physical() * b.physical())
     m = pad_size(n)
     prod = _padded_samples(a, m) * _padded_samples(b, m)
-    if a.real and b.real:
-        coef = truncate_half(np.fft.rfft2(prod) / m**2, n)
-    else:
-        coef = truncate_coef(np.fft.fft2(prod) / m**2, n)
-    return SpectralField(a.grid, coef, real=a.real and b.real)
+    return SpectralField(a.grid, truncate_half(np.fft.rfft2(prod) / m**2, n))
 
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
@@ -266,7 +254,7 @@ def dealias_projection(field: SpectralField) -> SpectralField:
     modes a product on the padded grid cannot represent alias-free)."""
     n = field.grid.n
     keep = band_mask(n)
-    return SpectralField(field.grid, np.where(keep, field.coef, 0.0), real=field.real)
+    return SpectralField(field.grid, np.where(keep, field.coef, 0.0))
 
 
 def band_mask(n: int) -> np.ndarray:

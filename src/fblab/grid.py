@@ -27,8 +27,8 @@ class Grid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 8:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n!r}")
-        if not self.length > 0:
-            raise ValueError(f"box period must be positive, got {self.length!r}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"box period must be positive and finite, got {self.length!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "length", float(self.length))
 
@@ -66,5 +66,5 @@ class Grid:
         return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
 def make_grid(n: int, length: float) -> Grid:
-    """Build a periodic grid; rejects non-power-of-two n and length <= 0."""
+    """Build a periodic grid; rejects non-power-of-two n and a length <= 0 or infinite."""
     return Grid(n, length)

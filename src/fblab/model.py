@@ -332,8 +332,7 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     eT_full = eT_half**2
 
     def wrap(pc, tc, t) -> SimState:
-        return SimState(t, SpectralField(grid, tc, real=True),
-                        SpectralField(grid, pc, real=True), state.tag, state.params)
+        return SimState(t, SpectralField(grid, tc), SpectralField(grid, pc), state.tag, state.params)
 
     def prop(coef_pair, half: bool):
         ep = eP_half if half else eP_full

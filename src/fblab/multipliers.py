@@ -68,8 +68,8 @@ def smooth_zeta(r):
 
 # -- multiplier spec ------------------------------------------------------
 
-_KINDS = ("lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "dyadic_bump",
-          "smooth_bump", "lowpass", "composite", "sum")
+_KINDS = ("lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "smooth_bump",
+          "composite", "sum")
 
 
 @dataclass(frozen=True)
@@ -108,19 +108,9 @@ class Multiplier:
         return Multiplier("inv_lap_perp_grad", (component,), ANNIHILATE)
 
     @staticmethod
-    def dyadic_bump(j: int) -> "Multiplier":
-        """Ring projection symbol zeta(2^-j |xi|)."""
-        return Multiplier("dyadic_bump", (int(j),), ANNIHILATE)
-
-    @staticmethod
     def smooth_bump(j: int) -> "Multiplier":
         """C-infinity ring symbol at scale 2^j (fast-decaying physical kernel)."""
         return Multiplier("smooth_bump", (int(j),), ANNIHILATE)
-
-    @staticmethod
-    def lowpass(j: int) -> "Multiplier":
-        """Low-pass symbol upsilon(2^(1-j) |xi|): keeps modes |xi| < 2^j."""
-        return Multiplier("lowpass", (int(j),), IDENTITY)
 
     @staticmethod
     def compose(*parts: "Multiplier") -> "Multiplier":
@@ -197,15 +187,9 @@ class Multiplier:
                 inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, grid.ksq, 1.0), 0.0)
             # grad-perp of Delta^{-1}: (i ky, -i kx) / |k|^2
             sym = (1j * grid.ky * inv) if comp == 0 else (-1j * grid.kx * inv)
-        elif self.kind == "dyadic_bump":
-            (j,) = self.params
-            sym = zeta(kmag * 2.0 ** (-j)).astype(np.complex128)
         elif self.kind == "smooth_bump":
             (j,) = self.params
             sym = smooth_zeta(kmag * 2.0 ** (-j)).astype(np.complex128)
-        elif self.kind == "lowpass":
-            (j,) = self.params
-            sym = upsilon(kmag * 2.0 ** (1 - j)).astype(np.complex128)
 
         sym = np.asarray(sym, dtype=np.complex128)
         sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else sym[0, 0]
@@ -219,6 +203,6 @@ class Multiplier:
 
 
 def apply_multiplier(field: SpectralField, spec: Multiplier) -> SpectralField:
-    """Coefficientwise product with the symbol; preserves real parity."""
+    """Coefficientwise product with the symbol."""
     sym = spec.symbol(field.grid)
-    return SpectralField(field.grid, field.coef * sym, real=field.real)
+    return SpectralField(field.grid, field.coef * sym)

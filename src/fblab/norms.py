@@ -23,8 +23,6 @@ def lp_norm(field: SpectralField, p: float, pad: int | None = None) -> float:
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     values = field.physical_on(pad) if pad else field.physical()
-    if not field.real:
-        values = np.abs(values)
     if p == np.inf:
         return float(np.max(np.abs(values)))
     area = field.grid.length ** 2
@@ -47,7 +45,7 @@ def inner(a: SpectralField, b: SpectralField) -> float:
     """L^2 pairing integral(a*b); exact for band-limited fields (Parseval)."""
     a._check_grid(b)
     val = np.vdot(b.coef, a.coef) * a.grid.length ** 2
-    return float(val.real) if (a.real and b.real) else complex(val)
+    return float(val.real)
 
 
 def l2_norm_sq(field: SpectralField) -> float:

@@ -44,10 +44,10 @@ def curl(v: Velocity) -> SpectralField:
     return apply_multiplier(v[1], _D1) - apply_multiplier(v[0], _D2)
 
 
-def advect(v: Velocity, f: SpectralField, dealias: bool = True) -> SpectralField:
+def advect(v: Velocity, f: SpectralField) -> SpectralField:
     """v . grad(f) with alias-free products."""
     fx, fy = gradient(f)
-    return multiply(v[0], fx, dealias) + multiply(v[1], fy, dealias)
+    return multiply(v[0], fx) + multiply(v[1], fy)
 
 
 def biot_savart(omega: SpectralField) -> Velocity:
@@ -74,7 +74,7 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
 
 
-def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField, dealias: bool = True) -> SpectralField:
+def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField) -> SpectralField:
     """[op, v.grad] phi = op(v.grad phi) - v.grad(op phi), products dealiased.
 
     The commutator is linear in op, so a weighted sum of operators
@@ -83,10 +83,10 @@ def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField, dealias: b
     The symbol of op is built once per call.
     """
     sym = op.symbol(phi.grid)
-    applied = SpectralField(phi.grid, phi.coef * sym, real=phi.real)
-    transported = advect(v, phi, dealias)
-    first = SpectralField(phi.grid, transported.coef * sym, real=transported.real)
-    return first - advect(v, applied, dealias)
+    applied = SpectralField(phi.grid, phi.coef * sym)
+    transported = advect(v, phi)
+    first = SpectralField(phi.grid, transported.coef * sym)
+    return first - advect(v, applied)
 
 
 def leray_project(v: Velocity) -> Velocity:
@@ -96,6 +96,6 @@ def leray_project(v: Velocity) -> Velocity:
     with np.errstate(divide="ignore"):
         inv = np.where(grid.kmag > 0, 1.0 / np.where(grid.kmag > 0, grid.ksq, 1.0), 0.0)
     phi_coef = -div.coef * inv  # Delta phi = div v
-    phi = SpectralField(grid, phi_coef, real=div.real)
+    phi = SpectralField(grid, phi_coef)
     gx, gy = gradient(phi)
     return v[0] - gx, v[1] - gy

@@ -387,13 +387,7 @@ _MID_BLOCK_LEVEL = 3
 
 
 def _draw_g50(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
-    base, trial, attempt = seed
-    cfg = ENSEMBLE_CYCLE[trial % len(ENSEMBLE_CYCLE)]
-    v = random_divfree_field(grid, (base, trial, attempt, 0),
-                             _resolve_band(cfg["vband"], grid), cfg["vdecay"])
-    f = random_scalar_field(grid, (base, trial, attempt, 1),
-                            _resolve_band(cfg["pband"], grid), cfg["pdecay"])
-    return {"v": v, "phi": f, "k": _MID_BLOCK_LEVEL}
+    return {**_draw_standard(spec, grid, seed), "k": _MID_BLOCK_LEVEL}
 
 
 def _g50_fields(spec, grid, fields):
@@ -435,8 +429,8 @@ def _spec(spec_id, exponents, integrability, alpha, lhs, rhs, draw=_draw_standar
     return s
 
 
-def build_registry(alpha: float = 0.75, include_canaries: bool = True) -> Dict[str, InequalitySpec]:
-    reg = {
+def build_registry(alpha: float = 0.75) -> Dict[str, InequalitySpec]:
+    return {
         "aaa": _spec("aaa", {"S": 0.5, "S1": 0.6, "S2": 0.6, "S3": 0.6},
                      {"p1": 3.0, "p2": 3.0, "p3": 3.0}, alpha,
                      _pairing_lhs, _rhs_aaa, needs_pairing_field=True),
@@ -460,18 +454,15 @@ def build_registry(alpha: float = 0.75, include_canaries: bool = True) -> Dict[s
                        {"p": 2.0, "q": 4.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq201),
         "g50": _spec("g50", {}, {"p1": 4.0 / 3.0, "q1": 4.0}, alpha, _g50_lhs, _g50_rhs,
                      draw=_draw_g50),
-    }
-    if include_canaries:
         # q = 2 violates the low-high hypothesis of eq20; runnable, never gating
-        reg["eq20_canary_q2"] = _spec(
-            "eq20_canary_q2", {"s1": 0.3, "s2": 0.8, "a": 0.75},
-            {"p": 4.0 / 3.0, "q": 2.0, "r": 4.0},
-            alpha, _norm_lhs, _rhs_eq20, canary=True, skip_validation=True, family="eq20")
+        "eq20_canary_q2": _spec("eq20_canary_q2", {"s1": 0.3, "s2": 0.8, "a": 0.75},
+                                {"p": 4.0 / 3.0, "q": 2.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq20,
+                                canary=True, skip_validation=True, family="eq20"),
         # hypotheses satisfied but just inside the s2 < s1 + s3 boundary
-        reg["eq25_boundary"] = _spec(
-            "eq25_boundary", {"s1": 0.4, "s2": 0.74, "s3": 0.35}, {}, alpha,
-            _norm_lhs, _rhs_eq25, draw=_draw_eq25, near_boundary=True, family="eq25")
-    return reg
+        "eq25_boundary": _spec("eq25_boundary", {"s1": 0.4, "s2": 0.74, "s3": 0.35}, {}, alpha,
+                               _norm_lhs, _rhs_eq25, draw=_draw_eq25, near_boundary=True,
+                               family="eq25"),
+    }
 
 
 def hypothesis_satisfying_ids(registry: Dict[str, InequalitySpec]) -> List[str]:

@@ -68,6 +68,8 @@ def read_snapshot(path: str) -> Tuple[Grid, Dict[str, np.ndarray]]:
             names.append(blob[off:off + ln].decode("utf-8")); off += ln
     except (struct.error, UnicodeDecodeError) as exc:
         raise SnapshotFormatError(f"{path}: malformed header ({exc})") from exc
+    if count == 0:
+        raise SnapshotFormatError(f"{path}: header lists no fields")
     block = n * n * 8
     # checked before the grid is built, so a damaged n allocates nothing
     if len(blob) != off + count * block:

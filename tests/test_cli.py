@@ -90,6 +90,22 @@ class TestConfig:
         assert err.startswith("validation error:") and word in err
 
 
+    @pytest.mark.parametrize("text,word", [
+        ("n = 32\n", "no section headers"),
+        ("[model]\nn = 32\nn = 64\n", "already exists"),
+        ("[model]\n  continued\n", "parsing errors"),
+        ("[model]\nn = %(x)s\n", "interpolation"),
+    ], ids=["no_section_header", "duplicate_option", "bad_continuation", "bad_interpolation"])
+    def test_malformed_ini_exit_code(self, tmp_path, capsys, text, word):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="bad.ini"):
+            load_config(str(path))
+        assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "bad.ini" in err and word in err
+
+
 class TestSnapshotFormat:
     def test_round_trip_and_layout(self, tmp_path):
         g = make_grid(32, 2 * np.pi)
@@ -119,6 +135,27 @@ class TestSnapshotFormat:
         assert main(["--config", str(rpath), "ledger"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "snap_000001.fbl" in err
+
+    @pytest.mark.parametrize("names,word", [(("f",), "no 'theta' field"),
+                                            (("theta",), "no 'f' field"),
+                                            ((), "no fields")])
+    def test_missing_fields_in_replay(self, tmp_path, capsys, names, word):
+        # a one-state n = 8 snapshot set whose file lacks theta, f or both
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        snap = str(snaps / "snap_000000.fbl")
+        write_snapshot(snap, make_grid(8, 2 * np.pi), {name: np.zeros((8, 8)) for name in names})
+        (snaps / "snapshots.csv").write_text("file,t,alpha,eps0\nsnap_000000.fbl,0.0,0.75,1.0\n")
+        if not names:
+            with pytest.raises(SnapshotFormatError, match="snap_000000.fbl: header lists no fields"):
+                read_snapshot(snap)
+        replay = (BASE_INI.format(out=str(tmp_path / "replay")).replace("n = 32", "n = 8")
+                  + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
+        rpath = tmp_path / "replay.ini"
+        rpath.write_text(replay)
+        assert main(["--config", str(rpath), "ledger"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "snap_000000.fbl" in err and word in err
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fbl"

@@ -1,0 +1,123 @@
+"""Fuzzed inputs: random and mutated snapshot bytes, random INI text.
+
+Every input either parses or raises the named error of its reader
+(:class:`SnapshotFormatError` naming the file, :class:`ConfigError`),
+never another exception.  Generated snapshot headers keep n <= 64, and a
+mutated n is refused by the length check before any grid is built.
+"""
+
+import os
+import struct
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fblab.config import ConfigError, RunConfig, load_config
+from fblab.snapshot import MAGIC, SnapshotFormatError, read_snapshot
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def parse_snapshot(path, blob):
+    """Read ``blob`` as a snapshot: None if refused, else (grid, fields)."""
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    try:
+        grid, fields = read_snapshot(path)
+    except SnapshotFormatError as exc:
+        assert path in str(exc)
+        return None
+    assert fields
+    for values in fields.values():
+        assert values.shape == (grid.n, grid.n) and values.dtype == np.float64
+    return grid, fields
+
+
+@st.composite
+def snapshots(draw):
+    """A snapshot file with n <= 64, and the header and data it encodes."""
+    n = draw(st.sampled_from([0, 1, 4, 7, 8, 16, 32, 64]))
+    length = draw(st.sampled_from([2 * np.pi, 1.0, 0.0, -1.0, np.inf, np.nan]))
+    names = draw(st.lists(st.sampled_from(["theta", "f", "omega", "é", ""]), max_size=3))
+    blocks = draw(st.integers(0, len(names) + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = rng.standard_normal((blocks, n, n))
+    head = [MAGIC, struct.pack("<I", n), struct.pack("<d", length), struct.pack("<H", len(names))]
+    for name in names:
+        raw = name.encode("utf-8")
+        head += [struct.pack("<H", len(raw)), raw]
+    return b"".join(head) + data.astype("<f8").tobytes(), (n, length, names, data)
+
+
+@st.composite
+def mutations(draw, blob):
+    """``blob`` with some bytes overwritten, then cut or extended."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(0, 4))):
+        if out:
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(out) + 8))
+    return bytes(out[:cut]) + draw(st.binary(max_size=max(0, cut - len(out))))
+
+
+class TestSnapshotFuzz:
+    @FUZZ
+    @given(blob=st.binary(max_size=256), magic=st.booleans())
+    def test_random_bytes(self, tmp_path, blob, magic):
+        parse_snapshot(str(tmp_path / "s.fbl"), (MAGIC if magic else b"") + blob)
+
+    @FUZZ
+    @given(snap=snapshots())
+    def test_generated_headers(self, tmp_path, snap):
+        blob, (n, length, names, data) = snap
+        got = parse_snapshot(str(tmp_path / "s.fbl"), blob)
+        valid = (n >= 8 and 0 < length < np.inf and names and len(data) == len(names))
+        assert (got is not None) == bool(valid)
+        if got is not None:
+            grid, fields = got
+            assert grid.n == n and set(fields) == set(names)
+            # a repeated name keeps the block written last
+            for i, name in enumerate(names):
+                if name not in names[i + 1:]:
+                    assert np.array_equal(fields[name], data[i])
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_snapshots(self, tmp_path, data):
+        blob, _ = data.draw(snapshots())
+        parse_snapshot(str(tmp_path / "s.fbl"), data.draw(mutations(blob)))
+
+
+_INI_TOKENS = st.sampled_from([
+    "[model]", "[estimates]", "[output]", "[diagnostics]", "[ledger]", "[DEFAULT]", "[",
+    "n", "alpha", "dt", "seed", "cadence", "grids", "specs", "snapshots", "configs",
+    "=", ":", " ", "  ", "\n", "\n", "\t", "%", "%(x)s", "%%", "#", ";",
+    "0.75", "64,128", "64,,x", "true", "maybe", "x", "-1", "1e400", "nan", "é",
+])
+
+
+def parse_config(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError as exc:
+        assert os.path.basename(path) in str(exc)
+
+
+class TestConfigFuzz:
+    @FUZZ
+    @given(text=st.lists(_INI_TOKENS, max_size=40).map("".join))
+    def test_token_soup(self, tmp_path, text):
+        parse_config(str(tmp_path / "c.ini"), text.encode("utf-8"))
+
+    @FUZZ
+    @given(text=st.text(max_size=200))
+    def test_random_text(self, tmp_path, text):
+        parse_config(str(tmp_path / "c.ini"), ("[model]\n" + text).encode("utf-8"))
+
+    @FUZZ
+    @given(blob=st.binary(max_size=200))
+    def test_random_bytes(self, tmp_path, blob):
+        parse_config(str(tmp_path / "c.ini"), blob)

@@ -75,6 +75,26 @@ class TestSpectralField:
         with pytest.raises(ValueError):
             f.coef[0, 0] = 1.0
 
+    def test_complex_samples_rejected(self):
+        g = make_grid(16, TWO_PI)
+        vals = np.random.default_rng(2).standard_normal((16, 16))
+        with pytest.raises(ValueError, match="real"):
+            SpectralField.from_physical(g, vals + 1j * vals)
+        # a complex dtype is refused even with zero imaginary part
+        with pytest.raises(ValueError, match="real"):
+            SpectralField.from_physical(g, vals.astype(np.complex128))
+
+    def test_complex_scalar_rejected(self):
+        g = make_grid(16, TWO_PI)
+        f = SpectralField.from_physical(g, np.random.default_rng(3).standard_normal((16, 16)))
+        for scalar in (1j, np.complex128(2.0)):
+            with pytest.raises(TypeError, match="real"):
+                f * scalar
+            with pytest.raises(TypeError, match="real"):
+                scalar * f
+        assert np.array_equal((f * 2.0).coef, 2.0 * f.coef)
+        assert np.array_equal((np.float64(0.5) * f).coef, 0.5 * f.coef)
+
 
 class TestMultipliers:
     def test_single_mode_half_power(self):
@@ -122,7 +142,7 @@ class TestMultipliers:
         g = make_grid(32, TWO_PI)
         f = random_scalar_field(g, 5, band=(0, 3))
         for spec in (Multiplier.lambda_pow(0.7), Multiplier.riesz(0.8),
-                     Multiplier.partial(0), Multiplier.dyadic_bump(2)):
+                     Multiplier.partial(0), Multiplier.smooth_bump(2)):
             out = apply_multiplier(f, spec)
             assert out.hermitian_defect() < 1e-13
             # the coefficients really encode a real field
@@ -364,10 +384,8 @@ class TestProductsAndProjection:
 
 
 def complex_physical_on(field, m):
-    """Padded samples by the complex path: pad, ifft2, and the real part
-    of a real field."""
-    raw = np.fft.ifft2(pad_coef(field.coef, m)) * m**2
-    return raw.real if field.real else raw
+    """Padded samples by the complex path: pad, ifft2, real part."""
+    return (np.fft.ifft2(pad_coef(field.coef, m)) * m**2).real
 
 
 def complex_multiply(a, b):
@@ -384,16 +402,14 @@ def rel_max(got, want):
 
 
 def oracle_fields(n, seed):
-    """A band-limited real field, a real field whose Nyquist row and
-    column are nonzero, a real-tagged field with a non-Hermitian
-    spectrum, and a complex field."""
+    """A band-limited field, a field whose Nyquist row and column are
+    nonzero, and a field with a non-Hermitian spectrum."""
     g = make_grid(n, TWO_PI)
     rng = np.random.default_rng(seed)
     smooth = random_scalar_field(g, seed, band=(0, 3))
     nyquist = SpectralField.from_physical(g, rng.standard_normal((n, n)))
-    skew = SpectralField(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), real=True)
-    cplx = SpectralField.from_physical(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return {"smooth": smooth, "nyquist": nyquist, "skew": skew, "complex": cplx}
+    skew = SpectralField(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return {"smooth": smooth, "nyquist": nyquist, "skew": skew}
 
 
 class TestRealProductPath:
@@ -406,16 +422,14 @@ class TestRealProductPath:
         for i, x in enumerate(names):
             for y in names[i:]:
                 a, b = fields[x], fields[y]
-                got = multiply(a, b)
-                assert got.real == (a.real and b.real)
-                assert rel_max(got.coef, complex_multiply(a, b)) <= 1e-13, (x, y)
+                assert rel_max(multiply(a, b).coef, complex_multiply(a, b)) <= 1e-13, (x, y)
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
     def test_physical_on_matches_complex_path(self, n):
         for name, f in oracle_fields(n, seed=n + 1).items():
             for m in (n, pad_size(n), 2 * n, 4 * n):
                 got = f.physical_on(m)
-                assert got.dtype == (np.float64 if f.real else np.complex128)
+                assert got.dtype == np.float64
                 assert rel_max(got, complex_physical_on(f, m)) <= 1e-13, (name, m)
 
     def test_nyquist_line_is_split_not_dropped(self):
