@@ -18,8 +18,8 @@ from .ensembles import gaussian_bump_field, random_divfree_field, random_scalar_
 from .model import (ModelParams, SimState, Trajectory, initial_state, integrate, rhs,
                     scaled_velocity_split, step, transform_to_f, transform_to_g,
                     vorticity_from_f)
-from .diagnostics import (CriteriaReport, EnergyLedgerRow, ExponentSuite, criteria_monitor,
-                          energy_terms, ledger_configs, ledger_run)
+from .diagnostics import (CriteriaReport, EnergyLedgerRow, ExponentSuite, LedgerConfig,
+                          criteria_monitor, energy_terms, ledger_configs, ledger_run)
 from .commutators import (EstimateReport, commutator_field, estimate_constant,
                           representation_check)
 from .registry import ConstraintError, InequalitySpec, build_registry

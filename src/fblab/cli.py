@@ -15,6 +15,8 @@ Exit codes: 0 pass, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import math
 import os
 import sys
 from typing import List, Optional
@@ -63,28 +65,61 @@ def _write_trajectory(out_dir: str, traj: Trajectory):
     write_csv(os.path.join(out_dir, "snapshots.csv"), ("file", "t", "alpha", "eps0"), index_rows)
 
 
-def _load_trajectory(snap_dir: str, params: ModelParams) -> List[SimState]:
-    import csv
+def _index_number(row: dict, key: str, where: str) -> float:
+    try:
+        value = float(row[key])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} = {row[key]!r} is not a finite number")
+    return value
 
+
+def _load_trajectory(snap_dir: str, params: ModelParams) -> List[SimState]:
+    """States of a stored snapshot set; a bad index or snapshot raises
+    ConfigError or SnapshotFormatError naming the index or the file."""
     index_path = os.path.join(snap_dir, "snapshots.csv")
     if not os.path.exists(index_path):
         raise ConfigError(f"no snapshot index at {index_path}")
+    try:
+        with open(index_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+            columns = reader.fieldnames or []
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"snapshot index {index_path} is unreadable ({exc})") from exc
+    for key in ("file", "t"):
+        if key not in columns:
+            raise ConfigError(f"snapshot index {index_path} has no {key!r} column")
     states = []
-    with open(index_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            for key, want in (("alpha", params.alpha), ("eps0", params.eps0)):
-                stored = float(row.get(key, want))
-                if abs(stored - want) > 1e-12:
-                    raise ConfigError(f"snapshot set was produced with {key}={stored:g}, "
-                                      f"config says {want:g}")
-            path = os.path.join(snap_dir, row["file"])
+    for line, row in rows:
+        where = f"snapshot index {index_path}, line {line}"
+        for key, want in (("alpha", params.alpha), ("eps0", params.eps0)):
+            if key not in columns:
+                continue
+            stored = _index_number(row, key, where)
+            if abs(stored - want) > 1e-12:
+                raise ConfigError(f"{where}: snapshot set was produced with {key}={stored:g}, "
+                                  f"config says {want:g}")
+        t = _index_number(row, "t", where)
+        if states and t <= states[-1].time:
+            raise ConfigError(f"{where}: t = {t:g} does not follow t = {states[-1].time:g}")
+        path = os.path.join(snap_dir, row["file"] or "")
+        try:
             grid, fields = read_snapshot(path)
-            for name in ("theta", "f"):
-                if name not in fields:
-                    raise SnapshotFormatError(f"{path}: no {name!r} field")
+        except SnapshotFormatError:
+            raise
+        except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
+            raise SnapshotFormatError(f"{where} names {path}, which cannot be read ({exc})") from exc
+        for name in ("theta", "f"):
+            if name not in fields:
+                raise SnapshotFormatError(f"{path}: no {name!r} field")
+        try:
             theta = SpectralField.from_physical(grid, fields["theta"])
             f = SpectralField.from_physical(grid, fields["f"])
-            states.append(SimState(float(row["t"]), theta, f, "f", params))
+            states.append(SimState(t, theta, f, "f", params))
+        except ValueError as exc:
+            raise SnapshotFormatError(f"{path}: {exc}") from exc
     if not states:
         raise ConfigError(f"snapshot index {index_path} is empty")
     return states
@@ -148,8 +183,8 @@ def run_ledger(cfg: RunConfig, out_dir: str) -> int:
     configs = ledger_configs(cfg.alpha, cfg.rho)
     summary = {"domain": "torus", "alpha": cfg.alpha, "configs": {}}
     worst = EXIT_OK
-    for cid in cfg.ledger_ids:
-        rows, verdict = ledger_run(states, configs[cid])
+    results = ledger_run(states, [configs[cid] for cid in cfg.ledger_ids])
+    for cid, (rows, verdict) in zip(cfg.ledger_ids, results):
         csv_rows = []
         for row in rows:
             for kind in ("s", "kappa", "p"):

@@ -28,6 +28,15 @@ The full-velocity terms are computed on their own, not summed from the
 splits; the commutator is linear in the velocity, so the signed splits
 add back to the full term up to roundoff.
 
+The terms depend on the state only, so :func:`energy_terms` evaluates a
+state once for every configuration: each term field is built once per
+velocity and paired with each configuration's target (Lambda^(2s) F,
+Lambda^(2 kappa) Theta, or F^(p-1) through :func:`integral_product`,
+which keeps the band of each power on F), then dropped.  Per state that
+is 12 advections (four per velocity: u.grad F, u.grad Theta, and the
+second halves of the two commutators, which reuse u.grad Theta) however
+many configurations are asked for.
+
 Ledger evaluation is independent per time slice (rates come from stored
 functional values), so slices parallelize trivially.
 """
@@ -40,10 +49,10 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .fields import SpectralField, nice_fft_size
+from .fields import SpectralField
 from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split
 from .multipliers import Multiplier, apply_multiplier
-from .norms import inner, integral_product, l2_norm_sq, lp_norm
+from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
 from .dyadic import besov_norm
 
@@ -146,14 +155,6 @@ def _lam(field: SpectralField, s: float) -> SpectralField:
     return apply_multiplier(field, Multiplier.lambda_pow(s))
 
 
-def _signed_pair_L2(term: SpectralField, target: SpectralField, s: float) -> float:
-    return inner(_lam(term, s), _lam(target, s))
-
-
-def _signed_pair_power(term: SpectralField, f: SpectralField, p: int) -> float:
-    return integral_product(term, f, p - 1)
-
-
 @dataclass
 class EnergyLedgerRow:
     """One evaluated time slice of one ledger configuration."""
@@ -170,59 +171,70 @@ class EnergyLedgerRow:
     coercivity_ratio: float = float("nan")
 
 
-def energy_terms(state: SimState, s: float, kappa: float, p: int) -> EnergyLedgerRow:
-    """Evaluate every ledger term for one state by direct quadrature."""
-    if p % 2 or p < 2:
-        raise ValueError("the L^p pairing keeps the integrand polynomial; p must be even")
-    if s < 0 or kappa < 0:
-        raise ValueError("derivative weights must be nonnegative")
+def energy_terms(state: SimState, configs: Sequence[LedgerConfig]) -> List[EnergyLedgerRow]:
+    """Evaluate every ledger term of one state, one row per config.
+
+    Each term field is built once and paired with every config's target
+    before the next one is built: <Lambda^s term, Lambda^s F> is the
+    pairing of the term with Lambda^(2s) F, one target per config, and
+    the L^p pairings go through :func:`integral_product`, which keeps the
+    band of each power of F on F.  The two commutators of a velocity
+    reuse its u.grad Theta of I5.
+    """
+    for c in configs:
+        if c.p % 2 or c.p < 2:
+            raise ValueError("the L^p pairing keeps the integrand polynomial; p must be even")
+        if c.s < 0 or c.kappa < 0:
+            raise ValueError("derivative weights must be nonnegative")
     if state.tag != "f":
         raise ValueError("the ledger runs on hybrid-formulation states")
     params = state.params
     a, b, e = params.alpha, params.beta, params.eps0
     h = hybrid_terms(params)
     (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
-    F, Th = state.primary, state.theta
+    # F on a handle of its own: the power bands the pairings keep on it
+    # go with it, instead of living as long as the state
+    F, Th = SpectralField(state.grid, state.primary.coef), state.theta
+    targets = [{"s": _lam(F, 2.0 * c.s), "kappa": _lam(Th, 2.0 * c.kappa)} for c in configs]
+    signed: List[Dict[str, float]] = [{} for _ in configs]
+
+    def pair(name: str, weight: float, term: SpectralField, target: str, power_name: str = ""):
+        for sg, tg, c in zip(signed, targets, configs):
+            sg[name] = weight * inner(term, tg[target])
+            if power_name:
+                sg[power_name] = weight * integral_product(term, F, c.p - 1)
 
     uf, ut = scaled_velocity_split(F, Th, params)
-    u_full = (uf[0] + ut[0], uf[1] + ut[1])
-    velocities = {"": u_full, "_f": uf, "_t": ut}
-    linear_term = apply_multiplier(Th, lin)
-
-    signed: Dict[str, float] = {}
+    velocities = {"": (uf[0] + ut[0], uf[1] + ut[1]), "_f": uf, "_t": ut}
     for suffix, u in velocities.items():
-        riesz_comm = commutator_apply(riesz, u, Th)
-        smooth_comm = commutator_apply(smooth, u, Th)
-        signed[f"I1{suffix}"] = h.advect * _signed_pair_L2(advect(u, F), F, s)
-        signed[f"I3{suffix}"] = w_rc * _signed_pair_L2(riesz_comm, F, s)
-        signed[f"I4{suffix}"] = w_sc * _signed_pair_L2(smooth_comm, F, s)
-        signed[f"I5{suffix}"] = h.advect * _signed_pair_L2(advect(u, Th), Th, kappa)
-        signed[f"K2{suffix}"] = w_rc * _signed_pair_power(riesz_comm, F, p)
-        signed[f"K3{suffix}"] = w_sc * _signed_pair_power(smooth_comm, F, p)
-    signed["I2"] = w_lin * _signed_pair_L2(linear_term, F, s)
-    signed["K1"] = w_lin * _signed_pair_power(linear_term, F, p)
+        pair(f"I1{suffix}", h.advect, advect(u, F), "s")
+        transported = advect(u, Th)
+        pair(f"I5{suffix}", h.advect, transported, "kappa")
+        pair(f"I3{suffix}", w_rc, commutator_apply(riesz, u, Th, transported), "s", f"K2{suffix}")
+        pair(f"I4{suffix}", w_sc, commutator_apply(smooth, u, Th, transported), "s", f"K3{suffix}")
+    pair("I2", w_lin, apply_multiplier(Th, lin), "s", "K1")
 
-    terms = {name: abs(signed[name]) for name in
-             ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3")}
-
-    lam_a = apply_multiplier(F, Multiplier.lambda_pow(a))
-    diss_p_signed = h.dissipation * integral_product(lam_a, F, p - 1)
-    dissipation = {
-        "s": h.dissipation * l2_norm_sq(_lam(F, s + a / 2.0)),
-        "kappa": l2_norm_sq(_lam(Th, kappa + b / 2.0)),
-        "p": diss_p_signed,
-    }
-    functionals = {
-        "s": 0.5 * l2_norm_sq(_lam(F, s)),
-        "kappa": 0.5 * l2_norm_sq(_lam(Th, kappa)),
-        "p": lp_norm(F, p, pad=nice_fft_size(p * state.grid.n // 2 + 2)) ** p / p,
-    }
-    lower = (e ** (2 * a - 1)) * lp_norm(F, 2 * p / (2.0 - a)) ** p
-    ratio = diss_p_signed / lower if lower > 0 else float("nan")
-
-    return EnergyLedgerRow(t=state.time, config_id="", functionals=functionals,
-                           dissipation=dissipation, terms=terms, signed=signed,
-                           coercivity_ratio=ratio)
+    lam_a, lam_b = _lam(F, a), _lam(Th, b)
+    rows = []
+    for c, sg, tg in zip(configs, signed, targets):
+        diss_p_signed = h.dissipation * integral_product(lam_a, F, c.p - 1)
+        dissipation = {
+            "s": h.dissipation * inner(lam_a, tg["s"]),
+            "kappa": inner(lam_b, tg["kappa"]),
+            "p": diss_p_signed,
+        }
+        functionals = {
+            "s": 0.5 * inner(F, tg["s"]),
+            "kappa": 0.5 * inner(Th, tg["kappa"]),
+            "p": integral_product(F, F, c.p - 1) / c.p,
+        }
+        lower = (e ** (2 * a - 1)) * lp_norm(F, 2 * c.p / (2.0 - a)) ** c.p
+        terms = {name: abs(sg[name]) for name in ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3")}
+        rows.append(EnergyLedgerRow(
+            t=state.time, config_id=c.config_id, functionals=functionals,
+            dissipation=dissipation, terms=terms, signed=sg,
+            coercivity_ratio=diss_p_signed / lower if lower > 0 else float("nan")))
+    return rows
 
 
 # -- ledger over a trajectory ----------------------------------------------------
@@ -246,13 +258,18 @@ class LedgerVerdict:
         return self.rows_checked == self.rows_passed
 
 
-def ledger_run(states: Sequence[SimState], config: LedgerConfig,
+def ledger_run(states: Sequence[SimState], configs: Sequence[LedgerConfig],
                rate_tol_scale: float = 5.0, quad_tol: float = 1e-9,
-               min_cadence_warning: float = 0.25) -> Tuple[List[EnergyLedgerRow], LedgerVerdict]:
-    """Evaluate the ledger along stored states and check, row by row,
-    that the finite-difference rate of each tracked functional plus its
-    coercive term stays below the sum of the measured right-hand terms,
-    up to a scale-aware tolerance 5*max(dt^2, quad_tol)*scale.
+               min_cadence_warning: float = 0.25
+               ) -> List[Tuple[List[EnergyLedgerRow], LedgerVerdict]]:
+    """Evaluate the ledgers of all configs along stored states and check,
+    row by row, that the finite-difference rate of each tracked
+    functional plus its coercive term stays below the sum of the measured
+    right-hand terms, up to a scale-aware tolerance
+    5*max(dt^2, quad_tol)*scale.
+
+    Each state is evaluated once for every config; the result holds one
+    (rows, verdict) pair per config, in the order given.
     """
     if len(states) < 3:
         raise ValueError("need at least three stored states for centered rates")
@@ -262,10 +279,14 @@ def ledger_run(states: Sequence[SimState], config: LedgerConfig,
         import warnings
         warnings.warn("output cadence is coarse; finite-difference rates may be inaccurate")
 
-    rows = [energy_terms(s, config.s, config.kappa, config.p) for s in states]
-    for row in rows:
-        row.config_id = config.config_id
+    per_state = [energy_terms(s, configs) for s in states]
+    return [_check_rows([rows[i] for rows in per_state], times, config, rate_tol_scale, quad_tol)
+            for i, config in enumerate(configs)]
 
+
+def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerConfig,
+                rate_tol_scale: float, quad_tol: float
+                ) -> Tuple[List[EnergyLedgerRow], LedgerVerdict]:
     sup_fun = {k: 0.0 for k in ("s", "kappa", "p")}
     integrals = {k: 0.0 for k in ("s", "kappa", "p")}
     integrals_coarse = {k: 0.0 for k in ("s", "kappa", "p")}

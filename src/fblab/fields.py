@@ -28,7 +28,9 @@ samples (one velocity component feeds several products), in a slot only
 :func:`multiply` writes.  The padded samples that the norms request
 through :meth:`SpectralField.physical_on` are not kept: they are taken
 once per field at grids of several sizes, and holding them would only
-raise the peak memory of a ledger run.
+raise the peak memory of a ledger run.  What a power pairing needs of
+its field is kept instead: the (n+1)-by-(n/2+1) band of the power, per
+power, in a second slot only :func:`power_band` writes.
 
 numpy's FFT is stateless (no shared plans or workspaces), so concurrent
 evaluation needs no synchronization: the cached samples are pure
@@ -44,7 +46,7 @@ from .grid import Grid
 class SpectralField:
     """A real scalar field on a periodic grid."""
 
-    __slots__ = ("grid", "coef", "_physical", "_padded")
+    __slots__ = ("grid", "coef", "_physical", "_padded", "_bands")
 
     def __init__(self, grid: Grid, coef: np.ndarray):
         if coef.shape != (grid.n, grid.n):
@@ -55,6 +57,7 @@ class SpectralField:
         self.coef = coef
         self._physical = None
         self._padded = None
+        self._bands = None
 
     # -- constructors -------------------------------------------------
 
@@ -169,27 +172,60 @@ def truncate_coef(coef: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def hermitian_half(coef: np.ndarray, m: int) -> np.ndarray:
-    """Columns 0..m/2 of the Hermitian part of the spectrum padded to m.
+def hermitian_band(coef: np.ndarray) -> np.ndarray:
+    """The Hermitian part of the spectrum as an (n+1)-by-(n/2+1) band:
+    rows are frequencies -n/2..n/2, columns 0..n/2.
 
-    ``irfft2`` of it equals Re(ifft2) of the padded spectrum.  The Nyquist
-    line k_i = -n/2 is split evenly with its partner at +n/2, which the
-    padded lattice (m > n) has and the n-lattice lacks.
+    The Nyquist line k_i = -n/2 is split evenly with its partner at +n/2,
+    which a padded lattice (m > n) has and the n-lattice lacks.
     """
     n = coef.shape[0]
-    if m <= n:
-        raise ValueError("padding target must exceed the source size")
     h = n // 2
     box = np.zeros((n + 1, n + 1), dtype=np.complex128)  # frequencies -h..h on both axes
     box[h:n, h:n] = coef[:h, :h]
     box[h:n, :h] = coef[:h, h:]
     box[:h, h:n] = coef[h:, :h]
     box[:h, :h] = coef[h:, h:]
-    herm = 0.5 * (box[:, h:] + np.conj(box[::-1, h::-1]))
+    return 0.5 * (box[:, h:] + np.conj(box[::-1, h::-1]))
+
+
+def hermitian_half(coef: np.ndarray, m: int) -> np.ndarray:
+    """Columns 0..m/2 of the Hermitian part of the spectrum padded to m;
+    ``irfft2`` of it equals Re(ifft2) of the padded spectrum."""
+    n = coef.shape[0]
+    if m <= n:
+        raise ValueError("padding target must exceed the source size")
+    h = n // 2
+    herm = hermitian_band(coef)
     out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
     out[:h + 1, :h + 1] = herm[h:]
     out[m - h:, :h + 1] = herm[:h]
     return out
+
+
+def power_band(field: SpectralField, power: int, m: int) -> np.ndarray:
+    """The band of ``field**power`` laid out as :func:`hermitian_band`.
+
+    The power is sampled on the m-grid and transformed back; with
+    m > (power + 1) n / 2 no alias of the power reaches the band, and the
+    band is exactly what an m-grid quadrature of a product with a field
+    of the n-band sees.  The band is kept on the field, per power; the
+    m-grid arrays are dropped on return.
+    """
+    if field._bands is None:
+        field._bands = {}
+    band = field._bands.get(power)
+    if band is None:
+        h = field.grid.n // 2
+        values = field.physical_on(m)
+        sampled = values
+        for _ in range(power - 1):  # repeated products: ndarray ** k calls pow, ~30x slower
+            sampled = sampled * values
+        spec = np.fft.rfft2(sampled)
+        band = np.concatenate((spec[m - h:, :h + 1], spec[:h + 1, :h + 1])) / m**2
+        band.setflags(write=False)
+        field._bands[power] = band
+    return band
 
 
 def truncate_half(half: np.ndarray, n: int) -> np.ndarray:

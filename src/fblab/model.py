@@ -231,7 +231,8 @@ def nonlinear(state: SimState, u: Optional[Velocity] = None) -> Tuple[SpectralFi
 
     ``u`` is the state's velocity if the caller has already built it.  In
     the ``f`` form the two temperature commutators are evaluated as one,
-    with the merged operator of :meth:`HybridTerms.commutator`.
+    with the merged operator of :meth:`HybridTerms.commutator`, and the
+    commutator reuses u.grad theta of the temperature equation.
     """
     if u is None:
         u = state_velocity(state)
@@ -241,10 +242,11 @@ def nonlinear(state: SimState, u: Optional[Velocity] = None) -> Tuple[SpectralFi
         return dP, dT
     h, th = hybrid_terms(state.params), state.theta
     w_lin, lin = h.linear
+    transported = advect(u, th)
     dP = (-h.advect * advect(u, state.primary)
           + w_lin * apply_multiplier(th, lin)
-          + commutator_apply(h.commutator(), u, th))
-    dT = -h.advect * advect(u, th)
+          + commutator_apply(h.commutator(), u, th, transported))
+    dT = -h.advect * transported
     return dP, dT
 
 

@@ -3,8 +3,10 @@
 L^p norms use the uniform-grid rectangle rule (spectrally accurate for
 smooth periodic integrands); p = infinity returns the max over samples,
 a lower bound of the continuum sup.  For integrands that are products
-of band-limited fields, :func:`integral_product` evaluates on a padded
-grid chosen so the quadrature is exact.
+of band-limited fields, :func:`integral_product` is exact: it pairs the
+spectrum of one factor with the band of the power of the other
+(Parseval), the power taken on a padded grid fine enough that no alias
+reaches that band.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .fields import SpectralField, nice_fft_size
+from .fields import SpectralField, hermitian_band, nice_fft_size, power_band
 from .multipliers import Multiplier, apply_multiplier
 from .operators import require_mean_free
 
@@ -53,15 +55,25 @@ def l2_norm_sq(field: SpectralField) -> float:
 
 
 def integral_product(a: SpectralField, b: SpectralField, b_power: int = 1) -> float:
-    """integral(a * b**b_power) with a padded grid sized so no alias
-    reaches the zero mode (exact for band-limited a, b)."""
-    if b_power < 0 or int(b_power) != b_power:
-        raise ValueError("b_power must be a nonnegative integer")
+    """integral(a * b**b_power), exact for band-limited a, b.
+
+    Evaluated by Parseval: the Hermitian band of a is paired with the
+    band of b**b_power, which :func:`fblab.fields.power_band` computes once
+    on an m-grid with m > (b_power + 1) n / 2 and keeps on b.  On that
+    grid the quadrature mean(a * b**b_power) sees no alias at the zero
+    mode, and it equals this pairing; repeated pairings against the same
+    b cost no transform.
+    """
+    if b_power < 1 or int(b_power) != b_power:
+        raise ValueError("b_power must be a positive integer")
+    a._check_grid(b)
     n = a.grid.n
     m = nice_fft_size(int((b_power + 1) * n / 2) + 2)
-    av = a.physical_on(m)
-    bv = b.physical_on(m)
-    return float(np.mean(av * bv ** b_power) * a.grid.length ** 2)
+    band_a = hermitian_band(a.coef)
+    band_b = power_band(b, int(b_power), m)
+    # both bands are Hermitian: columns 1..n/2 stand for their mirror too
+    val = 2.0 * np.vdot(band_b, band_a) - np.vdot(band_b[:, 0], band_a[:, 0])
+    return float(val.real * a.grid.length ** 2)
 
 
 def grid_argmax(values: np.ndarray):

@@ -7,7 +7,7 @@ so the output is divergence-free exactly in its coefficients.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,17 +74,22 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
 
 
-def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField) -> SpectralField:
+def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField,
+                     transported: Optional[SpectralField] = None) -> SpectralField:
     """[op, v.grad] phi = op(v.grad phi) - v.grad(op phi), products dealiased.
 
     The commutator is linear in op, so a weighted sum of operators
     (``Multiplier.sum(..., weights=...)``) gives the same weighted sum of
     commutators in one call: two advections instead of two per part.
-    The symbol of op is built once per call.
+    The symbol of op is built once per call.  ``transported`` is
+    ``advect(v, phi)`` if the caller has already computed it (the
+    temperature equation transports theta with the same velocity); the
+    result is then the same to the last bit, one advection cheaper.
     """
     sym = op.symbol(phi.grid)
     applied = SpectralField(phi.grid, phi.coef * sym)
-    transported = advect(v, phi)
+    if transported is None:
+        transported = advect(v, phi)
     first = SpectralField(phi.grid, transported.coef * sym)
     return first - advect(v, applied)
 

@@ -13,7 +13,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .diagnostics import ExponentSuite, energy_terms
+from .diagnostics import ExponentSuite, LedgerConfig, energy_terms
 from .dyadic import build_partition, dyadic_block, maximal_function, paraproduct_split
 from .ensembles import random_divfree_field, random_scalar_field
 from .fields import SpectralField, multiply
@@ -156,11 +156,11 @@ def check_ledger_null_terms() -> bool:
     g = _grid()
     p = ModelParams(alpha=0.75)
     st = initial_state(g, p, "f", seed=6, amplitude_theta=0.3, amplitude_primary=0.3)
-    row = energy_terms(st, 0.0, 0.0, 2)
+    (row,) = energy_terms(st, [LedgerConfig("null", 0.0, 0.0, 2)])
     if row.terms["I1"] > 1e-12:
         return False
     st0 = SimState(0.0, SpectralField.zero(g), st.primary, "f", p)
-    row0 = energy_terms(st0, 0.3, 0.2, 4)
+    (row0,) = energy_terms(st0, [LedgerConfig("null", 0.3, 0.2, 4)])
     return all(row0.terms[k] < _TOL for k in ("I2", "I3", "I4", "I5", "K1", "K2", "K3"))
 
 

@@ -149,9 +149,9 @@ def test_c06_energy_ledger_directions():
         params = ModelParams(alpha=alpha)
         st = initial_state(g, params, "f", seed=seed, amplitude_theta=0.35, amplitude_primary=0.35)
         traj = integrate(st, 0.4, dt=0.005, cadence=4)
-        for cid in ("l2", "l4", "l6"):
-            cfg = ledger_configs(alpha)[cid]
-            _, verdict = ledger_run(traj.states, cfg)
+        cids = ("l2", "l4", "l6")
+        runs = ledger_run(traj.states, [ledger_configs(alpha)[cid] for cid in cids])
+        for cid, (_, verdict) in zip(cids, runs):
             assert verdict.all_pass, (alpha, cid, verdict.rows_passed, verdict.rows_checked)
             results.append(f"a={alpha}/{cid}:{verdict.rows_passed}/{verdict.rows_checked}")
     report("C06 energy-ledger", "; ".join(results))

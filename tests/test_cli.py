@@ -41,6 +41,25 @@ def write_ini(tmp_path, name="run.ini", extra="", out=None):
     return str(path), out
 
 
+def one_snapshot_set(tmp_path, theta, index):
+    """An n = 8 snapshot directory: one file (theta given, f zero) and ``index``."""
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    write_snapshot(str(snaps / "snap_000000.fbl"), make_grid(8, 2 * np.pi),
+                   {"theta": theta, "f": np.zeros((8, 8))})
+    (snaps / "snapshots.csv").write_text(index)
+    return snaps
+
+
+def replay_ledger(tmp_path, snaps):
+    """Exit code of `ledger` replaying the n = 8 snapshot set ``snaps``."""
+    replay = (BASE_INI.format(out=str(tmp_path / "replay")).replace("n = 32", "n = 8")
+              + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
+    rpath = tmp_path / "replay.ini"
+    rpath.write_text(replay)
+    return main(["--config", str(rpath), "ledger"])
+
+
 class TestConfig:
     def test_load_and_defaults(self, tmp_path):
         path, out = write_ini(tmp_path)
@@ -149,13 +168,31 @@ class TestSnapshotFormat:
         if not names:
             with pytest.raises(SnapshotFormatError, match="snap_000000.fbl: header lists no fields"):
                 read_snapshot(snap)
-        replay = (BASE_INI.format(out=str(tmp_path / "replay")).replace("n = 32", "n = 8")
-                  + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
-        rpath = tmp_path / "replay.ini"
-        rpath.write_text(replay)
-        assert main(["--config", str(rpath), "ledger"]) == EXIT_VALIDATION
+        assert replay_ledger(tmp_path, snaps) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "snap_000000.fbl" in err and word in err
+
+    @pytest.mark.parametrize("index,word", [
+        ("file,t,alpha,eps0\nsnap_000000.fbl,0.0,0.75,1.0\nsnap_000009.fbl,0.01,0.75,1.0\n",
+         "line 3 names"),
+        ("name,t,alpha,eps0\nsnap_000000.fbl,0.0,0.75,1.0\n", "no 'file' column"),
+        ("file,t,alpha,eps0\nsnap_000000.fbl,soon,0.75,1.0\n", "t = 'soon' is not a finite number"),
+        ("file,t,alpha,eps0\nsnap_000000.fbl,0.0,0.75\n", "eps0 = None is not a finite number"),
+        ("file,t\nsnap_000000.fbl,0.0\nsnap_000000.fbl,0.01\nsnap_000000.fbl,0.01\n",
+         "t = 0.01 does not follow t = 0.01"),
+    ], ids=["missing_file", "no_file_column", "t_not_a_number", "short_row", "t_repeated"])
+    def test_bad_index_in_replay(self, tmp_path, capsys, index, word):
+        snaps = one_snapshot_set(tmp_path, np.zeros((8, 8)), index)
+        assert replay_ledger(tmp_path, snaps) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and str(snaps / "snapshots.csv") in err
+        assert word in err
+
+    def test_field_with_a_mean_in_replay(self, tmp_path, capsys):
+        snaps = one_snapshot_set(tmp_path, np.ones((8, 8)), "file,t\nsnap_000000.fbl,0.0\n")
+        assert replay_ledger(tmp_path, snaps) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "snap_000000.fbl" in err and "mean-free" in err
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fbl"

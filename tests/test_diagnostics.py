@@ -5,17 +5,26 @@ on a twice-finer quadrature grid, repeating the same dealiased-product
 definition (exact product of band-limited fields restricted to the
 coarse band), so agreement checks the quadrature and assembly, while
 sharing no code with the package implementation.
+
+A second oracle, ``per_config_terms``, is the ledger evaluated one
+config at a time (every term field rebuilt per config, the L^p pairings
+by padded-grid quadrature); the one-pass ``energy_terms`` must match it
+to roundoff for every config at once.
 """
 
 import numpy as np
 import pytest
 
-from fblab.diagnostics import (ExponentSuite, criteria_monitor, energy_terms,
+from fblab.diagnostics import (ExponentSuite, LedgerConfig, criteria_monitor, energy_terms,
                                ledger_configs, ledger_run)
-from fblab.fields import SpectralField
+from fblab import diagnostics, fields, operators
+from fblab.fields import SpectralField, nice_fft_size
 from fblab.grid import make_grid
-from fblab.model import ModelParams, SimState, convert_state, initial_state, integrate
-from fblab.norms import lp_norm
+from fblab.model import (ModelParams, SimState, convert_state, hybrid_terms, initial_state,
+                         integrate, scaled_velocity_split)
+from fblab.multipliers import Multiplier, apply_multiplier
+from fblab.norms import inner, l2_norm_sq, lp_norm
+from fblab.operators import advect, commutator_apply
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
@@ -110,6 +119,73 @@ class FineGridOracle:
         return out
 
 
+# -- per-config oracle ------------------------------------------------------
+
+
+def padded_integral(a, b, b_power):
+    """integral(a * b**b_power) by quadrature on a padded grid fine
+    enough that no alias reaches the zero mode."""
+    m = nice_fft_size(int((b_power + 1) * a.grid.n / 2) + 2)
+    return float(np.mean(a.physical_on(m) * b.physical_on(m) ** b_power) * a.grid.length ** 2)
+
+
+def per_config_terms(state, s, kappa, p):
+    """Every ledger term of one state for one config: each term field is
+    rebuilt for the config, the L^2 pairings are <Lambda^s term,
+    Lambda^s target> and the L^p pairings padded-grid quadratures."""
+    params = state.params
+    a, b, e = params.alpha, params.beta, params.eps0
+    h = hybrid_terms(params)
+    (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
+    F, Th = state.primary, state.theta
+
+    def lam(field, order):
+        return field if order == 0.0 else apply_multiplier(field, Multiplier.lambda_pow(order))
+
+    def pair_l2(term, target, order):
+        return inner(lam(term, order), lam(target, order))
+
+    uf, ut = scaled_velocity_split(F, Th, params)
+    u_full = (uf[0] + ut[0], uf[1] + ut[1])
+    velocities = {"": u_full, "_f": uf, "_t": ut}
+    linear_term = apply_multiplier(Th, lin)
+
+    signed = {}
+    for suffix, u in velocities.items():
+        riesz_comm = commutator_apply(riesz, u, Th)
+        smooth_comm = commutator_apply(smooth, u, Th)
+        signed[f"I1{suffix}"] = h.advect * pair_l2(advect(u, F), F, s)
+        signed[f"I3{suffix}"] = w_rc * pair_l2(riesz_comm, F, s)
+        signed[f"I4{suffix}"] = w_sc * pair_l2(smooth_comm, F, s)
+        signed[f"I5{suffix}"] = h.advect * pair_l2(advect(u, Th), Th, kappa)
+        signed[f"K2{suffix}"] = w_rc * padded_integral(riesz_comm, F, p - 1)
+        signed[f"K3{suffix}"] = w_sc * padded_integral(smooth_comm, F, p - 1)
+    signed["I2"] = w_lin * pair_l2(linear_term, F, s)
+    signed["K1"] = w_lin * padded_integral(linear_term, F, p - 1)
+
+    lam_a = apply_multiplier(F, Multiplier.lambda_pow(a))
+    diss_p_signed = h.dissipation * padded_integral(lam_a, F, p - 1)
+    dissipation = {
+        "s": h.dissipation * l2_norm_sq(lam(F, s + a / 2.0)),
+        "kappa": l2_norm_sq(lam(Th, kappa + b / 2.0)),
+        "p": diss_p_signed,
+    }
+    functionals = {
+        "s": 0.5 * l2_norm_sq(lam(F, s)),
+        "kappa": 0.5 * l2_norm_sq(lam(Th, kappa)),
+        "p": lp_norm(F, p, pad=nice_fft_size(p * state.grid.n // 2 + 2)) ** p / p,
+    }
+    lower = (e ** (2 * a - 1)) * lp_norm(F, 2 * p / (2.0 - a)) ** p
+    ratio = diss_p_signed / lower if lower > 0 else float("nan")
+    return {"signed": signed, "dissipation": dissipation, "functionals": functionals,
+            "coercivity_ratio": ratio}
+
+
+def one_row(state, s, kappa, p):
+    (row,) = energy_terms(state, [LedgerConfig("test", s, kappa, p)])
+    return row
+
+
 def hybrid_state(n=64, seed=2, amp=0.4):
     g = make_grid(n, TWO_PI)
     p = ModelParams(alpha=ALPHA)
@@ -148,28 +224,28 @@ class TestExponents:
 
 class TestEnergyTerms:
     def test_advection_term_vanishes_without_derivative(self):
-        row = energy_terms(hybrid_state(), 0.0, 0.0, 2)
+        row = one_row(hybrid_state(), 0.0, 0.0, 2)
         assert row.terms["I1"] <= 1e-12
         assert row.terms["I5"] <= 1e-12
 
     def test_theta_free_state_has_no_sources(self):
         st = hybrid_state()
         st0 = SimState(0.0, SpectralField.zero(st.grid), st.primary, "f", st.params)
-        row = energy_terms(st0, 0.4, 0.3, 4)
+        row = one_row(st0, 0.4, 0.3, 4)
         for name in ("I2", "I3", "I4", "I5", "K1", "K2", "K3"):
             assert row.terms[name] == 0.0
 
     def test_zero_state_rows(self):
         g = make_grid(32, TWO_PI)
         st0 = SimState(0.0, SpectralField.zero(g), SpectralField.zero(g), "f", ModelParams(alpha=ALPHA))
-        row = energy_terms(st0, 0.3, 0.2, 4)
+        row = one_row(st0, 0.3, 0.2, 4)
         assert all(v == 0.0 for v in row.terms.values())
         assert all(v == 0.0 for v in row.functionals.values())
 
     def test_terms_match_fine_grid_oracle(self):
         st = hybrid_state(seed=4)
         cfg = ledger_configs(ALPHA)["l4"]
-        row = energy_terms(st, cfg.s, cfg.kappa, cfg.p)
+        (row,) = energy_terms(st, [cfg])
         oracle = FineGridOracle(st.theta.physical(), st.primary.physical(), st.grid.n, TWO_PI, ALPHA)
         expected = oracle.terms(cfg.s, cfg.kappa, cfg.p)
         for name, want in expected.items():
@@ -178,7 +254,7 @@ class TestEnergyTerms:
 
     def test_velocity_split_is_bilinear(self):
         st = hybrid_state(seed=5)
-        row = energy_terms(st, 0.375, 0.375, 4)
+        row = one_row(st, 0.375, 0.375, 4)
         for name in ("I1", "I3", "I4", "I5", "K2", "K3"):
             total = row.signed[name]
             split = row.signed[f"{name}_f"] + row.signed[f"{name}_t"]
@@ -186,12 +262,71 @@ class TestEnergyTerms:
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
-            energy_terms(hybrid_state(), 0.1, 0.1, 3)
+            one_row(hybrid_state(), 0.1, 0.1, 3)
 
     def test_coercivity_nonnegative(self):
-        row = energy_terms(hybrid_state(seed=6), 0.1, 0.1, 4)
+        row = one_row(hybrid_state(seed=6), 0.1, 0.1, 4)
         assert row.dissipation["p"] >= 0.0
         assert np.isfinite(row.coercivity_ratio) and row.coercivity_ratio > 0
+
+
+class TestOnePass:
+    """One evaluation per state serves every config, and matches the
+    per-config ledger (rebuilt terms, padded quadrature) to roundoff."""
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("eps0", [1.0, 0.5])
+    def test_matches_per_config_oracle(self, eps0, n):
+        configs = list(ledger_configs(ALPHA).values())
+        g = make_grid(n, TWO_PI)
+        for seed in (0, 1, 2):
+            st = initial_state(g, ModelParams(alpha=ALPHA, eps0=eps0), "scaled", seed=seed,
+                               amplitude_theta=1.0, amplitude_primary=1.0)
+            for row, cfg in zip(energy_terms(st, configs), configs):
+                want = per_config_terms(st, cfg.s, cfg.kappa, cfg.p)
+                assert row.config_id == cfg.config_id
+                for part in ("signed", "dissipation", "functionals"):
+                    got_part = getattr(row, part)
+                    assert sorted(got_part) == sorted(want[part])
+                    for name, value in want[part].items():
+                        # relative to the largest value of its kind (I or K
+                        # terms): the transport terms I1 and I5 cancel to
+                        # 1e-6 of their summands, which round differently
+                        # when the weight sits on one side of the pairing
+                        scale = max(abs(v) for k, v in want[part].items() if k[0] == name[0])
+                        assert abs(got_part[name] - value) <= 1e-13 * scale, (seed, cfg, name)
+                ratio = want["coercivity_ratio"]
+                assert abs(row.coercivity_ratio - ratio) <= 1e-13 * abs(ratio)
+                for name in ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3"):
+                    assert row.terms[name] == abs(row.signed[name])
+
+    def test_op_counts_do_not_grow_with_configs(self, monkeypatch):
+        # per state: four advections per velocity (u, u_F, u_Theta), two
+        # products each; the commutators reuse the u.grad Theta of I5
+        counts = {"advect": 0, "multiply": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrapped_advect = counting("advect", operators.advect)
+        monkeypatch.setattr(diagnostics, "advect", wrapped_advect)
+        monkeypatch.setattr(operators, "advect", wrapped_advect)
+        monkeypatch.setattr(operators, "multiply", counting("multiply", fields.multiply))
+        configs = list(ledger_configs(ALPHA).values())
+        for chosen in (configs[:1], configs):
+            counts.update(advect=0, multiply=0)
+            rows = energy_terms(hybrid_state(n=32), chosen)
+            assert len(rows) == len(chosen)
+            assert counts == {"advect": 12, "multiply": 24}
+
+    def test_rejects_any_bad_config(self):
+        good = ledger_configs(ALPHA)["l2"]
+        for bad in (LedgerConfig("odd", 0.1, 0.1, 3), LedgerConfig("neg", -0.1, 0.1, 4)):
+            with pytest.raises(ValueError):
+                energy_terms(hybrid_state(n=32), [good, bad])
 
 
 @pytest.fixture(scope="module")
@@ -206,22 +341,21 @@ class TestLedgerRun:
         p = ModelParams(alpha=ALPHA)
         z = SpectralField.zero(g)
         states = [SimState(t, z, z, "f", p) for t in (0.0, 0.01, 0.02, 0.03)]
-        rows, verdict = ledger_run(states, ledger_configs(ALPHA)["l2"])
+        rows, verdict = ledger_run(states, [ledger_configs(ALPHA)["l2"]])[0]
         assert verdict.all_pass
         assert all(all(v == 0.0 for v in r.terms.values()) for r in rows)
 
     def test_rows_pass_all_configs(self, trajectory):
-        for cid, cfg in ledger_configs(ALPHA).items():
-            rows, verdict = ledger_run(trajectory.states, cfg)
-            assert verdict.all_pass, (cid, verdict.rows_passed, verdict.rows_checked)
+        for rows, verdict in ledger_run(trajectory.states, list(ledger_configs(ALPHA).values())):
+            assert verdict.all_pass, (verdict.config_id, verdict.rows_passed, verdict.rows_checked)
 
     def test_dissipation_integral_richardson(self, trajectory):
-        _, verdict = ledger_run(trajectory.states, ledger_configs(ALPHA)["l2"])
+        _, verdict = ledger_run(trajectory.states, [ledger_configs(ALPHA)["l2"]])[0]
         assert verdict.dissipation_integrals["s"] > 0
         assert verdict.richardson_rel["s"] < 0.01
 
     def test_gronwall_self_consistency(self, trajectory):
-        rows, verdict = ledger_run(trajectory.states, ledger_configs(ALPHA)["l2"])
+        rows, verdict = ledger_run(trajectory.states, [ledger_configs(ALPHA)["l2"]])[0]
         j0 = rows[0].functionals["s"] + rows[0].functionals["kappa"]
         fitted = 0.0
         for row in rows[1:]:
@@ -233,7 +367,7 @@ class TestLedgerRun:
     def test_needs_three_states(self):
         st = hybrid_state()
         with pytest.raises(ValueError):
-            ledger_run([st, st], ledger_configs(ALPHA)["l2"])
+            ledger_run([st, st], [ledger_configs(ALPHA)["l2"]])
 
     def test_scaled_run_rows_pass(self):
         g = make_grid(64, TWO_PI)
@@ -241,7 +375,7 @@ class TestLedgerRun:
         st = initial_state(g, p, "scaled", seed=9, amplitude_theta=0.3, amplitude_primary=0.3)
         traj = integrate(st, 0.2, dt=0.01, cadence=1)
         for cid in ("l2", "l4"):
-            rows, verdict = ledger_run(traj.states, ledger_configs(ALPHA)[cid])
+            rows, verdict = ledger_run(traj.states, [ledger_configs(ALPHA)[cid]])[0]
             assert verdict.all_pass, (cid, verdict.rows_passed, verdict.rows_checked)
 
     @pytest.mark.parametrize("eps0", [1.0, 0.5])
@@ -257,7 +391,7 @@ class TestLedgerRun:
         p = ModelParams(alpha=ALPHA, eps0=eps0)
         st = initial_state(g, p, "scaled", seed=9, amplitude_theta=0.3, amplitude_primary=0.3)
         s, kappa, pp = 0.375, 0.25, 4
-        row = energy_terms(st, s, kappa, pp)
+        row = one_row(st, s, kappa, pp)
         dF, dTh = rhs(st)
 
         lam_s = Multiplier.lambda_pow(s)

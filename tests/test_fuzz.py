@@ -1,4 +1,5 @@
-"""Fuzzed inputs: random and mutated snapshot bytes, random INI text.
+"""Fuzzed inputs: random and mutated snapshot bytes, snapshot indexes
+and INI text.
 
 Every input either parses or raises the named error of its reader
 (:class:`SnapshotFormatError` naming the file, :class:`ConfigError`),
@@ -12,8 +13,11 @@ import struct
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fblab.cli import _load_trajectory
 from fblab.config import ConfigError, RunConfig, load_config
-from fblab.snapshot import MAGIC, SnapshotFormatError, read_snapshot
+from fblab.grid import make_grid
+from fblab.model import ModelParams
+from fblab.snapshot import MAGIC, SnapshotFormatError, read_snapshot, write_snapshot
 
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -87,6 +91,55 @@ class TestSnapshotFuzz:
     def test_mutated_snapshots(self, tmp_path, data):
         blob, _ = data.draw(snapshots())
         parse_snapshot(str(tmp_path / "s.fbl"), data.draw(mutations(blob)))
+
+
+VALID_INDEX = (b"file,t,alpha,eps0\n"
+               b"snap_000000.fbl,0.0,0.75,1.0\n"
+               b"snap_000001.fbl,0.01,0.75,1.0\n"
+               b"snap_000002.fbl,0.02,0.75,1.0\n")
+
+_INDEX_TOKENS = st.sampled_from([
+    "file", "t", "alpha", "eps0", ",", ",", "\n", "\n", "\r\n", '"', " ", "\x00", "/", "..",
+    "snap_000000.fbl", "snap_000001.fbl", "snap_000009.fbl", "snapshots.csv",
+    "0.0", "0.01", "0.75", "1.0", "-1", "nan", "inf", "1e400", "x", "é",
+])
+
+
+def load_index(snap_dir, blob):
+    """Replay ``snap_dir`` under the index ``blob``: None if refused, else the states."""
+    for i in range(3):
+        path = snap_dir / f"snap_{i:06d}.fbl"
+        if not path.exists():
+            write_snapshot(str(path), make_grid(8, 2 * np.pi),
+                           {"theta": np.zeros((8, 8)), "f": np.zeros((8, 8))})
+    (snap_dir / "snapshots.csv").write_bytes(blob)
+    try:
+        states = _load_trajectory(str(snap_dir), ModelParams(alpha=0.75))
+    except (ConfigError, SnapshotFormatError) as exc:
+        assert str(snap_dir) in str(exc)
+        return None
+    assert states and all(a.time < b.time for a, b in zip(states, states[1:]))
+    return states
+
+
+class TestSnapshotIndexFuzz:
+    def test_valid_index_loads(self, tmp_path):
+        assert [s.time for s in load_index(tmp_path, VALID_INDEX)] == [0.0, 0.01, 0.02]
+
+    @FUZZ
+    @given(text=st.lists(_INDEX_TOKENS, max_size=40).map("".join))
+    def test_token_soup(self, tmp_path, text):
+        load_index(tmp_path, text.encode("utf-8"))
+
+    @FUZZ
+    @given(text=st.text(max_size=200), header=st.booleans())
+    def test_random_text(self, tmp_path, text, header):
+        load_index(tmp_path, (b"file,t,alpha,eps0\n" if header else b"") + text.encode("utf-8"))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_index(self, tmp_path, data):
+        load_index(tmp_path, data.draw(mutations(VALID_INDEX)))
 
 
 _INI_TOKENS = st.sampled_from([

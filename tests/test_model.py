@@ -254,6 +254,20 @@ class TestMergedCommutator:
                     assert err <= 1e-13, (tag, seed)
 
 
+    @pytest.mark.parametrize("eps0", [1.0, 0.5])
+    def test_transported_path_is_bit_identical(self, eps0):
+        # nonlinear hands u.grad theta of the theta equation to the commutator
+        g = make_grid(64, TWO_PI)
+        st_ = initial_state(g, ModelParams(alpha=ALPHA, eps0=eps0), "f", seed=4,
+                            amplitude_theta=1.0, amplitude_primary=1.0)
+        u, th = state_velocity(st_), st_.theta
+        h = hybrid_terms(st_.params)
+        for op in (h.commutator(), h.riesz_comm[1], h.smooth_comm[1]):
+            plain = commutator_apply(op, u, th)
+            reused = commutator_apply(op, u, th, advect(u, th))
+            assert np.array_equal(plain.coef, reused.coef)
+
+
 class TestScaledSystem:
     def test_substitution_oracle(self):
         # Solutions related by t -> eps^beta t, x -> eps x must have

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fblab.ensembles import random_divfree_field, random_scalar_field
-from fblab.fields import SpectralField, multiply, pad_coef, pad_size, truncate_coef
+from fblab.fields import SpectralField, multiply, nice_fft_size, pad_coef, pad_size, truncate_coef
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
 from fblab.model import ModelParams, scaled_velocity_split
-from fblab.norms import l2_norm_sq, lp_norm, sobolev_norm
+from fblab.norms import integral_product, l2_norm_sq, lp_norm, sobolev_norm
 from fblab.operators import MeanFreeError, biot_savart, curl, divergence, leray_project
 
 
@@ -442,6 +442,25 @@ class TestRealProductPath:
         want = complex_physical_on(f, m)
         assert rel_max(plain, want) > 1e-2
         assert rel_max(f.physical_on(m), want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_integral_product_matches_padded_quadrature(self, n):
+        # Parseval against the band of b**P kept on b, versus the literal
+        # quadrature on a grid where no alias reaches the zero mode; both
+        # round at the size of the integral of |a b**P|
+        fields = oracle_fields(n, seed=n + 2)
+        for P in range(1, 6):
+            m = nice_fft_size(int((P + 1) * n / 2) + 2)
+            for x, a in fields.items():
+                for y, b in fields.items():
+                    av, bv = complex_physical_on(a, m), complex_physical_on(b, m)
+                    want = float(np.mean(av * bv**P) * TWO_PI**2)
+                    scale = float(np.mean(np.abs(av * bv**P)) * TWO_PI**2)
+                    got = integral_product(a, b, P)
+                    assert abs(got - want) <= 1e-13 * scale, (x, y, P)
+                    assert b._bands[P].shape == (n + 1, n // 2 + 1)
+        with pytest.raises(ValueError):
+            integral_product(a, b, 0)
 
     def test_operands_keep_padded_samples_norms_do_not(self):
         fields = oracle_fields(32, seed=9)
