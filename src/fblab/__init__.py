@@ -21,7 +21,7 @@ from .model import (ModelParams, SimState, Trajectory, initial_state, integrate,
 from .diagnostics import (CriteriaReport, EnergyLedgerRow, ExponentSuite, LedgerConfig,
                           criteria_monitor, energy_terms, ledger_configs, ledger_run)
 from .commutators import (EstimateReport, commutator_field, estimate_constant,
-                          representation_check)
+                          estimate_constants, representation_check)
 from .registry import ConstraintError, InequalitySpec, build_registry
 
 __version__ = "0.1.0"

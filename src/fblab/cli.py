@@ -23,9 +23,9 @@ from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import _ROW_TERMS, criteria_monitor, ledger_configs, ledger_run
-from .commutators import estimate_constant
+from .commutators import estimate_constants
 from .fields import SpectralField
-from .grid import make_grid
+from .grid import Grid, make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError, Trajectory,
                     convert_state, initial_state, integrate, theta_dissipation_rate)
 from .registry import ConstraintError, build_registry
@@ -75,9 +75,10 @@ def _index_number(row: dict, key: str, where: str) -> float:
     return value
 
 
-def _load_trajectory(snap_dir: str, params: ModelParams) -> List[SimState]:
-    """States of a stored snapshot set; a bad index or snapshot raises
-    ConfigError or SnapshotFormatError naming the index or the file."""
+def _load_trajectory(snap_dir: str, params: ModelParams, grid: Grid) -> List[SimState]:
+    """States of a stored snapshot set on the config's ``grid``; a bad
+    index or snapshot, or one on another grid, raises ConfigError or
+    SnapshotFormatError naming the index line or the file."""
     index_path = os.path.join(snap_dir, "snapshots.csv")
     if not os.path.exists(index_path):
         raise ConfigError(f"no snapshot index at {index_path}")
@@ -106,11 +107,14 @@ def _load_trajectory(snap_dir: str, params: ModelParams) -> List[SimState]:
             raise ConfigError(f"{where}: t = {t:g} does not follow t = {states[-1].time:g}")
         path = os.path.join(snap_dir, row["file"] or "")
         try:
-            grid, fields = read_snapshot(path)
+            stored, fields = read_snapshot(path)
         except SnapshotFormatError:
             raise
         except (OSError, ValueError) as exc:  # missing, a directory, a NUL in the name
             raise SnapshotFormatError(f"{where} names {path}, which cannot be read ({exc})") from exc
+        if stored != grid:
+            raise ConfigError(f"{where}: {path} holds an n = {stored.n}, L = {stored.length:g} "
+                              f"grid, config says n = {grid.n}, L = {grid.length:g}")
         for name in ("theta", "f"):
             if name not in fields:
                 raise SnapshotFormatError(f"{path}: no {name!r} field")
@@ -172,13 +176,14 @@ LEDGER_HEADER = ("t", "config_id", "row_kind", "functional", "lhs_rate", "dissip
 
 def run_ledger(cfg: RunConfig, out_dir: str) -> int:
     params = cfg.params()
+    grid = make_grid(cfg.n, cfg.length)
     if cfg.snapshots_dir:
-        states = _load_trajectory(cfg.snapshots_dir, params)
+        states = _load_trajectory(cfg.snapshots_dir, params, grid)
     else:
         sim_status = run_simulate(cfg, out_dir)
         if sim_status != EXIT_OK:
             return sim_status
-        states = _load_trajectory(out_dir, params)
+        states = _load_trajectory(out_dir, params, grid)
 
     configs = ledger_configs(cfg.alpha, cfg.rho)
     summary = {"domain": "torus", "alpha": cfg.alpha, "configs": {}}
@@ -223,9 +228,9 @@ def run_estimate(cfg: RunConfig, out_dir: str, grids: Optional[List[int]] = None
                "note": "sampled lower bounds of best constants; never a universal verification",
                "specs": {}}
     status = EXIT_OK
-    for sid in cfg.resolve_estimate_ids():
-        problem = registry[sid]
-        report = estimate_constant(problem, cfg.trials, grids, seed=cfg.seed)
+    ids = cfg.resolve_estimate_ids()
+    reports = estimate_constants([registry[sid] for sid in ids], cfg.trials, grids, seed=cfg.seed)
+    for sid, report in zip(ids, reports):
         rows = []
         for n, ratios in sorted(report.ratios.items()):
             for t, ratio in enumerate(ratios):

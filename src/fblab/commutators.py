@@ -16,8 +16,10 @@ lower bounds: draw (V, phi, ...) from banded ensembles, record LHS/RHS,
 keep the max.  The harness never claims an inequality holds universally;
 it falsifies resolution instability and measures constants on the torus
 (constants here are torus-specific and may differ from whole-plane ones).
-Trials are seeded independently and reduce through an order-independent
-max, so campaigns parallelize without affecting the report.
+Trial t's fields are shared across specs: every spec of a campaign
+reads the same draw of (grid, trial), and each spec's ratios reduce
+through the same max as when it runs alone, so a spec's report does not
+depend on which other specs run with it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import lp_norm
 from .operators import Velocity, commutator_apply, divergence
+from .registry import InequalitySpec, TrialDraw
 
 # kernel tail above which RepresentationResult.aliasing_warning is set: the
 # block kernel then reaches the box edge and periodization may touch the
@@ -161,44 +164,73 @@ class EstimateReport:
         return self.c_hat_per_grid[ns[-1]] / self.c_hat_per_grid[ns[0]]
 
 
-def estimate_constant(problem, trials: int, grid_sizes: Sequence[int], seed: int = 0,
-                      length: float = 2 * np.pi, max_resample: int = 4) -> EstimateReport:
-    """Sample LHS/RHS ratios of one registered inequality across grids.
+def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int],
+                       seed: int = 0, length: float = 2 * np.pi,
+                       max_resample: int = 4) -> List[EstimateReport]:
+    """Sample LHS/RHS ratios of several registered inequalities across grids.
 
     Fields for trial t are drawn from the same banded coefficients on
-    every grid, so the per-grid max ratios are directly comparable; a
-    trial whose RHS degenerates is redrawn a few times and counted.
-    Give at least two grid sizes for a meaningful scaling table (with one
-    the stability verdict is vacuous).
+    every grid, so the per-grid max ratios are directly comparable.  The
+    loop runs grid -> trial -> spec, and every registry spec of one
+    (grid, trial, attempt) reads one shared :class:`TrialDraw`: the
+    fields, v.grad(phi) and the norms of the fields are computed once
+    however many specs use them, and each report is the one the spec
+    gets alone.  A trial whose RHS degenerates is redrawn a few times
+    (attempt 1, 2, ...) for that spec only and counted.  Give at least
+    two grid sizes for a meaningful scaling table (with one the
+    stability verdict is vacuous).
     """
     from .grid import make_grid
 
-    ratios: Dict[int, List[float]] = {}
-    c_per: Dict[int, float] = {}
-    degenerate = 0
+    problems = list(problems)
+    ratios: List[Dict[int, List[float]]] = [{} for _ in problems]
+    degenerate = [0] * len(problems)
     for n in grid_sizes:
         grid = make_grid(n, length)
-        vals = []
+        for per_grid in ratios:
+            per_grid[n] = []
         for t in range(trials):
-            ratio = None
-            for attempt in range(max_resample):
-                fields = problem.draw(grid, (seed, t, attempt))
-                lhs = problem.lhs(grid, fields)
-                rhs = problem.rhs(grid, fields)
-                if rhs > 1e-14 * max(lhs, 1.0):
-                    ratio = lhs / rhs
-                    break
-                degenerate += 1
-            if ratio is None:
-                raise RuntimeError(f"degenerate ensemble for {problem.spec_id}: "
-                                   "RHS vanished on every redraw")
-            vals.append(ratio)
-        ratios[n] = vals
-        c_per[n] = max(vals)
-    return EstimateReport(problem.spec_id, trials, seed, ratios,
-                          max(c_per.values()), c_per, degenerate,
-                          getattr(problem, "canary", False),
-                          getattr(problem, "near_boundary", False))
+            draws: Dict[int, TrialDraw] = {}  # attempt -> the draw every spec shares
+            for i, problem in enumerate(problems):
+                ratio, redraws = _sample_ratio(problem, grid, draws, seed, t, max_resample)
+                ratios[i][n].append(ratio)
+                degenerate[i] += redraws
+    reports = []
+    for problem, per_grid, redraws in zip(problems, ratios, degenerate):
+        c_per = {n: max(vals) for n, vals in per_grid.items()}
+        reports.append(EstimateReport(problem.spec_id, trials, seed, per_grid,
+                                      max(c_per.values()), c_per, redraws,
+                                      getattr(problem, "canary", False),
+                                      getattr(problem, "near_boundary", False)))
+    return reports
+
+
+def _sample_ratio(problem, grid: Grid, draws: Dict[int, TrialDraw], seed: int, t: int,
+                  max_resample: int) -> Tuple[float, int]:
+    """LHS/RHS of one trial and the number of redraws it took.  Registry
+    specs draw through ``draws``; any other problem draws alone."""
+    shared = isinstance(problem, InequalitySpec)
+    for attempt in range(max_resample):
+        key = (seed, t, attempt)
+        if shared:
+            if attempt not in draws:
+                draws[attempt] = TrialDraw(grid, key)
+            fields = problem.draw(grid, key, draws[attempt])
+        else:
+            fields = problem.draw(grid, key)
+        lhs = problem.lhs(grid, fields)
+        rhs = problem.rhs(grid, fields)
+        if rhs > 1e-14 * max(lhs, 1.0):
+            return lhs / rhs, attempt
+    raise RuntimeError(f"degenerate ensemble for {problem.spec_id}: "
+                       "RHS vanished on every redraw")
+
+
+def estimate_constant(problem, trials: int, grid_sizes: Sequence[int], seed: int = 0,
+                      length: float = 2 * np.pi, max_resample: int = 4) -> EstimateReport:
+    """One-spec call of :func:`estimate_constants`."""
+    (report,) = estimate_constants([problem], trials, grid_sizes, seed, length, max_resample)
+    return report
 
 
 def smoothing_comparison(alpha: float, trials: int, n: int, seed: int = 0) -> Dict[str, float]:

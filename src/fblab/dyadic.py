@@ -134,12 +134,6 @@ class BlockSet:
             coef += self.block(j).coef
         return SpectralField(self.f.grid, coef)
 
-    def reconstruct(self) -> SpectralField:
-        coef = self.low_remainder().coef.copy()
-        for j in self.levels:
-            coef = coef + self.block(j).coef
-        return SpectralField(self.f.grid, coef)
-
 
 def square_function(f: SpectralField, weight_s: float = 0.0,
                     partition: DyadicPartition | None = None) -> np.ndarray:

@@ -97,11 +97,6 @@ class SpectralField:
         scale = max(1.0, float(np.linalg.norm(self.coef)))
         return abs(self.coef[0, 0]) <= tol * scale
 
-    def hermitian_defect(self) -> float:
-        """Max deviation from coef(-k) == conj(coef(k))."""
-        mirrored = np.roll(self.coef[::-1, ::-1], 1, axis=(0, 1))
-        return float(np.max(np.abs(self.coef - np.conj(mirrored))))
-
     # -- algebra --------------------------------------------------------
 
     def _check_grid(self, other: "SpectralField"):

@@ -49,7 +49,7 @@ from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import l2_norm_sq
 from .operators import (Velocity, advect, biot_savart, check_alpha, commutator_apply,
-                        leray_project, require_mean_free, temperature_vorticity_operator)
+                        require_mean_free, temperature_vorticity_operator)
 
 FORMULATIONS = ("omega", "f")
 
@@ -131,14 +131,6 @@ def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float) -> 
 def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     check_alpha(alpha)
     return f + apply_multiplier(theta, temperature_vorticity_operator(alpha))
-
-
-def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
-    """Second formula for f: subtract Lambda^(beta-2alpha) d1 theta from G."""
-    check_alpha(alpha)
-    beta = 1.0 - alpha
-    op = Multiplier.compose(Multiplier.lambda_pow(beta - 2 * alpha), Multiplier.partial(0))
-    return g - apply_multiplier(theta, op)
 
 
 def convert_state(state: SimState, tag: str) -> SimState:
@@ -264,20 +256,6 @@ def rhs(state: SimState) -> Tuple[SpectralField, SpectralField]:
     cP, ordP, cT, ordT = _dissipation_rates(state)
     return (dP - cP * apply_multiplier(state.primary, Multiplier.lambda_pow(ordP)),
             dT - cT * apply_multiplier(state.theta, Multiplier.lambda_pow(ordT)))
-
-
-def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams) -> Tuple[Velocity, SpectralField]:
-    """Velocity-pressure form via Leray projection, kept as a validation
-    route for the vorticity formulation."""
-    adv = (advect(u, u[0]), advect(u, u[1]))
-    buoyancy = (SpectralField.zero(theta.grid), theta)
-    raw = (buoyancy[0] - adv[0], buoyancy[1] - adv[1])
-    proj = leray_project(raw)
-    lam = Multiplier.lambda_pow(params.alpha)
-    du = (proj[0] - params.nu * apply_multiplier(u[0], lam),
-          proj[1] - params.nu * apply_multiplier(u[1], lam))
-    dtheta = -advect(u, theta) - params.kappa * apply_multiplier(theta, Multiplier.lambda_pow(params.beta))
-    return du, dtheta
 
 
 # -- integrating-factor RK4 --------------------------------------------------

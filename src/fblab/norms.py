@@ -11,8 +11,6 @@ reaches that band.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .fields import SpectralField, hermitian_band, nice_fft_size, power_band
@@ -74,61 +72,3 @@ def integral_product(a: SpectralField, b: SpectralField, b_power: int = 1) -> fl
     # both bands are Hermitian: columns 1..n/2 stand for their mirror too
     val = 2.0 * np.vdot(band_b, band_a) - np.vdot(band_b[:, 0], band_a[:, 0])
     return float(val.real * a.grid.length ** 2)
-
-
-def grid_argmax(values: np.ndarray):
-    idx = int(np.argmax(values))
-    return np.unravel_index(idx, values.shape)
-
-
-def refined_sup(field: SpectralField, pad_factor: int = 4, newton_steps: int = 6) -> float:
-    """Sup of |f| for the band-limited field: padded grid max followed by
-    Newton refinement on the trigonometric polynomial.
-
-    The plain grid max underestimates the continuum sup by O(n^-2); the
-    refinement removes that sampling error, which matters when checking
-    monotone decay to tight tolerances.
-    """
-    grid = field.grid
-    m = pad_factor * grid.n
-    vals = field.physical_on(m)
-    best = float(np.max(np.abs(vals)))
-    i, j = grid_argmax(np.abs(vals))
-    sign = 1.0 if vals[i, j] >= 0 else -1.0
-    x = np.array([i * grid.length / m, j * grid.length / m])
-
-    mask = np.abs(field.coef) > 1e-18 * max(1e-300, float(np.max(np.abs(field.coef))))
-    if not np.any(mask):
-        return best
-    kx = grid.kx[mask]
-    ky = grid.ky[mask]
-    ck = field.coef[mask]
-
-    def eval_all(pt):
-        phase = np.exp(1j * (kx * pt[0] + ky * pt[1]))
-        f = np.real(np.sum(ck * phase))
-        g = np.array([np.real(np.sum(1j * kx * ck * phase)),
-                      np.real(np.sum(1j * ky * ck * phase))])
-        h = np.array([[np.real(np.sum(-kx * kx * ck * phase)),
-                       np.real(np.sum(-kx * ky * ck * phase))],
-                      [np.real(np.sum(-kx * ky * ck * phase)),
-                       np.real(np.sum(-ky * ky * ck * phase))]])
-        return f, g, h
-
-    for _ in range(newton_steps):
-        f, g, h = eval_all(x)
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > grid.length / m:
-            break
-        x = x - step
-    f, _, _ = eval_all(x)
-    return max(best, abs(sign * f))
-
-
-def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
-    num = math.sqrt(l2_norm_sq(a - b))
-    den = max(math.sqrt(l2_norm_sq(a)), math.sqrt(l2_norm_sq(b)), 1e-300)
-    return num / den

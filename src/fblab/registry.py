@@ -11,7 +11,7 @@ flagged ``canary`` deliberately violate a hypothesis; they are runnable
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import inner, lp_norm
-from .operators import Velocity, commutator_apply, gradient
+from .operators import Velocity, advect, commutator_apply, gradient
 
 SPEC_IDS = ("aaa", "fazel5", "fazel6", "eq20", "eq25", "f10", "f20", "eq200", "eq201", "g50")
 
@@ -113,8 +113,10 @@ class InequalitySpec:
         if violations:
             raise ConstraintError(f"{self.spec_id} requires " + "; ".join(violations))
 
-    def draw(self, grid: Grid, seed) -> Dict[str, object]:
-        return self._draw(self, grid, seed)
+    def draw(self, grid: Grid, seed, trial: Optional["TrialDraw"] = None) -> Dict[str, object]:
+        """Fields of one attempt; ``trial`` is the :class:`TrialDraw` of
+        (grid, seed) that other specs share, a fresh one if None."""
+        return self._draw(self, trial or TrialDraw(grid, seed))
 
     def lhs(self, grid: Grid, fields) -> float:
         return self._lhs(self, grid, fields)
@@ -267,20 +269,93 @@ _CONSTRAINTS = {
 # -- draws ---------------------------------------------------------------
 
 
-def _draw_standard(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
+def _draw_role(grid: Grid, seed, role: str):
+    """The field named by ``role`` ("v", "phi" or "psi") for seed
+    (base, trial, attempt); trial t cycles through ENSEMBLE_CYCLE."""
     base, trial, attempt = seed
     cfg = ENSEMBLE_CYCLE[trial % len(ENSEMBLE_CYCLE)]
-    v = random_divfree_field(grid, (base, trial, attempt, 0),
-                             _resolve_band(cfg["vband"], grid), cfg["vdecay"])
-    phi = random_scalar_field(grid, (base, trial, attempt, 1),
-                              _resolve_band(cfg["pband"], grid), cfg["pdecay"])
-    out = {"v": v, "phi": phi}
+    if role == "v":
+        return random_divfree_field(grid, (base, trial, attempt, 0),
+                                    _resolve_band(cfg["vband"], grid), cfg["vdecay"])
+    if role == "phi":
+        return random_scalar_field(grid, (base, trial, attempt, 1),
+                                   _resolve_band(cfg["pband"], grid), cfg["pdecay"])
+    return random_scalar_field(grid, (base, trial, attempt, 2), (0, 4), 0.5)
+
+
+class TrialDraw:
+    """The draw of one (grid, trial, attempt), shared by every spec.
+
+    v, phi and psi are drawn on first use with the seed tuples a spec
+    drawing alone would use, so specs share them and their sample caches.
+    ``transported()`` is v.grad(phi), the operator-free half of every
+    commutator on v.  ``scalar`` memoises numbers of the drawn fields
+    under keys of field role and exponents, never object ids: norms, and
+    pairing LHS values keyed by operator.  Fields a spec derives
+    (commutators, eq25's smoothed velocity) are not kept: holding them
+    would raise the peak memory of an estimate run.
+    """
+
+    __slots__ = ("grid", "seed", "_fields", "_transported", "_scalars")
+
+    def __init__(self, grid: Grid, seed):
+        self.grid = grid
+        self.seed = tuple(seed)
+        self._fields: Dict[str, object] = {}
+        self._transported: Optional[SpectralField] = None
+        self._scalars: Dict[tuple, float] = {}
+
+    def field(self, role: str):
+        if role not in self._fields:
+            self._fields[role] = _draw_role(self.grid, self.seed, role)
+        return self._fields[role]
+
+    def transported(self) -> SpectralField:
+        if self._transported is None:
+            self._transported = advect(self.field("v"), self.field("phi"))
+        return self._transported
+
+    def scalar(self, key: tuple, compute: Callable[[], float]) -> float:
+        if key not in self._scalars:
+            self._scalars[key] = compute()
+        return self._scalars[key]
+
+
+def _draw_standard(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
+    out = {"v": trial.field("v"), "phi": trial.field("phi"), "trial": trial}
     if spec.needs_pairing_field:
-        out["psi"] = random_scalar_field(grid, (base, trial, attempt, 2), (0, 4), 0.5)
+        out["psi"] = trial.field("psi")
     return out
 
 
 # -- evaluators -----------------------------------------------------------
+# Numbers of the drawn fields go through the draw's memo (see TrialDraw);
+# a fields dict without a "trial" entry is evaluated directly.
+
+
+def _scalar(fields, key: tuple, compute: Callable[[], float]) -> float:
+    trial = fields.get("trial")
+    return compute() if trial is None else trial.scalar(key, compute)
+
+
+def _lp(fields, role: str, order: float, p: float) -> float:
+    """||Lambda^order f||_p of the drawn scalar field named by ``role``."""
+    return _scalar(fields, ("lam", role, order, p), lambda: _lam_lp(fields[role], order, p))
+
+
+def _v_lp(fields, p: float, order: float = 0.0) -> float:
+    return _scalar(fields, ("vector", "v", p, order), lambda: _vector_lp(fields["v"], p, order))
+
+
+def _grad_v_lp(fields, p: float) -> float:
+    return _scalar(fields, ("grad", "v", p), lambda: _grad_frobenius_lp(fields["v"], p))
+
+
+def _commutator_v(op: Multiplier, fields) -> SpectralField:
+    """[op, v.grad] phi of the drawn fields, from the draw's shared v.grad(phi)."""
+    trial = fields.get("trial")
+    transported = None if trial is None else trial.transported()
+    return commutator_apply(op, fields["v"], fields["phi"], transported=transported)
 
 
 def _pairing_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
@@ -290,43 +365,43 @@ def _pairing_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
     else:
         s = e.get("S", e.get("s"))
         op = Multiplier.lambda_pow(s)
-    comm = commutator_apply(op, fields["v"], fields["phi"])
-    return abs(inner(comm, fields["psi"]))
+    return _scalar(fields, ("pairing", op),
+                   lambda: abs(inner(_commutator_v(op, fields), fields["psi"])))
 
 
 def _rhs_aaa(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_lam_lp(fields["phi"], e["S1"], q["p1"])
-            * _lam_lp(fields["psi"], e["S2"], q["p2"])
-            * _vector_lp(fields["v"], q["p3"], e["S3"]))
+    return (_lp(fields, "phi", e["S1"], q["p1"])
+            * _lp(fields, "psi", e["S2"], q["p2"])
+            * _v_lp(fields, q["p3"], e["S3"]))
 
 
 def _rhs_fazel5(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_lam_lp(fields["phi"], e["s1"], q["p1"])
-            * _lam_lp(fields["psi"], e["s2"], q["p2"])
-            * _grad_frobenius_lp(fields["v"], q["p3"]))
+    return (_lp(fields, "phi", e["s1"], q["p1"])
+            * _lp(fields, "psi", e["s2"], q["p2"])
+            * _grad_v_lp(fields, q["p3"]))
 
 
 def _rhs_fazel6(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (lp_norm(fields["phi"], q["p1"])
-            * _lam_lp(fields["psi"], e["s2"], q["p2"])
-            * _vector_lp(fields["v"], q["p3"], e["s3"]))
+    return (_lp(fields, "phi", 0.0, q["p1"])
+            * _lp(fields, "psi", e["s2"], q["p2"])
+            * _v_lp(fields, q["p3"], e["s3"]))
 
 
 def _rhs_f10(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_grad_frobenius_lp(fields["v"], q["p1"])
-            * _lam_lp(fields["phi"], e["s"], q["p2"])
-            * lp_norm(fields["psi"], q["p3"]))
+    return (_grad_v_lp(fields, q["p1"])
+            * _lp(fields, "phi", e["s"], q["p2"])
+            * _lp(fields, "psi", 0.0, q["p3"]))
 
 
 def _rhs_f20(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_vector_lp(fields["v"], q["p1"], e["a"])
-            * _lam_lp(fields["phi"], e["s"] + 1.0 - e["a"], q["p2"])
-            * lp_norm(fields["psi"], q["p3"]))
+    return (_v_lp(fields, q["p1"], e["a"])
+            * _lp(fields, "phi", e["s"] + 1.0 - e["a"], q["p2"])
+            * _lp(fields, "psi", 0.0, q["p3"]))
 
 
 def _norm_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
@@ -344,38 +419,40 @@ def _norm_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
     else:  # eq20
         op = Multiplier.lambda_pow(e["s2"])
         outer, pnorm = -e["s1"], q["p"]
-    v = fields["v_effective"] if sid == "eq25" else fields["v"]
-    comm = commutator_apply(op, v, fields["phi"])
+    if sid == "eq25":
+        comm = commutator_apply(op, fields["v_effective"], fields["phi"])
+    else:
+        comm = _commutator_v(op, fields)
     return _lam_lp(comm, outer, pnorm)
 
 
 def _rhs_eq20(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_vector_lp(fields["v"], q["q"], e["a"])
-            * _lam_lp(fields["phi"], e["s2"] - e["s1"] + 1.0 - e["a"], q["r"]))
+    return (_v_lp(fields, q["q"], e["a"])
+            * _lp(fields, "phi", e["s2"] - e["s1"] + 1.0 - e["a"], q["r"]))
 
 
 def _rhs_eq201(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
-    return (_vector_lp(fields["v"], q["q"], e["a"])
-            * _lam_lp(fields["phi"], 1.0 + e["s2"] + e["s1"] - e["a"], q["r"]))
+    return (_v_lp(fields, q["q"], e["a"])
+            * _lp(fields, "phi", 1.0 + e["s2"] + e["s1"] - e["a"], q["r"]))
 
 
 def _rhs_eq200(spec, grid, fields):
     e, q = spec.exponents, spec.integrability
     beta = 1.0 - spec.alpha
-    return (_vector_lp(fields["v"], q["q"], e["a"])
-            * _lam_lp(fields["phi"], 1.0 + beta + e["s"] - e["a"], q["r"]))
+    return (_v_lp(fields, q["q"], e["a"])
+            * _lp(fields, "phi", 1.0 + beta + e["s"] - e["a"], q["r"]))
 
 
 def _rhs_eq25(spec, grid, fields):
     e = spec.exponents
-    return (_vector_lp(fields["v"], np.inf)
-            * _lam_lp(fields["phi"], e["s2"] - e["s1"] + 1.0 - e["s3"], 2.0))
+    return (_v_lp(fields, np.inf)
+            * _lp(fields, "phi", e["s2"] - e["s1"] + 1.0 - e["s3"], 2.0))
 
 
-def _draw_eq25(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
-    fields = _draw_standard(spec, grid, seed)
+def _draw_eq25(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
+    fields = _draw_standard(spec, trial)
     lam = Multiplier.lambda_pow(-spec.exponents["s3"])
     fields["v_effective"] = (apply_multiplier(fields["v"][0], lam),
                              apply_multiplier(fields["v"][1], lam))
@@ -386,13 +463,12 @@ def _draw_eq25(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
 _MID_BLOCK_LEVEL = 3
 
 
-def _draw_g50(spec: InequalitySpec, grid: Grid, seed) -> Dict[str, object]:
-    return {**_draw_standard(spec, grid, seed), "k": _MID_BLOCK_LEVEL}
+def _draw_g50(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
+    return {**_draw_standard(spec, trial), "k": _MID_BLOCK_LEVEL}
 
 
 def _g50_fields(spec, grid, fields):
-    op = Multiplier.smooth_bump(fields["k"])
-    comm = commutator_apply(op, fields["v"], fields["phi"])
+    comm = _commutator_v(Multiplier.smooth_bump(fields["k"]), fields)
     q1, p1 = spec.integrability["q1"], spec.integrability["p1"]
     gx0, gy0 = gradient(fields["v"][0])
     gx1, gy1 = gradient(fields["v"][1])

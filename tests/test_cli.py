@@ -194,6 +194,31 @@ class TestSnapshotFormat:
         err = capsys.readouterr().err
         assert "snap_000000.fbl" in err and "mean-free" in err
 
+    @pytest.mark.parametrize("config_n,line,n", [(32, 2, 8), (8, 3, 16)])
+    def test_mixed_grids_in_replay(self, tmp_path, capsys, config_n, line, n):
+        # n = 8, 16, 8 snapshots of small random fields, replayed under an
+        # n = 32 or an n = 8 config: the first snapshot off the config's
+        # grid is named, before any ledger term is evaluated
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        rows = ["file,t,alpha,eps0"]
+        for i, size in enumerate((8, 16, 8)):
+            g = make_grid(size, 2 * np.pi)
+            fields = {"theta": random_scalar_field(g, (5, i, 0), band=(0, 1)).physical(),
+                      "f": random_scalar_field(g, (5, i, 1), band=(0, 1)).physical()}
+            write_snapshot(str(snaps / f"snap_{i:06d}.fbl"), g, fields)
+            rows.append(f"snap_{i:06d}.fbl,{0.01 * i},0.75,1.0")
+        (snaps / "snapshots.csv").write_text("\n".join(rows) + "\n")
+        replay = (BASE_INI.format(out=str(tmp_path / "replay")).replace("n = 32", f"n = {config_n}")
+                  + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
+        (tmp_path / "replay.ini").write_text(replay)
+        assert main(["--config", str(tmp_path / "replay.ini"), "ledger"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and f"line {line}: " in err
+        assert f"snap_{line - 2:06d}.fbl holds an n = {n}, L = 6.28319 grid" in err
+        assert f"config says n = {config_n}" in err
+        assert not (tmp_path / "replay" / "ledger_l2.csv").exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.fbl"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

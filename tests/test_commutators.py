@@ -6,13 +6,14 @@ by hand over the four output wavenumbers p +- q.
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fblab.commutators import (KERNEL_TAIL_WARN, _direct_convolution, block_kernels,
-                               commutator_field, estimate_constant, kernel_tail_fraction,
-                               representation_check, smoothing_comparison)
+                               commutator_field, estimate_constant, estimate_constants,
+                               kernel_tail_fraction, representation_check, smoothing_comparison)
 from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
@@ -257,3 +258,113 @@ class TestSampling:
         rep = estimate_constant(reg["g50"], trials=4, grid_sizes=(64, 128), seed=3)
         assert rep.c_hat > 0
         assert rep.resolution_stable
+
+
+class TestSharedDraws:
+    """estimate_constants: one draw per (grid, trial, attempt) for every spec."""
+
+    @staticmethod
+    def unshared_ratios(spec, trials, grid_sizes, seed):
+        """Per-trial ratios with no shared draw and no memo: each attempt
+        draws alone, and the evaluators read a fields dict without its
+        TrialDraw, so every norm and v.grad(phi) is computed afresh."""
+        out = {}
+        for n in grid_sizes:
+            grid = make_grid(n, TWO_PI)
+            out[n] = []
+            for t in range(trials):
+                for attempt in range(4):
+                    fields = {k: f for k, f in spec.draw(grid, (seed, t, attempt)).items()
+                              if k != "trial"}
+                    lhs, rhs = spec.lhs(grid, fields), spec.rhs(grid, fields)
+                    if rhs > 1e-14 * max(lhs, 1.0):
+                        out[n].append(lhs / rhs)
+                        break
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_one_spec_calls(self, seed):
+        reg = build_registry(0.75)
+        specs = list(reg.values())
+        shared = estimate_constants(specs, trials=6, grid_sizes=(64, 128), seed=seed)
+        assert [r.spec_id for r in shared] == [s.spec_id for s in specs]
+        for spec, got in zip(specs, shared):
+            # every field: ratios, c_hat, c_hat_per_grid, degenerate, flags
+            assert got == estimate_constant(spec, trials=6, grid_sizes=(64, 128), seed=seed)
+            assert got.ratios == self.unshared_ratios(spec, 6, (64, 128), seed), spec.spec_id
+
+    @pytest.mark.parametrize("ids", [["eq20"], ["aaa"], None], ids=["eq20", "aaa", "all"])
+    def test_one_draw_and_one_transport_per_trial(self, monkeypatch, ids):
+        import fblab.operators as operators
+        import fblab.registry as registry
+
+        reg = build_registry(0.75)
+        specs = [reg[i] for i in ids] if ids else list(reg.values())
+        draws, transports, drawn = Counter(), Counter(), {}
+        keep = []  # drawn objects stay alive, so their ids stay unique
+
+        def counted_draw(original):
+            def draw(grid, seed, *args, **kwargs):
+                out = original(grid, seed, *args, **kwargs)
+                draws[grid.n, seed] += 1
+                keep.append(out)
+                drawn[id(out)] = (grid.n, seed)
+                return out
+            return draw
+
+        advect = operators.advect
+
+        def counted_advect(v, f):
+            if id(v) in drawn and id(f) in drawn:  # v.grad(phi) of the drawn fields
+                n, (_, t, attempt, _) = drawn[id(f)]
+                transports[n, t, attempt] += 1
+            return advect(v, f)
+
+        for name in ("random_divfree_field", "random_scalar_field"):
+            monkeypatch.setattr(registry, name, counted_draw(getattr(registry, name)))
+        monkeypatch.setattr(registry, "advect", counted_advect)
+        monkeypatch.setattr(operators, "advect", counted_advect)
+
+        reports = estimate_constants(specs, trials=3, grid_sizes=(64, 128), seed=4)
+        assert all(r.degenerate == 0 for r in reports)
+        roles = (0, 1, 2) if any(s.needs_pairing_field for s in specs) else (0, 1)
+        want = {(n, (4, t, 0, role)) for n in (64, 128) for t in range(3) for role in roles}
+        assert set(draws) == want and set(draws.values()) == {1}
+        assert transports == {(n, t, 0): 1 for n in (64, 128) for t in range(3)}
+
+    def test_degenerate_redraw_stays_with_its_spec(self, monkeypatch):
+        import dataclasses
+
+        from fblab.registry import InequalitySpec
+
+        reg = build_registry(0.75)
+        base = reg["eq201"]
+
+        def rhs_vanishing_on_attempt_0(spec, grid, fields):
+            return 0.0 if fields["trial"].seed[2] == 0 else base.rhs(grid, fields)
+
+        flaky = dataclasses.replace(base, spec_id="eq201_flaky", _rhs=rhs_vanishing_on_attempt_0)
+        specs = [reg["aaa"], reg["eq20"], flaky, reg["g50"]]
+        calls = []
+        draw = InequalitySpec.draw
+
+        def recorded_draw(spec, grid, seed, trial=None):
+            calls.append((spec.spec_id, grid.n, tuple(seed)))
+            return draw(spec, grid, seed, trial)
+
+        monkeypatch.setattr(InequalitySpec, "draw", recorded_draw)
+        shared = estimate_constants(specs, trials=3, grid_sizes=(64, 128), seed=2)
+        redraws = [c for c in calls if c[2][2] > 0]
+        assert sorted(redraws) == sorted(("eq201_flaky", n, (2, t, 1))
+                                         for n in (64, 128) for t in range(3))
+        for spec, got in zip(specs, shared):
+            alone = estimate_constant(spec, trials=3, grid_sizes=(64, 128), seed=2)
+            assert got.ratios == alone.ratios and got.degenerate == alone.degenerate
+        assert shared[2].degenerate == 6 and all(r.degenerate == 0 for r in shared[:2] + shared[3:])
+        # the redraw is the attempt-1 draw, and only the flaky spec reads it
+        for n in (64, 128):
+            for t in range(3):
+                grid = make_grid(n, TWO_PI)
+                fields = base.draw(grid, (2, t, 1))
+                want = base.lhs(grid, fields) / base.rhs(grid, fields)
+                assert shared[2].ratios[n][t] == want

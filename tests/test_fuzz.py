@@ -11,6 +11,7 @@ import os
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fblab.cli import _load_trajectory
@@ -100,25 +101,33 @@ VALID_INDEX = (b"file,t,alpha,eps0\n"
 
 _INDEX_TOKENS = st.sampled_from([
     "file", "t", "alpha", "eps0", ",", ",", "\n", "\n", "\r\n", '"', " ", "\x00", "/", "..",
-    "snap_000000.fbl", "snap_000001.fbl", "snap_000009.fbl", "snapshots.csv",
+    "snap_000000.fbl", "snap_000001.fbl", "snap_000003.fbl", "snap_000009.fbl", "snapshots.csv",
     "0.0", "0.01", "0.75", "1.0", "-1", "nan", "inf", "1e400", "x", "é",
 ])
 
 
-def load_index(snap_dir, blob):
-    """Replay ``snap_dir`` under the index ``blob``: None if refused, else the states."""
-    for i in range(3):
+def write_zero_snapshot(path, n):
+    write_snapshot(str(path), make_grid(n, 2 * np.pi),
+                   {"theta": np.zeros((n, n)), "f": np.zeros((n, n))})
+
+
+def load_index(snap_dir, blob, config_n=8):
+    """Replay ``snap_dir`` under the index ``blob`` and an n = ``config_n``
+    config: None if refused, else the states.  snap_000000..2 are n = 8
+    files, snap_000003 an n = 16 one."""
+    for i, n in enumerate((8, 8, 8, 16)):
         path = snap_dir / f"snap_{i:06d}.fbl"
         if not path.exists():
-            write_snapshot(str(path), make_grid(8, 2 * np.pi),
-                           {"theta": np.zeros((8, 8)), "f": np.zeros((8, 8))})
+            write_zero_snapshot(path, n)
     (snap_dir / "snapshots.csv").write_bytes(blob)
+    grid = make_grid(config_n, 2 * np.pi)
     try:
-        states = _load_trajectory(str(snap_dir), ModelParams(alpha=0.75))
+        states = _load_trajectory(str(snap_dir), ModelParams(alpha=0.75), grid)
     except (ConfigError, SnapshotFormatError) as exc:
         assert str(snap_dir) in str(exc)
         return None
     assert states and all(a.time < b.time for a, b in zip(states, states[1:]))
+    assert all(s.theta.grid == grid and s.primary.grid == grid for s in states)
     return states
 
 
@@ -140,6 +149,27 @@ class TestSnapshotIndexFuzz:
     @given(data=st.data())
     def test_mutated_index(self, tmp_path, data):
         load_index(tmp_path, data.draw(mutations(VALID_INDEX)))
+
+    @FUZZ
+    @given(sizes=st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=4),
+           config_n=st.sampled_from([8, 16]))
+    def test_mixed_grids(self, tmp_path, sizes, config_n):
+        # a valid index over snapshots of the drawn sizes loads exactly
+        # when every size is the config's, else names the first other one
+        snaps = tmp_path / "mixed"
+        snaps.mkdir(exist_ok=True)
+        rows = []
+        for i, n in enumerate(sizes):
+            write_zero_snapshot(snaps / f"m_{i}.fbl", n)
+            rows.append(f"m_{i}.fbl,{0.01 * i},0.75,1.0\n")
+        states = load_index(snaps, ("file,t,alpha,eps0\n" + "".join(rows)).encode(), config_n)
+        assert (states is not None) == all(n == config_n for n in sizes)
+        if states is None:
+            first = next(i for i, n in enumerate(sizes) if n != config_n)
+            with pytest.raises(ConfigError, match=f"line {first + 2}: .*m_{first}.fbl holds an "
+                                                  f"n = {sizes[first]}, L = 6.28319 grid, "
+                                                  f"config says n = {config_n}"):
+                _load_trajectory(str(snaps), ModelParams(alpha=0.75), make_grid(config_n, 2 * np.pi))
 
 
 _INI_TOKENS = st.sampled_from([

@@ -15,15 +15,16 @@ from fblab.ensembles import random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
-                         Trajectory, cfl_limit, convert_state, f_from_g, hybrid_terms,
-                         initial_state, integrate, nonlinear, primitive_rhs, rhs,
-                         scaled_velocity_split, state_velocity, step, theta_dissipation_rate,
-                         transform_to_f, transform_to_g, velocity_dissipation_rate,
-                         vorticity_from_f)
+                         Trajectory, cfl_limit, convert_state, hybrid_terms, initial_state,
+                         integrate, nonlinear, rhs, scaled_velocity_split, state_velocity, step,
+                         theta_dissipation_rate, transform_to_f, transform_to_g,
+                         velocity_dissipation_rate, vorticity_from_f)
 from fblab.multipliers import Multiplier, apply_multiplier
-from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, refined_sup, rel_l2_diff
+from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm
 from fblab.operators import (advect, biot_savart, commutator_apply, curl,
                              temperature_vorticity_operator)
+
+from oracles import f_from_g, primitive_rhs, refined_sup, rel_l2_diff
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
