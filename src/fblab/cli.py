@@ -27,7 +27,7 @@ from .commutators import estimate_constants
 from .fields import SpectralField
 from .grid import Grid, make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError, Trajectory,
-                    convert_state, initial_state, integrate, theta_dissipation_rate)
+                    convert_state, initial_state, integrate)
 from .registry import ConstraintError, build_registry
 from .reporting import write_csv, write_json
 from .selftest import run_selftest
@@ -135,8 +135,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     status = EXIT_OK
     diagnostic = None
     try:
-        traj = integrate(state, cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl, cadence=cfg.cadence,
-                         accumulators={"theta_dissipation": theta_dissipation_rate})
+        traj = integrate(state, cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl, cadence=cfg.cadence)
     except IntegrationBlowupError as exc:
         diagnostic = ("DIAGNOSTIC", f"blowup at t={exc.time:.6g}", exc.detail)
         status = EXIT_NUMERICAL

@@ -59,9 +59,10 @@ def block_kernels(grid: Grid, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     scale 2^k, sampled on the lattice (exact for grid functions)."""
     op = Multiplier.smooth_bump(k)
     sym = op.symbol(grid)
-    kernel = np.fft.ifft2(sym).real
-    g1 = np.fft.ifft2(1j * grid.kx * sym).real
-    g2 = np.fft.ifft2(1j * grid.ky * sym).real
+    shape = (grid.n, grid.n)
+    kernel = np.fft.irfft2(sym, s=shape)
+    g1 = np.fft.irfft2(1j * grid.kx * sym, s=shape)
+    g2 = np.fft.irfft2(1j * grid.ky * sym, s=shape)
     return kernel, g1, g2
 
 

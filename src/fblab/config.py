@@ -78,10 +78,13 @@ class RunConfig:
                 params.require_unit_dissipation("the hybrid formulation")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        for key in ("t_end", "dt", "cfl"):  # dt None: derived from the CFL guard
+            value = getattr(self, key)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+        for key in ("rho", "amplitude_theta", "amplitude_primary", "decay"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.cadence < 1:
             raise ConfigError("cadence must be a positive integer")
         if self.init not in ("random", "bumps"):
@@ -91,6 +94,8 @@ class RunConfig:
             if cid not in known_ledgers:
                 raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known_ledgers)}")
         if mode in (None, "estimate"):
+            if self.trials < 1:
+                raise ConfigError(f"trials must be a positive integer, got {self.trials}")
             registry = build_registry(self.alpha)
             for sid in self.resolve_estimate_ids():
                 if sid not in registry:

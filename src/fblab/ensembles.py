@@ -55,10 +55,13 @@ def random_scalar_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
     draws = rng.standard_normal(2 * len(modes))
     kk = grid.dk * np.hypot(modes[:, 0], modes[:, 1])
     c = (draws[0::2] + 1j * draws[1::2]) * kk ** (-decay)
-    coef = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    i1, i2 = modes[:, 0] % grid.n, modes[:, 1] % grid.n
-    coef[i1, i2] = c
-    coef[(-modes[:, 0]) % grid.n, (-modes[:, 1]) % grid.n] = np.conj(c)
+    # onto the rfft2 half lattice (m2 >= 0): a mode with m2 < 0 goes in
+    # as its conjugate at -m, and one with m2 == 0 fills both m and -m
+    coef = np.zeros(grid.kmag.shape, dtype=np.complex128)
+    m1, m2 = modes[:, 0], modes[:, 1]
+    upper, lower = m2 >= 0, m2 <= 0
+    coef[m1[upper], m2[upper]] = c[upper]
+    coef[-m1[lower] % grid.n, -m2[lower]] = np.conj(c[lower])
     if dealias_safe:
         coef[~band_mask(grid.n)] = 0.0
     f = SpectralField(grid, coef)

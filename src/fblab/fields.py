@@ -3,33 +3,33 @@
 Every field is real: the unknowns of the Boussinesq system (theta, omega,
 the hybrid variable f, the velocity) and every field fed to a commutator
 estimate.  A :class:`SpectralField` stores normalized Fourier-series
-coefficients c_k, defined so that f(x) = sum_k c_k exp(i k.x).  With
-numpy's FFT this means ``coef = fft2(samples) / n**2`` and
-``samples = n**2 * Re(ifft2(coef))``.  The coefficient array is marked
+coefficients c_k, defined so that f(x) = sum_k c_k exp(i k.x), in the
+``rfft2`` half layout: an n-by-(n/2+1) array whose rows are
+k_1 = 0..n/2-1, -n/2..-1 and whose columns are k_2 = 0..n/2.  So
+``coef = rfft2(samples) / n**2`` and ``samples = n**2 * irfft2(coef)``.
+The modes with k_2 < 0 are the conjugates of the stored ones, so a field
+is Hermitian by construction.  The coefficient array is marked
 read-only, so all operations are pure functions and safe to run
 concurrently.
 
-The samples are Re(ifft2(c)), which is ifft2 of the Hermitian part
-(c_k + conj c_-k) / 2 of the spectrum.  On a padded grid they come from
-``irfft2``, and the half spectrum handed to it is that Hermitian part,
-never a plain slice: a spectrum need not be Hermitian to the last bit,
-and on the padded lattice the Nyquist line k_i = -n/2 gains a partner at
-+n/2 that a slice would drop.  Samples on the field's own grid
-(:meth:`SpectralField.physical`) keep the complex transform, so what is
-read from them, such as the CFL guard of a state, does not move by a
-bit.  The full n-by-n ``coef`` layout is kept for every field.
+Sums over the whole lattice (Parseval) count columns 0 and n/2 once and
+every other column twice, once for the stored mode and once for its
+conjugate: :func:`parseval`.
 
 Every product of fields is dealiased: both spectra are zero-padded to a
 grid 3/2 as fine (the 3/2 a.k.a. 2/3 rule), multiplied pointwise there
-and transformed back with ``rfft2`` and truncated.  The Nyquist
-row/column is zeroed on truncation: those modes cannot carry a Hermitian
-partner on the coarse lattice.  A product operand keeps its padded
-samples (one velocity component feeds several products), in a slot only
-:func:`multiply` writes.  The padded samples that the norms request
-through :meth:`SpectralField.physical_on` are not kept: they are taken
-once per field at grids of several sizes, and holding them would only
-raise the peak memory of a ledger run.  What a power pairing needs of
-its field is kept instead: the (n+1)-by-(n/2+1) band of the power, per
+and transformed back with ``rfft2`` and truncated.  On the padded
+lattice the Nyquist lines of the n-lattice gain partners: the row
+k_1 = -n/2 is split evenly between -n/2 and +n/2, and the column
+k_2 = n/2 is halved, its other half being the implied conjugate at
+-n/2; a plain copy would sample another trigonometric polynomial.  The
+Nyquist row/column is zeroed on truncation.  A product operand keeps its
+padded samples (one velocity component feeds several products), in a
+slot only :func:`multiply` writes.  The padded samples that the norms
+request through :meth:`SpectralField.physical_on` are not kept: they are
+taken once per field at grids of several sizes, and holding them would
+only raise the peak memory of a ledger run.  What a power pairing needs
+of its field is kept instead: the n-lattice band of the power, per
 power, in a second slot only :func:`power_band` writes.
 
 numpy's FFT is stateless (no shared plans or workspaces), so concurrent
@@ -49,8 +49,9 @@ class SpectralField:
     __slots__ = ("grid", "coef", "_physical", "_padded", "_bands")
 
     def __init__(self, grid: Grid, coef: np.ndarray):
-        if coef.shape != (grid.n, grid.n):
-            raise ValueError(f"coefficient array shape {coef.shape} does not match grid n={grid.n}")
+        if coef.shape != (grid.n, grid.n // 2 + 1):
+            raise ValueError(f"coefficient array shape {coef.shape} is not the half layout "
+                             f"{(grid.n, grid.n // 2 + 1)} of grid n={grid.n}")
         coef = np.ascontiguousarray(coef, dtype=np.complex128)
         coef.setflags(write=False)
         self.grid = grid
@@ -68,18 +69,19 @@ class SpectralField:
             raise ValueError(f"sample array shape {values.shape} does not match grid n={grid.n}")
         if np.iscomplexobj(values):
             raise ValueError("fields are real; got complex samples")
-        return cls(grid, np.fft.fft2(values) / grid.n**2)
+        return cls(grid, np.fft.rfft2(values) / grid.n**2)
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, np.zeros((grid.n, grid.n), dtype=np.complex128))
+        return cls(grid, np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128))
 
     # -- representations ----------------------------------------------
 
     def physical(self) -> np.ndarray:
         """Grid samples; cached after the first inverse transform."""
         if self._physical is None:
-            out = (np.fft.ifft2(self.coef) * self.grid.n**2).real
+            n = self.grid.n
+            out = np.fft.irfft2(self.coef, s=(n, n)) * n**2
             out.setflags(write=False)
             self._physical = out
         return self._physical
@@ -88,13 +90,13 @@ class SpectralField:
         """Samples of the same trigonometric polynomial on a finer m-grid."""
         if m == self.grid.n:
             return self.physical()
-        return np.fft.irfft2(hermitian_half(self.coef, m), s=(m, m)) * m**2
+        return np.fft.irfft2(_pad(self.coef, m), s=(m, m)) * m**2
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
 
     def is_mean_free(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.linalg.norm(self.coef)))
+        scale = max(1.0, np.sqrt(parseval(self.coef, self.coef)))
         return abs(self.coef[0, 0]) <= tol * scale
 
     # -- algebra --------------------------------------------------------
@@ -127,114 +129,77 @@ class SpectralField:
         return f"SpectralField(n={self.grid.n}, L={self.grid.length:.6g})"
 
 
+def parseval(a: np.ndarray, b: np.ndarray) -> float:
+    """Real part of sum_k a_k conj(b_k) over the whole lattice, from two
+    half spectra: columns 0 and n/2 count once, the others twice."""
+    val = 2.0 * np.vdot(b, a) - np.vdot(b[:, 0], a[:, 0]) - np.vdot(b[:, -1], a[:, -1])
+    return float(val.real)
+
+
 # -- spectrum padding / truncation -------------------------------------
-# pad_coef and truncate_coef are the complex path: the reference that the
-# real transforms below (hermitian_half, truncate_half) are tested against.
 
 
-def pad_coef(coef: np.ndarray, m: int) -> np.ndarray:
-    """Embed an n-grid spectrum into an m-grid spectrum (m >= n), zero-padded."""
-    n = coef.shape[0]
-    if m == n:
-        return coef.copy()
-    if m < n:
-        raise ValueError("padding target must be at least the source size")
-    out = np.zeros((m, m), dtype=np.complex128)
-    h = n // 2
-    out[:h, :h] = coef[:h, :h]
-    out[:h, m - h:] = coef[:h, h:]
-    out[m - h:, :h] = coef[h:, :h]
-    out[m - h:, m - h:] = coef[h:, h:]
-    return out
+def _pad(coef: np.ndarray, m: int) -> np.ndarray:
+    """The m-lattice half spectrum (m > n) of the n-lattice one, zero-padded.
 
-
-def truncate_coef(coef: np.ndarray, n: int) -> np.ndarray:
-    """Restrict an m-grid spectrum to the n-grid band, zeroing the Nyquist line."""
-    m = coef.shape[0]
-    if m == n:
-        out = coef.copy()
-    else:
-        if m < n:
-            raise ValueError("truncation target must be at most the source size")
-        h = n // 2
-        out = np.empty((n, n), dtype=np.complex128)
-        out[:h, :h] = coef[:h, :h]
-        out[:h, h:] = coef[:h, m - h:]
-        out[h:, :h] = coef[m - h:, :h]
-        out[h:, h:] = coef[m - h:, m - h:]
-    out[n // 2, :] = 0.0
-    out[:, n // 2] = 0.0
-    return out
-
-
-def hermitian_band(coef: np.ndarray) -> np.ndarray:
-    """The Hermitian part of the spectrum as an (n+1)-by-(n/2+1) band:
-    rows are frequencies -n/2..n/2, columns 0..n/2.
-
-    The Nyquist line k_i = -n/2 is split evenly with its partner at +n/2,
-    which a padded lattice (m > n) has and the n-lattice lacks.
+    The n-lattice row k_1 = -n/2 stands for both -n/2 and +n/2 on the
+    m-lattice and is split evenly between them; the column k_2 = n/2 is
+    halved, the implied conjugate at -n/2 carrying the other half; the
+    corner goes to (+n/2, +n/2), its conjugate to (-n/2, -n/2).
     """
-    n = coef.shape[0]
-    h = n // 2
-    box = np.zeros((n + 1, n + 1), dtype=np.complex128)  # frequencies -h..h on both axes
-    box[h:n, h:n] = coef[:h, :h]
-    box[h:n, :h] = coef[:h, h:]
-    box[:h, h:n] = coef[h:, :h]
-    box[:h, :h] = coef[h:, h:]
-    return 0.5 * (box[:, h:] + np.conj(box[::-1, h::-1]))
-
-
-def hermitian_half(coef: np.ndarray, m: int) -> np.ndarray:
-    """Columns 0..m/2 of the Hermitian part of the spectrum padded to m;
-    ``irfft2`` of it equals Re(ifft2) of the padded spectrum."""
     n = coef.shape[0]
     if m <= n:
         raise ValueError("padding target must exceed the source size")
     h = n // 2
-    herm = hermitian_band(coef)
     out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
-    out[:h + 1, :h + 1] = herm[h:]
-    out[m - h:, :h + 1] = herm[:h]
+    out[:h, :h + 1] = coef[:h]
+    out[m - h + 1:, :h + 1] = coef[h + 1:]
+    out[:, h] *= 0.5
+    out[h, :h + 1] = 0.5 * coef[h]
+    out[m - h, :h] = 0.5 * coef[h, :h]
     return out
 
 
-def power_band(field: SpectralField, power: int, m: int) -> np.ndarray:
-    """The band of ``field**power`` laid out as :func:`hermitian_band`.
+def _truncate(spec: np.ndarray, n: int) -> np.ndarray:
+    """The n-lattice band |k_i| < n/2 of an m-lattice half spectrum; the
+    Nyquist row and column stay zero."""
+    m = spec.shape[0]
+    h = n // 2
+    out = np.zeros((n, h + 1), dtype=np.complex128)
+    out[:h, :h] = spec[:h, :h]
+    out[h + 1:, :h] = spec[m - h + 1:, :h]
+    return out
 
-    The power is sampled on the m-grid and transformed back; with
-    m > (power + 1) n / 2 no alias of the power reaches the band, and the
-    band is exactly what an m-grid quadrature of a product with a field
-    of the n-band sees.  The band is kept on the field, per power; the
-    m-grid arrays are dropped on return.
+
+def power_band(field: SpectralField, power: int) -> np.ndarray:
+    """The n-lattice band of ``field**power``, folded so that
+    ``parseval(a.coef, band)`` is the m-grid quadrature of
+    ``a * field**power`` for every field a on the n-grid.
+
+    The power is sampled on an m-grid with m > (power + 1) n / 2, where
+    no alias of the power reaches the band, and transformed back.  The
+    fold is the adjoint of the padding: the row k_1 = -n/2 averages the
+    power's modes at -n/2 and +n/2, the column k_2 = n/2 and the corner
+    take the modes the padding puts them on.  The band is kept on the
+    field, per power; the m-grid arrays are dropped on return.
     """
     if field._bands is None:
         field._bands = {}
     band = field._bands.get(power)
     if band is None:
         h = field.grid.n // 2
+        m = nice_fft_size((power + 1) * h + 2)
         values = field.physical_on(m)
         sampled = values
         for _ in range(power - 1):  # repeated products: ndarray ** k calls pow, ~30x slower
             sampled = sampled * values
         spec = np.fft.rfft2(sampled)
-        band = np.concatenate((spec[m - h:, :h + 1], spec[:h + 1, :h + 1])) / m**2
+        band = np.concatenate((spec[:h + 1, :h + 1], spec[m - h + 1:, :h + 1]))
+        band[h, :h] = 0.5 * (band[h, :h] + spec[m - h, :h])
+        band /= m**2
         band.setflags(write=False)
         field._bands[power] = band
     return band
-
-
-def truncate_half(half: np.ndarray, n: int) -> np.ndarray:
-    """Full n-grid band of a real signal's half spectrum (columns 0..m/2),
-    with the Nyquist line zeroed as in :func:`truncate_coef`."""
-    m = half.shape[0]
-    h = n // 2
-    band = np.concatenate((half[:h, :h], half[m - h:, :h]))  # rows 0..h-1, -h..-1
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, :h] = band
-    out[:, h + 1:] = np.conj(band[-np.arange(n) % n, h - 1:0:-1])
-    out[h, :] = 0.0
-    out[:, h] = 0.0
-    return out
 
 
 def nice_fft_size(minimum: int) -> int:
@@ -270,7 +235,7 @@ def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
     n = a.grid.n
     m = pad_size(n)
     prod = _padded_samples(a, m) * _padded_samples(b, m)
-    return SpectralField(a.grid, truncate_half(np.fft.rfft2(prod) / m**2, n))
+    return SpectralField(a.grid, _truncate(np.fft.rfft2(prod), n) / m**2)
 
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
@@ -280,17 +245,9 @@ def _padded_samples(field: SpectralField, m: int) -> np.ndarray:
     return field._padded
 
 
-def dealias_projection(field: SpectralField) -> SpectralField:
-    """Project onto the band kept by the padded-product rule (drops the
-    modes a product on the padded grid cannot represent alias-free)."""
-    n = field.grid.n
-    keep = band_mask(n)
-    return SpectralField(field.grid, np.where(keep, field.coef, 0.0))
-
-
 def band_mask(n: int) -> np.ndarray:
-    """Boolean mask of modes |m_i| <= n/3 (alias-safe under one product)."""
+    """Boolean half-layout mask of modes |m_i| <= n/3 (alias-safe under one product)."""
     cut = n // 3
-    m = np.fft.fftfreq(n, d=1.0 / n)
-    ax = np.abs(m) <= cut
-    return np.logical_and.outer(ax, ax)
+    rows = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= cut
+    cols = np.fft.rfftfreq(n, d=1.0 / n) <= cut
+    return np.logical_and.outer(rows, cols)

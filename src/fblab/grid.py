@@ -1,9 +1,11 @@
 """Periodic grid and wavenumber bookkeeping.
 
 Everything in the package lives on the square torus [0, L)^2 sampled at
-n uniform points per axis.  Wavenumbers follow the standard FFT layout,
-k_i = (2*pi/L) * m_i with integer m_i in [-n/2, n/2); the zero mode sits
-at index (0, 0) and occurs exactly once.
+n uniform points per axis.  Wavenumbers k_i = (2*pi/L) * m_i live on the
+half lattice of ``rfft2``, the layout every field's coefficients use:
+n-by-(n/2+1) arrays with m_1 = 0, 1, ..., n/2-1, -n/2, ..., -1 along the
+rows and m_2 = 0, 1, ..., n/2 along the columns.  The zero mode sits at
+index (0, 0) and occurs exactly once.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ class Grid:
         object.__setattr__(self, "length", float(self.length))
 
         dk = 2.0 * np.pi / self.length
-        modes = np.fft.fftfreq(self.n, d=1.0 / self.n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        kx, ky = np.meshgrid(dk * modes, dk * modes, indexing="ij")
+        rows = np.fft.fftfreq(self.n, d=1.0 / self.n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
+        cols = np.fft.rfftfreq(self.n, d=1.0 / self.n)  # 0, 1, ..., n/2
+        kx, ky = np.meshgrid(dk * rows, dk * cols, indexing="ij")
         ksq = kx**2 + ky**2
         kmag = np.sqrt(ksq)
         x = np.arange(self.n) * (self.length / self.n)
-        for name, arr in (("mode_ints", modes.astype(np.int64)), ("kx", kx), ("ky", ky),
-                          ("ksq", ksq), ("kmag", kmag), ("x1d", x)):
+        for name, arr in (("kx", kx), ("ky", ky), ("ksq", ksq), ("kmag", kmag), ("x1d", x)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -56,10 +58,6 @@ class Grid:
     def kmax(self) -> float:
         """Largest wavenumber magnitude on the lattice (corner mode)."""
         return self.dk * (self.n // 2) * np.sqrt(2.0)
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.n // 2
 
     def meshgrid(self):
         """Physical coordinates X1, X2 with 'ij' indexing."""

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .fields import SpectralField, dealias_projection
+from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import l2_norm_sq
@@ -78,8 +78,9 @@ class ModelParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.nu < 0 or self.kappa < 0:
-            raise ValueError("dissipation coefficients must be nonnegative")
+        for key, value in (("nu", self.nu), ("kappa", self.kappa)):
+            if not 0 <= value < np.inf:  # also refuses NaN
+                raise ValueError(f"{key} must be finite and nonnegative, got {value}")
         if not 0.0 < self.eps0 <= 1.0:
             raise ValueError(f"eps0 must lie in (0, 1], got {self.eps0}")
 
@@ -426,7 +427,7 @@ def initial_state(grid: Grid, params: ModelParams, formulation: str = "omega",
                                       1.2 * width, width, amplitude_primary)
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
-    state = SimState(0.0, dealias_projection(theta), dealias_projection(omega), "omega", params)
+    state = SimState(0.0, theta, omega, "omega", params)
     target = "f" if formulation == "scaled" else formulation
     return convert_state(state, target)
 

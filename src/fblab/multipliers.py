@@ -155,13 +155,13 @@ class Multiplier:
             raise ValueError(f"singular symbol {self.kind}{self.params} cannot use the identity zero-mode rule")
 
         if self.kind == "composite":
-            sym = np.ones((grid.n, grid.n), dtype=np.complex128)
+            sym = np.ones(grid.kmag.shape, dtype=np.complex128)
             for p in self.parts:
                 sym = sym * p.with_zero_mode(ANNIHILATE).symbol(grid)
             sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
             return sym
         if self.kind == "sum":
-            sym = np.zeros((grid.n, grid.n), dtype=np.complex128)
+            sym = np.zeros(grid.kmag.shape, dtype=np.complex128)
             for p, w in zip(self.parts, self.params):
                 sym += w * p.with_zero_mode(ANNIHILATE).symbol(grid)
             sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
@@ -196,7 +196,7 @@ class Multiplier:
         if self.zero_mode == ANNIHILATE:
             sym[0, 0] = 0.0
         if self.kind in ("riesz", "partial", "inv_lap_perp_grad"):
-            ny = grid.nyquist_index
+            ny = sym.shape[0] // 2  # the Nyquist row k_1 = -n/2 and column k_2 = n/2
             sym[ny, :] = 0.0
             sym[:, ny] = 0.0
         return sym

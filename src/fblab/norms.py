@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import SpectralField, hermitian_band, nice_fft_size, power_band
+from .fields import SpectralField, parseval, power_band
 from .multipliers import Multiplier, apply_multiplier
 from .operators import require_mean_free
 
@@ -44,31 +44,24 @@ def sobolev_norm(field: SpectralField, s: float, p: float, homogeneous: bool = F
 def inner(a: SpectralField, b: SpectralField) -> float:
     """L^2 pairing integral(a*b); exact for band-limited fields (Parseval)."""
     a._check_grid(b)
-    val = np.vdot(b.coef, a.coef) * a.grid.length ** 2
-    return float(val.real)
+    return parseval(a.coef, b.coef) * a.grid.length ** 2
 
 
 def l2_norm_sq(field: SpectralField) -> float:
-    return float(np.sum(np.abs(field.coef) ** 2) * field.grid.length ** 2)
+    return parseval(field.coef, field.coef) * field.grid.length ** 2
 
 
 def integral_product(a: SpectralField, b: SpectralField, b_power: int = 1) -> float:
     """integral(a * b**b_power), exact for band-limited a, b.
 
-    Evaluated by Parseval: the Hermitian band of a is paired with the
-    band of b**b_power, which :func:`fblab.fields.power_band` computes once
-    on an m-grid with m > (b_power + 1) n / 2 and keeps on b.  On that
-    grid the quadrature mean(a * b**b_power) sees no alias at the zero
-    mode, and it equals this pairing; repeated pairings against the same
-    b cost no transform.
+    Evaluated by Parseval: the spectrum of a is paired with the band of
+    b**b_power, which :func:`fblab.fields.power_band` computes once on an
+    m-grid with m > (b_power + 1) n / 2 and keeps on b.  On that grid the
+    quadrature mean(a * b**b_power) sees no alias at the zero mode, and
+    it equals this pairing; repeated pairings against the same b cost no
+    transform.
     """
     if b_power < 1 or int(b_power) != b_power:
         raise ValueError("b_power must be a positive integer")
     a._check_grid(b)
-    n = a.grid.n
-    m = nice_fft_size(int((b_power + 1) * n / 2) + 2)
-    band_a = hermitian_band(a.coef)
-    band_b = power_band(b, int(b_power), m)
-    # both bands are Hermitian: columns 1..n/2 stand for their mirror too
-    val = 2.0 * np.vdot(band_b, band_a) - np.vdot(band_b[:, 0], band_a[:, 0])
-    return float(val.real * a.grid.length ** 2)
+    return parseval(a.coef, power_band(b, int(b_power))) * a.grid.length ** 2

@@ -2,17 +2,18 @@
 
 None of these has a caller in ``fblab``: each is an independent route to
 a quantity the package computes another way (a second formula for f, the
-velocity-pressure form of the right-hand side, a Newton-refined sup), or
-a plain measure the tests compare with (relative L2 distance, Hermitian
-defect, block reconstruction).
+velocity-pressure form of the right-hand side, a Newton-refined sup, the
+full n-by-n spectrum layout), or a plain measure the tests compare with
+(relative L2 distance, Hermitian defect, block reconstruction).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from fblab.dyadic import BlockSet
-from fblab.fields import SpectralField
+from fblab.fields import SpectralField, pad_size
 from fblab.model import ModelParams
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
@@ -41,12 +42,14 @@ def refined_sup(field: SpectralField, pad_factor: int = 4, newton_steps: int = 6
     sign = 1.0 if vals[i, j] >= 0 else -1.0
     x = np.array([i * grid.length / m, j * grid.length / m])
 
-    mask = np.abs(field.coef) > 1e-18 * max(1e-300, float(np.max(np.abs(field.coef))))
+    coef = full_coef(field)
+    mask = np.abs(coef) > 1e-18 * max(1e-300, float(np.max(np.abs(coef))))
     if not np.any(mask):
         return best
-    kx = grid.kx[mask]
-    ky = grid.ky[mask]
-    ck = field.coef[mask]
+    lattice = full_lattice(grid)
+    kx = lattice.kx[mask]
+    ky = lattice.ky[mask]
+    ck = coef[mask]
 
     def eval_all(pt):
         phase = np.exp(1j * (kx * pt[0] + ky * pt[1]))
@@ -73,9 +76,12 @@ def refined_sup(field: SpectralField, pad_factor: int = 4, newton_steps: int = 6
 
 
 def hermitian_defect(field: SpectralField) -> float:
-    """Max deviation from coef(-k) == conj(coef(k))."""
-    mirrored = np.roll(field.coef[::-1, ::-1], 1, axis=(0, 1))
-    return float(np.max(np.abs(field.coef - np.conj(mirrored))))
+    """Max deviation from coef(-k) == conj(coef(k)) on the columns
+    k_2 = 0 and k_2 = n/2 of the half layout, the two that hold both
+    members of a conjugate pair."""
+    c = field.coef[:, [0, -1]]
+    mirrored = c[-np.arange(c.shape[0]) % c.shape[0]]
+    return float(np.max(np.abs(c - np.conj(mirrored))))
 
 
 def reconstruct(blocks: BlockSet) -> SpectralField:
@@ -106,3 +112,96 @@ def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams):
           proj[1] - params.nu * apply_multiplier(u[1], lam))
     dtheta = -advect(u, theta) - params.kappa * apply_multiplier(theta, Multiplier.lambda_pow(params.beta))
     return du, dtheta
+
+
+# -- the full n-by-n spectrum layout ------------------------------------------
+# numpy's fft2 layout: rows and columns both k_i = 0..n/2-1, -n/2..-1.  The
+# references below take this route to what ``fblab.fields`` computes on
+# the rfft2 half layout.
+
+
+def full_lattice(grid) -> SimpleNamespace:
+    """The wavenumbers of the full n-by-n lattice, with the attributes
+    ``Multiplier.symbol`` reads from a grid."""
+    k = grid.dk * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    ksq = kx**2 + ky**2
+    return SimpleNamespace(kx=kx, ky=ky, ksq=ksq, kmag=np.sqrt(ksq))
+
+
+def full_coef(field: SpectralField) -> np.ndarray:
+    """The n-by-n spectrum of a field: columns 0..n/2 as stored, the
+    others the conjugates of their mirror modes."""
+    c = field.coef
+    n = c.shape[0]
+    h = n // 2
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, :h + 1] = c
+    out[:, h + 1:] = np.conj(c[-np.arange(n) % n, h - 1:0:-1])
+    return out
+
+
+def pad_coef(coef: np.ndarray, m: int) -> np.ndarray:
+    """Embed an n-grid spectrum into an m-grid spectrum (m >= n), zero-padded."""
+    n = coef.shape[0]
+    if m == n:
+        return coef.copy()
+    if m < n:
+        raise ValueError("padding target must be at least the source size")
+    out = np.zeros((m, m), dtype=np.complex128)
+    h = n // 2
+    out[:h, :h] = coef[:h, :h]
+    out[:h, m - h:] = coef[:h, h:]
+    out[m - h:, :h] = coef[h:, :h]
+    out[m - h:, m - h:] = coef[h:, h:]
+    return out
+
+
+def truncate_coef(coef: np.ndarray, n: int) -> np.ndarray:
+    """Restrict an m-grid spectrum to the n-grid band, zeroing the Nyquist line."""
+    m = coef.shape[0]
+    if m == n:
+        out = coef.copy()
+    else:
+        if m < n:
+            raise ValueError("truncation target must be at most the source size")
+        h = n // 2
+        out = np.empty((n, n), dtype=np.complex128)
+        out[:h, :h] = coef[:h, :h]
+        out[:h, h:] = coef[:h, m - h:]
+        out[h:, :h] = coef[m - h:, :h]
+        out[h:, h:] = coef[m - h:, m - h:]
+    out[n // 2, :] = 0.0
+    out[:, n // 2] = 0.0
+    return out
+
+
+def full_physical_on(field: SpectralField, m: int) -> np.ndarray:
+    """Samples on the m-grid by the complex path: pad, ifft2, real part
+    (the real part takes the Hermitian part of the padded spectrum, which
+    splits the Nyquist lines between +n/2 and -n/2)."""
+    return (np.fft.ifft2(pad_coef(full_coef(field), m)) * m**2).real
+
+
+def full_multiply(a: SpectralField, b: SpectralField) -> np.ndarray:
+    """n-by-n spectrum of the dealiased product by the complex path: pad
+    both, ifft2, multiply, fft2, truncate."""
+    n = a.grid.n
+    m = pad_size(n)
+    prod = full_physical_on(a, m) * full_physical_on(b, m)
+    return truncate_coef(np.fft.fft2(prod) / m**2, n)
+
+
+def full_apply_multiplier(field: SpectralField, spec: Multiplier) -> np.ndarray:
+    """n-by-n spectrum of the multiplier applied on the full lattice."""
+    return full_coef(field) * spec.symbol(full_lattice(field.grid))
+
+
+def full_inner(a: SpectralField, b: SpectralField) -> float:
+    return float(np.vdot(full_coef(b), full_coef(a)).real) * a.grid.length ** 2
+
+
+def full_integral_product(a: SpectralField, b: SpectralField, power: int, m: int) -> float:
+    """integral(a * b**power) by the rectangle rule on the m-grid."""
+    av, bv = full_physical_on(a, m), full_physical_on(b, m)
+    return float(np.mean(av * bv**power)) * a.grid.length ** 2

@@ -7,6 +7,7 @@ to see them.  Expensive trajectories are shared through module fixtures.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,8 +312,8 @@ directory = {out}
         assert main(["--config", str(cfg), "estimate"]) == EXIT_OK
         outs.append(out)
     for name in ("series.csv", "ledger_l2.csv", "ledger_l4.csv", "ledger_l6.csv", "est_eq20.csv"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
+        b1 = Path(os.path.join(outs[0], name)).read_bytes()
+        b2 = Path(os.path.join(outs[1], name)).read_bytes()
         assert b1 == b2, name
 
     t0 = time.monotonic()

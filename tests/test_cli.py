@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,13 +126,50 @@ class TestConfig:
         assert err.startswith("validation error:") and "bad.ini" in err and word in err
 
 
+def numeric_ini(tmp_path, section, key, value):
+    """An n = 16 omega-form config with ``key = value`` in ``section``."""
+    sections = {"model": {"n": "16", "formulation": "omega", "t_end": "0.02", "dt": "0.01"},
+                "diagnostics": {}, "estimates": {"specs": "eq20", "trials": "2"},
+                "output": {"directory": str(tmp_path / "o")}}
+    sections[section][key] = value
+    path = tmp_path / "numeric.ini"
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                            for name, body in sections.items()))
+    return str(path)
+
+
+class TestNumericValues:
+    """Non-finite and out-of-range numbers are refused before any compute,
+    with exit code 1 and an error naming the key."""
+
+    @pytest.mark.parametrize("section,key,value,mode", [
+        ("model", "t_end", "nan", "simulate"), ("model", "t_end", "inf", "simulate"),
+        ("model", "dt", "nan", "simulate"), ("model", "dt", "inf", "simulate"),
+        ("model", "nu", "nan", "simulate"), ("model", "kappa", "nan", "simulate"),
+        ("model", "nu", "inf", "simulate"),
+        ("model", "amplitude_theta", "nan", "simulate"),
+        ("model", "amplitude_primary", "-inf", "simulate"),
+        ("model", "decay", "nan", "simulate"),
+        ("model", "cfl", "0", "simulate"), ("model", "cfl", "-1", "simulate"),
+        ("model", "cfl", "nan", "simulate"),
+        ("estimates", "trials", "0", "estimate"), ("estimates", "trials", "-3", "estimate"),
+        ("diagnostics", "rho", "nan", "ledger"),
+    ])
+    def test_refused_with_named_key(self, tmp_path, capsys, section, key, value, mode):
+        path = numeric_ini(tmp_path, section, key, value)
+        assert main(["--config", path, mode]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and key in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestSnapshotFormat:
     def test_round_trip_and_layout(self, tmp_path):
         g = make_grid(32, 2 * np.pi)
         f = random_scalar_field(g, 3, band=(0, 3))
         path = str(tmp_path / "s.fbl")
         write_snapshot(path, g, {"theta": f, "f": f})
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         assert blob[:4] == b"FBL1"
         assert int.from_bytes(blob[4:8], "little") == 32
         grid2, fields = read_snapshot(path)
@@ -144,8 +182,8 @@ class TestSnapshotFormat:
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "simulate"]) == EXIT_OK
         snap = os.path.join(out, "snap_000001.fbl")
-        blob = open(snap, "rb").read()
-        open(snap, "wb").write(blob[:cut])
+        blob = Path(snap).read_bytes()
+        Path(snap).write_bytes(blob[:cut])
         with pytest.raises(SnapshotFormatError, match="snap_000001"):
             read_snapshot(snap)
         replay = BASE_INI.format(out=str(tmp_path / "replay")) + f"\n[ledger]\nsnapshots_dir = {out}\n"
@@ -234,7 +272,7 @@ class TestSimulate:
         path = tmp_path / "zero.ini"
         path.write_text(ini)
         assert main(["--config", str(path), "simulate"]) == EXIT_OK
-        rows = open(tmp_path / "o" / "series.csv").read().strip().splitlines()
+        rows = Path(tmp_path / "o" / "series.csv").read_text().strip().splitlines()
         assert rows[0].startswith("t,theta_l2")
         for line in rows[1:]:
             vals = [float(x) for x in line.split(",")[1:]]
@@ -243,7 +281,7 @@ class TestSimulate:
     def test_series_columns_and_snapshots(self, tmp_path):
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "simulate"]) == EXIT_OK
-        header = open(os.path.join(out, "series.csv")).readline().strip().split(",")
+        header = Path(os.path.join(out, "series.csv")).read_text().splitlines()[0].strip().split(",")
         assert header == ["t", "theta_l2", "theta_linf", "f_l2", "f_l4", "f_l6",
                           "f_halfalpha_l2", "uf_linf", "grad_uf_linf", "f_besov"]
         assert os.path.exists(os.path.join(out, "snapshots.csv"))
@@ -257,20 +295,20 @@ class TestSimulate:
         path = tmp_path / "omega.ini"
         path.write_text(ini)
         assert main(["--config", str(path), "simulate"]) == EXIT_OK
-        rows = open(tmp_path / "o" / "series.csv").read().strip().splitlines()
+        rows = Path(tmp_path / "o" / "series.csv").read_text().strip().splitlines()
         assert len(rows) == 3 and rows[0].startswith("t,theta_l2")
-        assert json.load(open(tmp_path / "o" / "criteria.json"))
+        assert json.loads(Path(tmp_path / "o" / "criteria.json").read_text())
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         path1, out1 = write_ini(tmp_path, name="a.ini", out=str(tmp_path / "o1"))
         path2, out2 = write_ini(tmp_path, name="b.ini", out=str(tmp_path / "o2"))
         assert main(["--config", path1, "simulate"]) == EXIT_OK
         assert main(["--config", path2, "simulate"]) == EXIT_OK
-        s1 = open(os.path.join(out1, "series.csv"), "rb").read()
-        s2 = open(os.path.join(out2, "series.csv"), "rb").read()
+        s1 = Path(os.path.join(out1, "series.csv")).read_bytes()
+        s2 = Path(os.path.join(out2, "series.csv")).read_bytes()
         assert s1 == s2
-        snap1 = open(os.path.join(out1, "snap_000001.fbl"), "rb").read()
-        snap2 = open(os.path.join(out2, "snap_000001.fbl"), "rb").read()
+        snap1 = Path(os.path.join(out1, "snap_000001.fbl")).read_bytes()
+        snap2 = Path(os.path.join(out2, "snap_000001.fbl")).read_bytes()
         assert snap1 == snap2
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -278,8 +316,8 @@ class TestSimulate:
         path2, out2 = write_ini(tmp_path, name="b.ini", out=str(tmp_path / "o2"))
         assert main(["--config", path1, "simulate"]) == EXIT_OK
         assert main(["--config", path2, "--seed", "99", "simulate"]) == EXIT_OK
-        s1 = open(os.path.join(out1, "series.csv"), "rb").read()
-        s2 = open(os.path.join(out2, "series.csv"), "rb").read()
+        s1 = Path(os.path.join(out1, "series.csv")).read_bytes()
+        s2 = Path(os.path.join(out2, "series.csv")).read_bytes()
         assert s1 != s2
 
 
@@ -293,14 +331,14 @@ class TestLedgerCli:
         rpath.write_text(replay_ini)
         assert main(["--config", str(rpath), "ledger"]) == EXIT_OK
         for cid in ("l2", "l4", "l6"):
-            a = open(os.path.join(out, f"ledger_{cid}.csv"), "rb").read()
-            b = open(os.path.join(str(tmp_path / "replay"), f"ledger_{cid}.csv"), "rb").read()
+            a = Path(os.path.join(out, f"ledger_{cid}.csv")).read_bytes()
+            b = (tmp_path / "replay" / f"ledger_{cid}.csv").read_bytes()
             assert a == b
 
     def test_verdict_summary_written(self, tmp_path):
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "ledger"]) == EXIT_OK
-        summary = json.load(open(os.path.join(out, "ledger_verdicts.json")))
+        summary = json.loads(Path(os.path.join(out, "ledger_verdicts.json")).read_text())
         assert summary["domain"] == "torus"
         for cid in ("l2", "l4", "l6"):
             assert summary["configs"][cid]["pass"] is True
@@ -310,11 +348,11 @@ class TestEstimateCli:
     def test_artifacts_and_stability(self, tmp_path):
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "estimate"]) == EXIT_OK
-        summary = json.load(open(os.path.join(out, "estimates_summary.json")))
+        summary = json.loads(Path(os.path.join(out, "estimates_summary.json")).read_text())
         assert "never a universal verification" in summary["note"]
         assert set(summary["specs"]) == {"eq20", "g50"}
         for sid in ("eq20", "g50"):
-            body = open(os.path.join(out, f"est_{sid}.csv")).read().splitlines()
+            body = Path(os.path.join(out, f"est_{sid}.csv")).read_text().splitlines()
             assert body[0] == "spec_id,grid_n,trial,seed,ratio"
             assert len(body) == 1 + 3 * 2  # trials x grids
         assert os.path.exists(os.path.join(out, "lp_measurements.csv"))
@@ -322,7 +360,7 @@ class TestEstimateCli:
     def test_grid_flag_override(self, tmp_path):
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "--grids", "64", "estimate"]) == EXIT_OK
-        body = open(os.path.join(out, "est_eq20.csv")).read().splitlines()
+        body = Path(os.path.join(out, "est_eq20.csv")).read_text().splitlines()
         assert len(body) == 1 + 3
 
     def test_invalid_grid_flag(self, tmp_path):
@@ -364,7 +402,7 @@ directory = {out}
         path.write_text(ini.format(out=out))
         code = main(["--config", str(path), "simulate"])
         assert code == EXIT_NUMERICAL
-        text = open(os.path.join(out, "series.csv")).read()
+        text = Path(os.path.join(out, "series.csv")).read_text()
         assert "DIAGNOSTIC" in text
         assert text.startswith("t,theta_l2")
 

@@ -175,21 +175,48 @@ class TestSnapshotIndexFuzz:
 _INI_TOKENS = st.sampled_from([
     "[model]", "[estimates]", "[output]", "[diagnostics]", "[ledger]", "[DEFAULT]", "[",
     "n", "alpha", "dt", "seed", "cadence", "grids", "specs", "snapshots", "configs",
+    "t_end", "cfl", "rho", "amplitude_theta", "amplitude_primary", "decay", "trials", "nu", "kappa",
     "=", ":", " ", "  ", "\n", "\n", "\t", "%", "%(x)s", "%%", "#", ";",
-    "0.75", "64,128", "64,,x", "true", "maybe", "x", "-1", "1e400", "nan", "é",
+    "0.75", "64,128", "64,,x", "true", "maybe", "x", "-1", "0", "1e400", "nan", "inf", "-inf", "é",
 ])
 
 
 def parse_config(path, blob):
+    """Load and validate ``blob``: a config that loads either validates
+    or raises :class:`ConfigError`."""
     with open(path, "wb") as fh:
         fh.write(blob)
     try:
-        assert isinstance(load_config(path), RunConfig)
+        cfg = load_config(path)
     except ConfigError as exc:
         assert os.path.basename(path) in str(exc)
+        return
+    assert isinstance(cfg, RunConfig)
+    try:
+        cfg.validate()
+    except ConfigError:
+        pass
+
+
+_NUMERIC_KEYS = [("model", key) for key in ("t_end", "dt", "cfl", "nu", "kappa", "amplitude_theta",
+                                            "amplitude_primary", "decay")]
+_NUMERIC_KEYS += [("diagnostics", "rho"), ("estimates", "trials")]
 
 
 class TestConfigFuzz:
+    @FUZZ
+    @given(where=st.sampled_from(_NUMERIC_KEYS),
+           value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "0.5", "3"]))
+    def test_numeric_value(self, tmp_path, where, value):
+        # one numeric key set: the config validates, or the error names the key
+        section, key = where
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        try:
+            load_config(str(path)).validate()
+        except ConfigError as exc:
+            assert key in str(exc) or "c.ini" in str(exc)
+
     @FUZZ
     @given(text=st.lists(_INI_TOKENS, max_size=40).map("".join))
     def test_token_soup(self, tmp_path, text):

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fblab.ensembles import random_divfree_field, random_scalar_field
-from fblab.fields import SpectralField, multiply, nice_fft_size, pad_coef, pad_size, truncate_coef
+from fblab.ensembles import gaussian_bump_field, gaussian_dipole_field, random_divfree_field, random_scalar_field
+from fblab.fields import SpectralField, multiply, nice_fft_size, pad_size
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
 from fblab.model import ModelParams, scaled_velocity_split
-from fblab.norms import integral_product, l2_norm_sq, lp_norm, sobolev_norm
+from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, sobolev_norm
 from fblab.operators import MeanFreeError, biot_savart, curl, divergence, leray_project
 
-from oracles import hermitian_defect
+from oracles import (full_apply_multiplier, full_coef, full_inner, full_integral_product, full_lattice,
+                     full_multiply, full_physical_on, hermitian_defect, pad_coef)
 
 
 def unscaled_split(f, theta, alpha):
@@ -31,18 +32,22 @@ def dft_oracle(field, symbol_fn):
     over the active modes, on the grid points."""
     g = field.grid
     X, Y = g.meshgrid()
+    lattice, coef = full_lattice(g), full_coef(field)
     out = np.zeros((g.n, g.n), dtype=np.complex128)
-    idx = np.argwhere(np.abs(field.coef) > 0)
+    idx = np.argwhere(np.abs(coef) > 0)
     for i, j in idx:
-        kx, ky = g.kx[i, j], g.ky[i, j]
-        out += symbol_fn(kx, ky) * field.coef[i, j] * np.exp(1j * (kx * X + ky * Y))
+        kx, ky = lattice.kx[i, j], lattice.ky[i, j]
+        out += symbol_fn(kx, ky) * coef[i, j] * np.exp(1j * (kx * X + ky * Y))
     return out.real
 
 
 class TestGrid:
     def test_integer_wavenumbers_on_2pi_box(self):
         g = make_grid(8, TWO_PI)
-        assert sorted(g.mode_ints.tolist()) == [-4, -3, -2, -1, 0, 1, 2, 3]
+        # the rfft2 half lattice: all of k_1, and k_2 >= 0
+        assert g.kx.shape == g.ky.shape == g.kmag.shape == (8, 5)
+        assert g.kx[:, 0].tolist() == [0, 1, 2, 3, -4, -3, -2, -1]
+        assert g.ky[0].tolist() == [0, 1, 2, 3, 4]
         assert np.count_nonzero(g.kmag == 0) == 1
 
     def test_wavenumber_spacing(self):
@@ -70,6 +75,12 @@ class TestSpectralField:
         g = make_grid(32, TWO_PI)
         f = SpectralField.from_physical(g, np.random.default_rng(1).standard_normal((32, 32)))
         assert hermitian_defect(f) < 1e-13
+
+    def test_full_layout_refused(self):
+        g = make_grid(16, TWO_PI)
+        with pytest.raises(ValueError, match="half layout"):
+            SpectralField(g, np.zeros((16, 16), dtype=np.complex128))
+        assert SpectralField.zero(g).coef.shape == (16, 9)
 
     def test_immutability(self):
         g = make_grid(32, TWO_PI)
@@ -116,10 +127,11 @@ class TestMultipliers:
         # ten active mode pairs, symbol |k|^0.63, oracle = explicit DFT sum
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 42, band=(0, 3), decay=0.0)
-        keep = np.argsort(np.abs(f.coef).ravel())[::-1][:20]  # 10 conjugate pairs
-        coef = np.zeros_like(f.coef).ravel()
-        coef[keep] = f.coef.ravel()[keep]
-        f10 = SpectralField(g, coef.reshape(f.coef.shape))
+        full = full_coef(f)
+        keep = np.argsort(np.abs(full).ravel())[::-1][:20]  # 10 conjugate pairs
+        coef = np.zeros_like(full).ravel()
+        coef[keep] = full.ravel()[keep]
+        f10 = SpectralField(g, coef.reshape(full.shape)[:, :g.n // 2 + 1])
         out = apply_multiplier(f10, Multiplier.lambda_pow(0.63))
         expected = dft_oracle(f10, lambda kx, ky: np.hypot(kx, ky) ** 0.63 if (kx, ky) != (0, 0) else 0.0)
         assert np.max(np.abs(out.physical() - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
@@ -148,7 +160,7 @@ class TestMultipliers:
             out = apply_multiplier(f, spec)
             assert hermitian_defect(out) < 1e-13
             # the coefficients really encode a real field
-            raw = np.fft.ifft2(out.coef) * g.n**2
+            raw = np.fft.ifft2(full_coef(out)) * g.n**2
             assert np.max(np.abs(raw.imag)) < 1e-13 * max(1.0, np.max(np.abs(raw.real)))
 
     def test_sum_symbol(self):
@@ -325,7 +337,7 @@ class TestNorms:
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 13, band=(0, 4))
         s = 0.8
-        expected = np.sqrt(np.sum((g.kmag ** (2 * s)) * np.abs(f.coef) ** 2) * g.length**2)
+        expected = np.sqrt(np.sum((full_lattice(g).kmag ** (2 * s)) * np.abs(full_coef(f)) ** 2) * g.length**2)
         assert sobolev_norm(f, s, 2.0, homogeneous=True) == pytest.approx(expected, rel=1e-12)
 
     def test_negative_order_needs_mean_free(self):
@@ -385,54 +397,90 @@ class TestProductsAndProjection:
                     assert energy <= 1e-24 * total
 
 
-def complex_physical_on(field, m):
-    """Padded samples by the complex path: pad, ifft2, real part."""
-    return (np.fft.ifft2(pad_coef(field.coef, m)) * m**2).real
-
-
-def complex_multiply(a, b):
-    """Dealiased product by the complex path: pad both, ifft2, multiply,
-    fft2, truncate."""
-    n = a.grid.n
-    m = pad_size(n)
-    prod = complex_physical_on(a, m) * complex_physical_on(b, m)
-    return truncate_coef(np.fft.fft2(prod) / m**2, n)
-
-
 def rel_max(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
 def oracle_fields(n, seed):
-    """A band-limited field, a field whose Nyquist row and column are
-    nonzero, and a field with a non-Hermitian spectrum."""
+    """A band-limited field, white noise (nonzero Nyquist row and
+    column), a band-limited field plus explicit Nyquist row, column and
+    corner modes, and the Hermitian part of a random full spectrum."""
     g = make_grid(n, TWO_PI)
     rng = np.random.default_rng(seed)
     smooth = random_scalar_field(g, seed, band=(0, 3))
     nyquist = SpectralField.from_physical(g, rng.standard_normal((n, n)))
-    skew = SpectralField(g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return {"smooth": smooth, "nyquist": nyquist, "skew": skew}
+    sign = (-1.0) ** np.arange(n)
+    lines = (smooth.physical() + np.outer(sign, rng.standard_normal(n))
+             + np.outer(rng.standard_normal(n), sign) + 0.7 * np.outer(sign, sign))
+    full = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = SpectralField.from_physical(g, (np.fft.ifft2(full) * n**2).real)
+    return {"smooth": smooth, "nyquist": nyquist, "lines": SpectralField.from_physical(g, lines),
+            "skew": skew}
+
+
+ORACLE_SIZES = [16, 32, 64, 128, 256]
 
 
 class TestRealProductPath:
-    """The real transforms against the complex path they replace."""
+    """The rfft2 half layout against the full n-by-n layout of tests/oracles.py."""
 
-    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_multiply_matches_complex_path(self, n):
         fields = oracle_fields(n, seed=n)
         names = sorted(fields)
         for i, x in enumerate(names):
             for y in names[i:]:
                 a, b = fields[x], fields[y]
-                assert rel_max(multiply(a, b).coef, complex_multiply(a, b)) <= 1e-13, (x, y)
+                assert rel_max(full_coef(multiply(a, b)), full_multiply(a, b)) <= 1e-13, (x, y)
 
-    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_physical_on_matches_complex_path(self, n):
         for name, f in oracle_fields(n, seed=n + 1).items():
             for m in (n, pad_size(n), 2 * n, 4 * n):
                 got = f.physical_on(m)
                 assert got.dtype == np.float64
-                assert rel_max(got, complex_physical_on(f, m)) <= 1e-13, (name, m)
+                assert rel_max(got, full_physical_on(f, m)) <= 1e-13, (name, m)
+            assert rel_max(f.physical(), full_physical_on(f, n)) <= 1e-13, name
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_apply_multiplier_matches_full_layout(self, n):
+        specs = (Multiplier.lambda_pow(0.7), Multiplier.lambda_pow(-1.3), Multiplier.riesz(0.8),
+                 Multiplier.partial(1), Multiplier.inv_lap_perp_grad(0), Multiplier.smooth_bump(2),
+                 Multiplier.compose(Multiplier.lambda_pow(-0.5), Multiplier.partial(0)),
+                 Multiplier.sum(Multiplier.riesz(0.75), Multiplier.lambda_pow(0.0)))
+        for name, f in oracle_fields(n, seed=n + 3).items():
+            for spec in specs:
+                got = apply_multiplier(f, spec)
+                assert rel_max(full_coef(got), full_apply_multiplier(f, spec)) <= 1e-13, (name, spec)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_pairings_match_full_layout(self, n):
+        fields = oracle_fields(n, seed=n + 4)
+        for x, a in fields.items():
+            want = full_inner(a, a)
+            assert abs(l2_norm_sq(a) - want) <= 1e-13 * want, x
+            for y, b in fields.items():
+                scale = np.sqrt(want * full_inner(b, b))
+                assert abs(inner(a, b) - full_inner(a, b)) <= 1e-13 * scale, (x, y)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_constructors_are_hermitian(self, n):
+        # columns k_2 = 0 and n/2 hold both members of a conjugate pair
+        fields = oracle_fields(n, seed=n + 5)
+        g = fields["smooth"].grid
+        made = list(fields.values()) + [
+            SpectralField.zero(g),
+            random_scalar_field(g, (n, 1), band=(0, 4), decay=1.0, dealias_safe=False),
+            *random_divfree_field(g, (n, 2), band=(0, 4)),
+            gaussian_bump_field(g, (1.0, 2.0), 0.3),
+            gaussian_dipole_field(g, (1.0, 2.0), 0.5, 0.3),
+            multiply(fields["nyquist"], fields["lines"]),
+            apply_multiplier(fields["lines"], Multiplier.lambda_pow(0.7)),
+            apply_multiplier(fields["lines"], Multiplier.partial(0)),
+        ]
+        for f in made:
+            assert f.coef.shape == (n, n // 2 + 1)
+            assert hermitian_defect(f) <= 1e-15 * max(1.0, np.max(np.abs(f.coef)))
 
     def test_nyquist_line_is_split_not_dropped(self):
         # a plain slice of the padded spectrum loses the Nyquist column,
@@ -440,8 +488,8 @@ class TestRealProductPath:
         n = 64
         f = oracle_fields(n, seed=5)["nyquist"]
         m = pad_size(n)
-        plain = np.fft.irfft2(pad_coef(f.coef, m)[:, :m // 2 + 1], s=(m, m)) * m**2
-        want = complex_physical_on(f, m)
+        plain = np.fft.irfft2(pad_coef(full_coef(f), m)[:, :m // 2 + 1], s=(m, m)) * m**2
+        want = full_physical_on(f, m)
         assert rel_max(plain, want) > 1e-2
         assert rel_max(f.physical_on(m), want) <= 1e-13
 
@@ -455,12 +503,11 @@ class TestRealProductPath:
             m = nice_fft_size(int((P + 1) * n / 2) + 2)
             for x, a in fields.items():
                 for y, b in fields.items():
-                    av, bv = complex_physical_on(a, m), complex_physical_on(b, m)
-                    want = float(np.mean(av * bv**P) * TWO_PI**2)
+                    av, bv = full_physical_on(a, m), full_physical_on(b, m)
                     scale = float(np.mean(np.abs(av * bv**P)) * TWO_PI**2)
                     got = integral_product(a, b, P)
-                    assert abs(got - want) <= 1e-13 * scale, (x, y, P)
-                    assert b._bands[P].shape == (n + 1, n // 2 + 1)
+                    assert abs(got - full_integral_product(a, b, P, m)) <= 1e-13 * scale, (x, y, P)
+                    assert b._bands[P].shape == (n, n // 2 + 1)
         with pytest.raises(ValueError):
             integral_product(a, b, 0)
 
