@@ -93,6 +93,11 @@ class RunConfig:
         for cid in self.ledger_ids:
             if cid not in known_ledgers:
                 raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known_ledgers)}")
+            c = known_ledgers[cid]
+            if mode in (None, "ledger") and min(c.s, c.kappa) < 0:
+                raise ConfigError(f"rho = {self.rho!r} makes the derivative weights of ledger config "
+                                  f"{cid!r} negative (s = {c.s:g}, kappa = {c.kappa:g}); "
+                                  f"rho must not exceed beta/4 = {(1 - self.alpha) / 4:g}")
         if mode in (None, "estimate"):
             if self.trials < 1:
                 raise ConfigError(f"trials must be a positive integer, got {self.trials}")

@@ -9,6 +9,8 @@ supported in the ring 1/2 < |xi| < 2 and the scaled copies telescope,
 so the partition of unity holds exactly on 2^a <= r <= 2^b.  Block
 projections, low-pass aggregates and the paraproduct split are all plain
 multiplier applications; products inside the paraproduct are dealiased.
+The maximal function reads the window means of every dyadic radius from
+one table of periodic prefix sums.
 """
 
 from __future__ import annotations
@@ -186,28 +188,14 @@ def paraproduct_split(f: SpectralField, g: SpectralField, k: int,
 
     lowhigh = dyadic_block(multiply(fb.below(k - offset), gb.near(k)), k, part)
     highlow = dyadic_block(multiply(fb.near(k), gb.below(k + offset)), k, part)
-    hh_coef = np.zeros_like(f.coef)
-    for l in range(k + offset, part.jmax + 1):
-        hh_coef += multiply(fb.block(l), gb.near(l)).coef
-    highhigh = dyadic_block(SpectralField(f.grid, hh_coef), k, part)
+    high = range(k + offset, part.jmax + 1)
+    hh = (multiply(tuple(fb.block(l) for l in high), tuple(gb.near(l) for l in high))
+          if high else SpectralField.zero(f.grid))
+    highhigh = dyadic_block(hh, k, part)
     return lowhigh, highlow, highhigh
 
 
 # -- discrete Hardy-Littlewood maximal function --------------------------
-
-
-def _window_mean(absvals: np.ndarray, radius: int) -> np.ndarray:
-    """Mean of |f| over the periodic square window of half-width ``radius``."""
-    if radius == 0:
-        return absvals
-    side = 2 * radius + 1
-    padded = np.pad(absvals, radius, mode="wrap")
-    c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    n = absvals.shape[0]
-    total = (c[side:side + n, side:side + n] - c[:n, side:side + n]
-             - c[side:side + n, :n] + c[:n, :n])
-    return total / side**2
 
 
 def maximal_radii(n: int) -> List[int]:
@@ -222,13 +210,33 @@ def maximal_radii(n: int) -> List[int]:
 def maximal_function(values, grid: Grid | None = None) -> np.ndarray:
     """Discrete maximal function: the largest window average of |f| over
     square windows of dyadic half-width (0, 1, 2, 4, ... up to half the
-    box).  The half-width-0 window is the point itself, so M[f] >= |f|."""
+    box).  The half-width-0 window is the point itself, so M[f] >= |f|.
+
+    With R = n/2, the table T[a, b] (0 <= a, b <= 2n) sums |f| over rows
+    [-R, a - R) and columns [-R, b - R) of the periodic plane: its n-by-n
+    block is two cumulative sums of |f| rolled by R, the rest follows
+    from T[a + n, b] = T[a, b] + T[n, b] and likewise in b.  The window
+    of half-width r around (i, j) is the four-corner difference of T at
+    rows i + R - r, i + R + r + 1 and the same columns.
+    """
     if isinstance(values, SpectralField):
         values = values.physical()
-    absvals = np.abs(np.asarray(values, dtype=np.float64))
-    out = absvals.copy()
-    for r in maximal_radii(absvals.shape[0])[1:]:
-        np.maximum(out, _window_mean(absvals, r), out=out)
+    out = np.abs(np.asarray(values, dtype=np.float64))  # the half-width-0 window
+    n = out.shape[0]
+    big = n // 2
+    table = np.zeros((2 * n + 1, 2 * n + 1))
+    block = table[1:n + 1, 1:n + 1]
+    np.cumsum(np.roll(out, big, axis=(0, 1)), axis=0, out=block)
+    np.cumsum(block, axis=1, out=block)
+    np.add(table[:n + 1, 1:n + 1], table[:n + 1, n:n + 1], out=table[:n + 1, n + 1:])
+    np.add(table[1:n + 1], table[n], out=table[n + 1:])
+    for r in maximal_radii(n)[1:]:
+        lo, hi = big - r, big + r + 1
+        window = table[hi:hi + n, hi:hi + n] - table[lo:lo + n, hi:hi + n]
+        window -= table[hi:hi + n, lo:lo + n]
+        window += table[lo:lo + n, lo:lo + n]
+        window *= 1.0 / (2 * r + 1) ** 2
+        np.maximum(out, window, out=out)
     return out
 
 
@@ -249,17 +257,22 @@ def measure_block_domination(f: SpectralField, partition: DyadicPartition | None
     return worst
 
 
-def measure_fefferman_stein(blocks: List[np.ndarray], p: float, grid: Grid, r: float = 2.0) -> float:
-    """Ratio ||(sum_k (M g_k)^r)^(1/r)||_p / ||(sum_k |g_k|^r)^(1/r)||_p."""
+def measure_fefferman_stein(blocks: Sequence[np.ndarray], ps: Sequence[float], grid: Grid,
+                            r: float = 2.0) -> List[float]:
+    """Ratios ||(sum_k (M g_k)^r)^(1/r)||_p / ||(sum_k |g_k|^r)^(1/r)||_p,
+    one per p in ``ps``; the sums over the blocks are formed once."""
     num = np.zeros_like(blocks[0])
     den = np.zeros_like(blocks[0])
     for g in blocks:
         num += maximal_function(g, grid) ** r
         den += np.abs(g) ** r
     area = grid.length ** 2
-    lhs = (np.mean(num ** (p / r)) * area) ** (1.0 / p)
-    rhs = (np.mean(den ** (p / r)) * area) ** (1.0 / p)
-    return float(lhs / rhs) if rhs > 0 else 0.0
+    ratios = []
+    for p in ps:
+        lhs = (np.mean(num ** (p / r)) * area) ** (1.0 / p)
+        rhs = (np.mean(den ** (p / r)) * area) ** (1.0 / p)
+        ratios.append(float(lhs / rhs) if rhs > 0 else 0.0)
+    return ratios
 
 
 def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0,
@@ -275,6 +288,6 @@ def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0,
         f = random_scalar_field(grid, (seed, n), band=(0, 4), decay=1.0)
         rows.append(("block_domination", "", measure_block_domination(f, part), n, seed))
         blocks = [dyadic_block(f, j, part).physical() for j in part.levels]
-        for p in ps:
-            rows.append(("fefferman_stein", f"p={p}", measure_fefferman_stein(blocks, p, grid), n, seed))
+        for p, ratio in zip(ps, measure_fefferman_stein(blocks, ps, grid)):
+            rows.append(("fefferman_stein", f"p={p}", ratio, n, seed))
     return rows

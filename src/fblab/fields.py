@@ -18,7 +18,10 @@ conjugate: :func:`parseval`.
 
 Every product of fields is dealiased: both spectra are zero-padded to a
 grid 3/2 as fine (the 3/2 a.k.a. 2/3 rule), multiplied pointwise there
-and transformed back with ``rfft2`` and truncated.  On the padded
+and transformed back with ``rfft2`` and truncated.  A sum of products
+is one call: :func:`multiply` also takes two tuples of fields and
+accumulates their products on the padded grid, so the advection
+u_1 d_1 f + u_2 d_2 f costs one forward transform.  On the padded
 lattice the Nyquist lines of the n-lattice gain partners: the row
 k_1 = -n/2 is split evenly between -n/2 and +n/2, and the column
 k_2 = n/2 is halved, its other half being the implied conjugate at
@@ -222,20 +225,29 @@ def pad_size(n: int) -> int:
     return nice_fft_size(-(-n * 3 // 2))
 
 
-def multiply(a: SpectralField, b: SpectralField) -> SpectralField:
-    """Dealiased pointwise product of two fields.
+def multiply(a, b) -> SpectralField:
+    """Dealiased pointwise product of two fields, or the dealiased sum
+    a_0 b_0 + a_1 b_1 + ... of two equal-length tuples of fields.
 
     The product is evaluated on a zero-padded grid and truncated back, so
     every retained coefficient (|k_i| <= n/2 - 1) is the exact product
     coefficient: aliases of true product modes land outside the retained
-    band on the padded grid.  Each operand's padded samples are kept on it
-    for its next product.
+    band on the padded grid.  A sum of products is accumulated on the
+    padded grid and takes one forward transform, not one per term.  Each
+    operand's padded samples are kept on it for its next product.
     """
-    a._check_grid(b)
-    n = a.grid.n
+    if isinstance(a, SpectralField) and isinstance(b, SpectralField):
+        a, b = (a,), (b,)
+    if isinstance(a, SpectralField) or isinstance(b, SpectralField) or len(a) != len(b) or not a:
+        raise ValueError("multiply takes two fields or two equal-length, nonempty tuples of fields")
+    for x in (*a, *b):
+        a[0]._check_grid(x)
+    n = a[0].grid.n
     m = pad_size(n)
-    prod = _padded_samples(a, m) * _padded_samples(b, m)
-    return SpectralField(a.grid, _truncate(np.fft.rfft2(prod), n) / m**2)
+    acc = _padded_samples(a[0], m) * _padded_samples(b[0], m)
+    for x, y in zip(a[1:], b[1:]):
+        acc += _padded_samples(x, m) * _padded_samples(y, m)
+    return SpectralField(a[0].grid, _truncate(np.fft.rfft2(acc), n) / m**2)
 
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .fields import SpectralField, multiply
 from .multipliers import Multiplier, apply_multiplier
 
@@ -46,8 +44,7 @@ def curl(v: Velocity) -> SpectralField:
 
 def advect(v: Velocity, f: SpectralField) -> SpectralField:
     """v . grad(f) with alias-free products."""
-    fx, fy = gradient(f)
-    return multiply(v[0], fx) + multiply(v[1], fy)
+    return multiply(v, gradient(f))
 
 
 def biot_savart(omega: SpectralField) -> Velocity:
@@ -92,15 +89,3 @@ def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField,
         transported = advect(v, phi)
     first = SpectralField(phi.grid, transported.coef * sym)
     return first - advect(v, applied)
-
-
-def leray_project(v: Velocity) -> Velocity:
-    """Remove the gradient part: P = I - grad Delta^{-1} div."""
-    div = divergence(v)
-    grid = v[0].grid
-    with np.errstate(divide="ignore"):
-        inv = np.where(grid.kmag > 0, 1.0 / np.where(grid.kmag > 0, grid.ksq, 1.0), 0.0)
-    phi_coef = -div.coef * inv  # Delta phi = div v
-    phi = SpectralField(grid, phi_coef)
-    gx, gy = gradient(phi)
-    return v[0] - gx, v[1] - gy

@@ -4,7 +4,9 @@ None of these has a caller in ``fblab``: each is an independent route to
 a quantity the package computes another way (a second formula for f, the
 velocity-pressure form of the right-hand side, a Newton-refined sup, the
 full n-by-n spectrum layout), or a plain measure the tests compare with
-(relative L2 distance, Hermitian defect, block reconstruction).
+(relative L2 distance, Hermitian defect, block reconstruction), or a
+slower route the package replaced (the Leray projection, the per-radius
+window means of the maximal function).
 """
 
 import math
@@ -12,12 +14,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fblab.dyadic import BlockSet
+from fblab.dyadic import BlockSet, maximal_function, maximal_radii
 from fblab.fields import SpectralField, pad_size
 from fblab.model import ModelParams
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
-from fblab.operators import Velocity, advect, check_alpha, leray_project
+from fblab.operators import Velocity, advect, check_alpha, divergence, gradient
 
 
 def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
@@ -98,6 +100,18 @@ def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralFi
     beta = 1.0 - alpha
     op = Multiplier.compose(Multiplier.lambda_pow(beta - 2 * alpha), Multiplier.partial(0))
     return g - apply_multiplier(theta, op)
+
+
+def leray_project(v: Velocity) -> Velocity:
+    """Remove the gradient part: P = I - grad Delta^{-1} div."""
+    div = divergence(v)
+    grid = v[0].grid
+    with np.errstate(divide="ignore"):
+        inv = np.where(grid.kmag > 0, 1.0 / np.where(grid.kmag > 0, grid.ksq, 1.0), 0.0)
+    phi_coef = -div.coef * inv  # Delta phi = div v
+    phi = SpectralField(grid, phi_coef)
+    gx, gy = gradient(phi)
+    return v[0] - gx, v[1] - gy
 
 
 def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams):
@@ -205,3 +219,43 @@ def full_integral_product(a: SpectralField, b: SpectralField, power: int, m: int
     """integral(a * b**power) by the rectangle rule on the m-grid."""
     av, bv = full_physical_on(a, m), full_physical_on(b, m)
     return float(np.mean(av * bv**power)) * a.grid.length ** 2
+
+
+# -- the per-radius maximal function -------------------------------------------
+
+
+def window_mean(absvals: np.ndarray, radius: int) -> np.ndarray:
+    """Mean of |f| over the periodic square window of half-width ``radius``,
+    from its own wrap-padded prefix-sum table."""
+    if radius == 0:
+        return absvals
+    side = 2 * radius + 1
+    padded = np.pad(absvals, radius, mode="wrap")
+    c = np.cumsum(np.cumsum(padded, axis=0), axis=1)
+    c = np.pad(c, ((1, 0), (1, 0)))
+    n = absvals.shape[0]
+    total = (c[side:side + n, side:side + n] - c[:n, side:side + n]
+             - c[side:side + n, :n] + c[:n, :n])
+    return total / side**2
+
+
+def maximal_function_per_radius(values: np.ndarray) -> np.ndarray:
+    """The dyadic maximal function with one table per half-width."""
+    absvals = np.abs(np.asarray(values, dtype=np.float64))
+    out = absvals.copy()
+    for r in maximal_radii(absvals.shape[0])[1:]:
+        np.maximum(out, window_mean(absvals, r), out=out)
+    return out
+
+
+def fefferman_stein_per_p(blocks, p: float, grid, r: float = 2.0) -> float:
+    """The Fefferman-Stein ratio of one p, its block sums formed for it alone."""
+    num = np.zeros_like(blocks[0])
+    den = np.zeros_like(blocks[0])
+    for g in blocks:
+        num += maximal_function(g, grid) ** r
+        den += np.abs(g) ** r
+    area = grid.length ** 2
+    lhs = (np.mean(num ** (p / r)) * area) ** (1.0 / p)
+    rhs = (np.mean(den ** (p / r)) * area) ** (1.0 / p)
+    return float(lhs / rhs) if rhs > 0 else 0.0

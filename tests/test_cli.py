@@ -154,6 +154,7 @@ class TestNumericValues:
         ("model", "cfl", "nan", "simulate"),
         ("estimates", "trials", "0", "estimate"), ("estimates", "trials", "-3", "estimate"),
         ("diagnostics", "rho", "nan", "ledger"),
+        ("diagnostics", "rho", "0.2", "ledger"), ("diagnostics", "rho", "1e6", "ledger"),
     ])
     def test_refused_with_named_key(self, tmp_path, capsys, section, key, value, mode):
         path = numeric_ini(tmp_path, section, key, value)

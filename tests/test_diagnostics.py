@@ -301,8 +301,8 @@ class TestOnePass:
                     assert row.terms[name] == abs(row.signed[name])
 
     def test_op_counts_do_not_grow_with_configs(self, monkeypatch):
-        # per state: four advections per velocity (u, u_F, u_Theta), two
-        # products each; the commutators reuse the u.grad Theta of I5
+        # per state: four advections per velocity (u, u_F, u_Theta), one
+        # sum-of-products call each; the commutators reuse the u.grad Theta of I5
         counts = {"advect": 0, "multiply": 0}
 
         def counting(name, fn):
@@ -320,7 +320,7 @@ class TestOnePass:
             counts.update(advect=0, multiply=0)
             rows = energy_terms(hybrid_state(n=32), chosen)
             assert len(rows) == len(chosen)
-            assert counts == {"advect": 12, "multiply": 24}
+            assert counts == {"advect": 12, "multiply": 12}
 
     def test_rejects_any_bad_config(self):
         good = ledger_configs(ALPHA)["l2"]

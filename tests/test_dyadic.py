@@ -18,7 +18,8 @@ from fblab.grid import make_grid
 from fblab.multipliers import upsilon, zeta
 from fblab.norms import inner, l2_norm_sq, lp_norm
 
-from oracles import full_coef, full_lattice, reconstruct
+from oracles import (fefferman_stein_per_p, full_coef, full_lattice, maximal_function_per_radius,
+                     reconstruct)
 
 TWO_PI = 2 * np.pi
 
@@ -198,6 +199,24 @@ class TestParaproduct:
         scale = max(np.max(np.abs(multiply(f, h).coef)), 1e-300)
         assert np.max(np.abs(total.coef - target.coef)) / scale < 1e-11
 
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_high_high_sum_matches_per_level_products(self, offset):
+        # offset 10 leaves the high-high range empty on these grids; small
+        # offsets fill it, one sum-of-products call against one product a level
+        g = make_grid(128, TWO_PI)
+        part = build_partition(g)
+        f = random_scalar_field(g, 16, band=(0, 5), decay=0.5)
+        h = random_scalar_field(g, 17, band=(0, 5), decay=0.5)
+        fb, hb = BlockSet(f, part, offset), BlockSet(h, part, offset)
+        scale = np.max(np.abs(multiply(f, h).coef))
+        for k in part.levels:
+            _, _, hh = paraproduct_split(f, h, k, offset=offset, partition=part)
+            coef = np.zeros_like(f.coef)
+            for l in range(k + offset, part.jmax + 1):
+                coef += multiply(fb.block(l), hb.near(l)).coef
+            want = dyadic_block(SpectralField(g, coef), k, part)
+            assert np.max(np.abs(hh.coef - want.coef)) <= 1e-13 * scale, k
+
     def test_out_of_range_level(self):
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 11, band=(0, 3))
@@ -205,7 +224,38 @@ class TestParaproduct:
             paraproduct_split(f, f, 99)
 
 
+def maximal_inputs(n, seed):
+    """A constant, white noise, |f|^4 and |f|^(4/3) of a smooth field,
+    and a single spike."""
+    g = make_grid(n, TWO_PI)
+    smooth = random_scalar_field(g, seed, band=(0, 3)).physical()
+    spike = np.zeros((n, n))
+    spike[n // 3, n // 5] = 7.0
+    return {"constant": np.full((n, n), -2.5),
+            "noise": np.random.default_rng(seed).standard_normal((n, n)),
+            "q4": np.abs(smooth) ** 4, "q4_3": np.abs(smooth) ** (4 / 3), "spike": spike}
+
+
 class TestMaximalFunction:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_matches_per_radius_oracle(self, n):
+        for name, f in maximal_inputs(n, n).items():
+            want = maximal_function_per_radius(f)
+            assert np.max(np.abs(maximal_function(f) - want) / want) <= 1e-10, name
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([8, 16, 32, 64]), seed=st.integers(0, 10_000),
+           shift=st.tuples(st.integers(-70, 70), st.integers(-70, 70)),
+           power=st.sampled_from([1.0, 4 / 3, 4.0]))
+    def test_commutes_with_translation_and_dominates(self, n, seed, shift, power):
+        noise = np.random.default_rng(seed).standard_normal((n, n))
+        f = np.sign(noise) * np.abs(noise) ** power
+        m = maximal_function(f)
+        assert np.all(m >= np.abs(f))
+        moved = maximal_function(np.roll(f, shift, axis=(0, 1)))
+        want = np.roll(m, shift, axis=(0, 1))
+        assert np.max(np.abs(moved - want) / want) <= 1e-10
+
     def test_constant(self):
         g = make_grid(64, TWO_PI)
         m = maximal_function(np.full((64, 64), -3.0), g)
@@ -240,10 +290,20 @@ class TestMaximalFunction:
             part = build_partition(g)
             f = random_scalar_field(g, 15, band=(0, 4), decay=0.5)
             blocks = [dyadic_block(f, j, part).physical() for j in part.levels]
-            vals[n] = {p: measure_fefferman_stein(blocks, p, g) for p in (1.5, 2.0, 4.0)}
+            vals[n] = dict(zip((1.5, 2.0, 4.0), measure_fefferman_stein(blocks, (1.5, 2.0, 4.0), g)))
         for p in (1.5, 2.0, 4.0):
             assert np.isfinite(vals[64][p]) and vals[64][p] > 0
             assert vals[128][p] <= 2.0 * vals[64][p]
+
+    def test_fefferman_stein_all_p_matches_per_p(self):
+        ps = (1.5, 2.0, 4.0, 6.0)
+        for n in (64, 128):
+            g = make_grid(n, TWO_PI)
+            part = build_partition(g)
+            f = random_scalar_field(g, 18, band=(0, 4), decay=0.5)
+            blocks = [dyadic_block(f, j, part).physical() for j in part.levels]
+            assert measure_fefferman_stein(blocks, ps, g) == [fefferman_stein_per_p(blocks, p, g) for p in ps]
+            assert measure_fefferman_stein(blocks, (), g) == []
 
     def test_measurement_rows_shape(self):
         rows = measurement_rows((64,), seed=3)

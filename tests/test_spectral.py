@@ -14,10 +14,10 @@ from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
 from fblab.model import ModelParams, scaled_velocity_split
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, sobolev_norm
-from fblab.operators import MeanFreeError, biot_savart, curl, divergence, leray_project
+from fblab.operators import MeanFreeError, advect, biot_savart, curl, divergence
 
 from oracles import (full_apply_multiplier, full_coef, full_inner, full_integral_product, full_lattice,
-                     full_multiply, full_physical_on, hermitian_defect, pad_coef)
+                     full_multiply, full_physical_on, hermitian_defect, leray_project, pad_coef)
 
 
 def unscaled_split(f, theta, alpha):
@@ -432,6 +432,44 @@ class TestRealProductPath:
             for y in names[i:]:
                 a, b = fields[x], fields[y]
                 assert rel_max(full_coef(multiply(a, b)), full_multiply(a, b)) <= 1e-13, (x, y)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_sum_of_products_matches_single_products(self, n):
+        fields = oracle_fields(n, seed=n + 6)
+        c = fields["nyquist"]
+        for x, a in fields.items():
+            for y, b in fields.items():
+                want = multiply(a, b).coef + multiply(b, c).coef
+                got = multiply((a, b), (b, c)).coef
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (x, y)
+        assert np.array_equal(multiply((a,), (b,)).coef, multiply(a, b).coef)
+
+    def test_sum_of_products_refuses_unpaired_operands(self):
+        fields = oracle_fields(16, seed=7)
+        a, b = fields["smooth"], fields["nyquist"]
+        for left, right in (((a, b), (b,)), ((), ()), (a, (b,)), ((a,), b)):
+            with pytest.raises(ValueError):
+                multiply(left, right)
+        with pytest.raises(ValueError):
+            multiply((a, b), (b, oracle_fields(32, seed=7)["smooth"]))
+
+    def test_one_forward_transform_per_advection(self, monkeypatch):
+        g = make_grid(64, TWO_PI)
+        v = random_divfree_field(g, 3, band=(0, 4))
+        phis = [random_scalar_field(g, seed, band=(0, 4)) for seed in (4, 5, 6)]
+        calls = []
+
+        def counted(name, transform):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+            return wrapper
+
+        for name in ("rfft2", "rfftn", "fft2", "fftn"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        for phi in phis:
+            advect(v, phi)
+        assert calls == ["rfft2"] * len(phis)
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_physical_on_matches_complex_path(self, n):
