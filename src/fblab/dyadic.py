@@ -207,7 +207,7 @@ def maximal_radii(n: int) -> List[int]:
     return radii
 
 
-def maximal_function(values, grid: Grid | None = None) -> np.ndarray:
+def maximal_function(values) -> np.ndarray:
     """Discrete maximal function: the largest window average of |f| over
     square windows of dyadic half-width (0, 1, 2, 4, ... up to half the
     box).  The half-width-0 window is the point itself, so M[f] >= |f|.
@@ -264,7 +264,7 @@ def measure_fefferman_stein(blocks: Sequence[np.ndarray], ps: Sequence[float], g
     num = np.zeros_like(blocks[0])
     den = np.zeros_like(blocks[0])
     for g in blocks:
-        num += maximal_function(g, grid) ** r
+        num += maximal_function(g) ** r
         den += np.abs(g) ** r
     area = grid.length ** 2
     ratios = []

@@ -6,7 +6,9 @@ estimate.  A :class:`SpectralField` stores normalized Fourier-series
 coefficients c_k, defined so that f(x) = sum_k c_k exp(i k.x), in the
 ``rfft2`` half layout: an n-by-(n/2+1) array whose rows are
 k_1 = 0..n/2-1, -n/2..-1 and whose columns are k_2 = 0..n/2.  So
-``coef = rfft2(samples) / n**2`` and ``samples = n**2 * irfft2(coef)``.
+``coef = rfft2(samples) / n**2`` and ``samples = n**2 * irfft2(coef)``;
+every transform here folds that scale into the FFT (``norm="forward"``)
+rather than making a separate pass over the array.
 The modes with k_2 < 0 are the conjugates of the stored ones, so a field
 is Hermitian by construction.  The coefficient array is marked
 read-only, so all operations are pure functions and safe to run
@@ -72,7 +74,7 @@ class SpectralField:
             raise ValueError(f"sample array shape {values.shape} does not match grid n={grid.n}")
         if np.iscomplexobj(values):
             raise ValueError("fields are real; got complex samples")
-        return cls(grid, np.fft.rfft2(values) / grid.n**2)
+        return cls(grid, np.fft.rfft2(values, norm="forward"))
 
     @classmethod
     def zero(cls, grid: Grid) -> "SpectralField":
@@ -84,7 +86,7 @@ class SpectralField:
         """Grid samples; cached after the first inverse transform."""
         if self._physical is None:
             n = self.grid.n
-            out = np.fft.irfft2(self.coef, s=(n, n)) * n**2
+            out = np.fft.irfft2(self.coef, s=(n, n), norm="forward")
             out.setflags(write=False)
             self._physical = out
         return self._physical
@@ -93,7 +95,7 @@ class SpectralField:
         """Samples of the same trigonometric polynomial on a finer m-grid."""
         if m == self.grid.n:
             return self.physical()
-        return np.fft.irfft2(_pad(self.coef, m), s=(m, m)) * m**2
+        return np.fft.irfft2(_pad(self.coef, m), s=(m, m), norm="forward")
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
@@ -196,10 +198,9 @@ def power_band(field: SpectralField, power: int) -> np.ndarray:
         sampled = values
         for _ in range(power - 1):  # repeated products: ndarray ** k calls pow, ~30x slower
             sampled = sampled * values
-        spec = np.fft.rfft2(sampled)
+        spec = np.fft.rfft2(sampled, norm="forward")
         band = np.concatenate((spec[:h + 1, :h + 1], spec[m - h + 1:, :h + 1]))
         band[h, :h] = 0.5 * (band[h, :h] + spec[m - h, :h])
-        band /= m**2
         band.setflags(write=False)
         field._bands[power] = band
     return band
@@ -247,7 +248,7 @@ def multiply(a, b) -> SpectralField:
     acc = _padded_samples(a[0], m) * _padded_samples(b[0], m)
     for x, y in zip(a[1:], b[1:]):
         acc += _padded_samples(x, m) * _padded_samples(y, m)
-    return SpectralField(a[0].grid, _truncate(np.fft.rfft2(acc), n) / m**2)
+    return SpectralField(a[0].grid, _truncate(np.fft.rfft2(acc, norm="forward"), n))
 
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:

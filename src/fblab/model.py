@@ -22,14 +22,22 @@ lives in :class:`ModelParams`, and eps0 = 1 gives the equation above.
 :func:`nonlinear` is the one definition of these source terms.  It
 evaluates the two temperature commutators as one, [C, u.grad] theta with
 C the eps0-weighted sum of their operators, since a commutator is linear
-in its operator.
+in its operator.  Transport is linear in the transported field, so the
+advection of f rides in the commutator's second advection:
+
+    -a u.grad f + [C, u.grad] theta = C(u.grad theta) - u.grad(C theta + a f),
+
+and u.grad theta is the temperature equation's own transport term.  A
+stage costs two advections.
 
 Stepping the hybrid form requires nu = kappa = 1 (the change of
 variables mixes the two dissipations); :func:`hybrid_terms` checks it.
 An ``f`` state of any parameters can still be built and converted, which
 the diagnostics of a vorticity run rely on.  Dissipation is integrated exactly through an
 integrating-factor RK4 step; advection and source terms are treated
-explicitly with alias-free products.
+explicitly with alias-free products.  The symbols a stage uses and the
+four propagators of the step are built once per :func:`integrate` call
+(:class:`StepOperators`) and dropped with it.
 
 A single trajectory advances sequentially; independent trajectories
 (parameter sweeps, seed families) share no mutable state and can run in
@@ -46,7 +54,7 @@ import numpy as np
 
 from .fields import SpectralField
 from .grid import Grid
-from .multipliers import Multiplier, apply_multiplier
+from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import l2_norm_sq
 from .operators import (Velocity, advect, biot_savart, check_alpha, commutator_apply,
                         require_mean_free, temperature_vorticity_operator)
@@ -149,8 +157,8 @@ def convert_state(state: SimState, tag: str) -> SimState:
 # -- velocity reconstruction ----------------------------------------------
 
 
-def scaled_velocity_split(f: SpectralField, theta: SpectralField,
-                          params: ModelParams) -> Tuple[Velocity, Velocity]:
+def scaled_velocity_split(f: SpectralField, theta: SpectralField, params: ModelParams,
+                          symbols: Optional[SymbolTable] = None) -> Tuple[Velocity, Velocity]:
     """Velocity split (U_F, U_Theta) of the hybrid formulation.
 
     u_f = grad_perp Delta^{-1} f carries the hybrid variable and
@@ -158,26 +166,27 @@ def scaled_velocity_split(f: SpectralField, theta: SpectralField,
     the temperature.  Substituting t -> eps0^beta t, x -> eps0 x into the
     stream-function inversion gives U_F = eps0^{-1} grad_perp Delta^{-1} F
     and rescales the two temperature factors by eps0^{beta-1} and
-    eps0^{2beta-alpha-1}; with eps0 = 1 the factors are 1.
+    eps0^{2beta-alpha-1}; with eps0 = 1 the factors are 1.  Symbols come
+    from ``symbols`` if given.
     """
     a, b, e = params.alpha, params.beta, params.eps0
     require_mean_free(f, "hybrid variable")
-    uf = biot_savart(f)
+    uf = biot_savart(f, symbols)
     uf = (uf[0] * (1.0 / e), uf[1] * (1.0 / e))
-    riesz_part = apply_multiplier(theta, Multiplier.riesz(a)) * e ** (b - 1.0)
+    riesz_part = apply_multiplier(theta, Multiplier.riesz(a), symbols) * e ** (b - 1.0)
     tail_op = Multiplier.compose(Multiplier.partial(0), Multiplier.lambda_pow(b - 2 * a))
-    tail_part = apply_multiplier(theta, tail_op) * e ** (2 * b - a - 1.0)
+    tail_part = apply_multiplier(theta, tail_op, symbols) * e ** (2 * b - a - 1.0)
     contrib = riesz_part + tail_part
-    ut = (apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(0)),
-          apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(1)))
+    ut = (apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(0), symbols),
+          apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(1), symbols))
     return uf, ut
 
 
-def state_velocity(state: SimState) -> Velocity:
+def state_velocity(state: SimState, symbols: Optional[SymbolTable] = None) -> Velocity:
     """Full advecting velocity for either formulation."""
     if state.tag == "omega":
-        return biot_savart(state.primary)
-    uf, ut = scaled_velocity_split(state.primary, state.theta, state.params)
+        return biot_savart(state.primary, symbols)
+    uf, ut = scaled_velocity_split(state.primary, state.theta, state.params, symbols)
     return uf[0] + ut[0], uf[1] + ut[1]
 
 
@@ -219,26 +228,33 @@ def hybrid_terms(params: ModelParams) -> HybridTerms:
     )
 
 
-def nonlinear(state: SimState, u: Optional[Velocity] = None) -> Tuple[SpectralField, SpectralField]:
+def nonlinear(state: SimState, u: Optional[Velocity] = None,
+              symbols: Optional[SymbolTable] = None) -> Tuple[SpectralField, SpectralField]:
     """Everything except the stiff fractional dissipation.
 
-    ``u`` is the state's velocity if the caller has already built it.  In
-    the ``f`` form the two temperature commutators are evaluated as one,
-    with the merged operator of :meth:`HybridTerms.commutator`, and the
-    commutator reuses u.grad theta of the temperature equation.
+    ``u`` is the state's velocity if the caller has already built it, and
+    symbols come from ``symbols`` if given.  In the ``f`` form the two
+    temperature commutators are evaluated as one, with the merged
+    operator C of :meth:`HybridTerms.commutator`; the commutator reuses
+    T = u.grad theta of the temperature equation and carries a f, a the
+    advection weight, through its second advection:
+    -a u.grad f + [C, u.grad] theta = C T - u.grad(C theta + a f).
+    Two advections a call.
     """
     if u is None:
-        u = state_velocity(state)
+        u = state_velocity(state, symbols)
+    th = state.theta
     if state.tag == "omega":
-        dP = -advect(u, state.primary) + apply_multiplier(state.theta, Multiplier.partial(0))
-        dT = -advect(u, state.theta)
+        dP = (-advect(u, state.primary, symbols)
+              + apply_multiplier(th, Multiplier.partial(0), symbols))
+        dT = -advect(u, th, symbols)
         return dP, dT
-    h, th = hybrid_terms(state.params), state.theta
+    h = hybrid_terms(state.params)
     w_lin, lin = h.linear
-    transported = advect(u, th)
-    dP = (-h.advect * advect(u, state.primary)
-          + w_lin * apply_multiplier(th, lin)
-          + commutator_apply(h.commutator(), u, th, transported))
+    transported = advect(u, th, symbols)
+    dP = (w_lin * apply_multiplier(th, lin, symbols)
+          + commutator_apply(h.commutator(), u, th, transported,
+                             carry=h.advect * state.primary, symbols=symbols))
     dT = -h.advect * transported
     return dP, dT
 
@@ -279,15 +295,42 @@ def _check_finite(state: SimState):
             raise IntegrationBlowupError(state.time, f"{name} coefficients are not finite")
 
 
+@dataclass(frozen=True)
+class StepOperators:
+    """What every step of one run reuses, built once per (grid, params,
+    tag, dt): the table of the stages' symbols, each built on first use,
+    and the four integrating-factor propagators exp(-dt c |k|^order), for
+    the primary field and theta over half and full steps."""
+
+    key: Tuple
+    symbols: SymbolTable
+    half: Tuple[np.ndarray, np.ndarray]
+    full: Tuple[np.ndarray, np.ndarray]
+
+
+def step_operators(state: SimState, dt: float) -> StepOperators:
+    """The :class:`StepOperators` of steps of size dt from states like ``state``."""
+    grid = state.grid
+    cP, ordP, cT, ordT = _dissipation_rates(state)
+    half = (np.exp(-0.5 * dt * cP * grid.kmag**ordP), np.exp(-0.5 * dt * cT * grid.kmag**ordT))
+    full = (half[0]**2, half[1]**2)
+    for arr in (*half, *full):
+        arr.setflags(write=False)
+    return StepOperators((grid, state.params, state.tag, dt), SymbolTable(grid), half, full)
+
+
 def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = True,
          accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None,
-         totals: Optional[Dict[str, float]] = None) -> SimState:
+         totals: Optional[Dict[str, float]] = None,
+         operators: Optional[StepOperators] = None) -> SimState:
     """One integrating-factor RK4 step.
 
     The linear dissipation is propagated exactly by exp(-dt c |k|^order)
     on each component; the remaining terms go through classical RK4.
     Optional accumulators integrate scalar functionals of the four stage
     states alongside (RK4-consistent quadrature), adding into ``totals``.
+    ``operators`` are the :func:`step_operators` of (state, dt) that the
+    caller reuses across steps; a call without them builds its own.
 
     Negative dt is allowed only when both dissipation coefficients are
     zero (the inviscid substep is time-reversible; the dissipative
@@ -297,47 +340,46 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
         raise ValueError("dt must be nonzero")
     if dt < 0 and (state.params.nu != 0 or state.params.kappa != 0):
         raise ValueError("backward steps are only meaningful for the inviscid system")
+    if operators is None:
+        operators = step_operators(state, dt)
+    elif operators.key != (state.grid, state.params, state.tag, dt):
+        raise ValueError("step operators were built for another grid, model, formulation or dt")
+    symbols = operators.symbols
     _check_finite(state)
     u0 = None
     if enforce_cfl:
-        u0 = state_velocity(state)  # shared with stage 1
+        u0 = state_velocity(state, symbols)  # shared with stage 1
         limit = cfl_limit(state, cfl_c, u0)
         if abs(dt) > limit * (1 + 1e-9):
             raise StabilityError(f"dt={dt:g} exceeds the advective/dissipative guard {limit:g}")
 
     grid = state.grid
-    cP, ordP, cT, ordT = _dissipation_rates(state)
-    eP_half = np.exp(-0.5 * dt * cP * grid.kmag**ordP)
-    eT_half = np.exp(-0.5 * dt * cT * grid.kmag**ordT)
-    eP_full = eP_half**2
-    eT_full = eT_half**2
 
     def wrap(pc, tc, t) -> SimState:
         return SimState(t, SpectralField(grid, tc), SpectralField(grid, pc), state.tag, state.params)
 
     def prop(coef_pair, half: bool):
-        ep = eP_half if half else eP_full
-        et = eT_half if half else eT_full
+        ep, et = operators.half if half else operators.full
         return coef_pair[0] * ep, coef_pair[1] * et
 
     p0, t0 = state.primary.coef, state.theta.coef
     s0 = state
 
-    k1 = nonlinear(s0, u0)
+    k1 = nonlinear(s0, u0, symbols)
     del u0  # its samples are not held through stages 2-4
     a_p, a_t = prop((p0 + 0.5 * dt * k1[0].coef, t0 + 0.5 * dt * k1[1].coef), half=True)
     s_a = wrap(a_p, a_t, state.time + 0.5 * dt)
 
-    k2 = nonlinear(s_a)
+    k2 = nonlinear(s_a, symbols=symbols)
     hp, ht = prop((p0, t0), half=True)
     s_b = wrap(hp + 0.5 * dt * k2[0].coef, ht + 0.5 * dt * k2[1].coef, state.time + 0.5 * dt)
 
-    k3 = nonlinear(s_b)
+    k3 = nonlinear(s_b, symbols=symbols)
     k3p_half, k3t_half = prop((k3[0].coef, k3[1].coef), half=True)
     fp, ft = prop((p0, t0), half=False)
     s_c = wrap(fp + dt * k3p_half, ft + dt * k3t_half, state.time + dt)
 
-    k4 = nonlinear(s_c)
+    k4 = nonlinear(s_c, symbols=symbols)
     k1p_full, k1t_full = prop((k1[0].coef, k1[1].coef), half=False)
     k2p_half, k2t_half = prop((k2[0].coef, k2[1].coef), half=True)
     new_p = fp + dt / 6.0 * (k1p_full + 2.0 * k2p_half + 2.0 * k3p_half + k4[0].coef)
@@ -371,7 +413,8 @@ class Trajectory:
 def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: float = 0.4,
               cadence: int = 1,
               accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None) -> Trajectory:
-    """Advance to t_end, storing every ``cadence``-th state (and always the last)."""
+    """Advance to t_end, storing every ``cadence``-th state (and always the
+    last).  Every step reuses one :class:`StepOperators`."""
     if dt is None:
         dt = cfl_limit(state, cfl_c)
         if not np.isfinite(dt) or dt <= 0:
@@ -381,8 +424,10 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
     totals: Dict[str, float] = {name: 0.0 for name in (accumulators or {})}
     traj = Trajectory(states=[state], integrals=[dict(totals)])
     current = state
+    operators = step_operators(state, dt)
     for i in range(n_steps):
-        current = step(current, dt, cfl_c=cfl_c, accumulators=accumulators, totals=totals)
+        current = step(current, dt, cfl_c=cfl_c, accumulators=accumulators, totals=totals,
+                       operators=operators)
         if (i + 1) % cadence == 0 or i == n_steps - 1:
             traj.states.append(current)
             traj.integrals.append(dict(totals))

@@ -14,7 +14,7 @@ lattice, and dropping it keeps discrete summation by parts exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -202,7 +202,37 @@ class Multiplier:
         return sym
 
 
-def apply_multiplier(field: SpectralField, spec: Multiplier) -> SpectralField:
+class SymbolTable:
+    """The symbols of one grid, each built on first use and then reused.
+
+    A table belongs to the call that makes it (``model.integrate`` makes
+    one per run, a lone ``model.step`` its own) and is dropped with it;
+    nothing is cached module-wide.  Its arrays are read-only.
+    """
+
+    __slots__ = ("grid", "_symbols")
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._symbols = {}
+
+    def symbol(self, spec: Multiplier, grid: Grid) -> np.ndarray:
+        if grid != self.grid:
+            raise ValueError("the symbol table belongs to another grid")
+        sym = self._symbols.get(spec)
+        if sym is None:
+            sym = spec.symbol(grid)
+            sym.setflags(write=False)
+            self._symbols[spec] = sym
+        return sym
+
+
+def symbol_of(spec: Multiplier, grid: Grid, symbols: Optional[SymbolTable] = None) -> np.ndarray:
+    """The symbol of ``spec`` on ``grid``, from ``symbols`` if given."""
+    return spec.symbol(grid) if symbols is None else symbols.symbol(spec, grid)
+
+
+def apply_multiplier(field: SpectralField, spec: Multiplier,
+                     symbols: Optional[SymbolTable] = None) -> SpectralField:
     """Coefficientwise product with the symbol."""
-    sym = spec.symbol(field.grid)
-    return SpectralField(field.grid, field.coef * sym)
+    return SpectralField(field.grid, field.coef * symbol_of(spec, field.grid, symbols))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .fields import SpectralField, multiply
-from .multipliers import Multiplier, apply_multiplier
+from .multipliers import Multiplier, SymbolTable, apply_multiplier, symbol_of
 
 Velocity = Tuple[SpectralField, SpectralField]
 
@@ -29,8 +29,8 @@ def require_mean_free(field: SpectralField, what: str = "field", tol: float = 1e
         raise MeanFreeError(f"{what} must be mean-free (zero mode {field.mean():.3e})")
 
 
-def gradient(f: SpectralField) -> Velocity:
-    return apply_multiplier(f, _D1), apply_multiplier(f, _D2)
+def gradient(f: SpectralField, symbols: Optional[SymbolTable] = None) -> Velocity:
+    return apply_multiplier(f, _D1, symbols), apply_multiplier(f, _D2, symbols)
 
 
 def divergence(v: Velocity) -> SpectralField:
@@ -42,12 +42,12 @@ def curl(v: Velocity) -> SpectralField:
     return apply_multiplier(v[1], _D1) - apply_multiplier(v[0], _D2)
 
 
-def advect(v: Velocity, f: SpectralField) -> SpectralField:
+def advect(v: Velocity, f: SpectralField, symbols: Optional[SymbolTable] = None) -> SpectralField:
     """v . grad(f) with alias-free products."""
-    return multiply(v, gradient(f))
+    return multiply(v, gradient(f, symbols))
 
 
-def biot_savart(omega: SpectralField) -> Velocity:
+def biot_savart(omega: SpectralField, symbols: Optional[SymbolTable] = None) -> Velocity:
     """Velocity from scalar vorticity; rejects vorticity with a mean.
 
     The output is divergence-free coefficientwise and curl(u) returns
@@ -55,7 +55,7 @@ def biot_savart(omega: SpectralField) -> Velocity:
     Hermitian partner exists for it on the lattice).
     """
     require_mean_free(omega, "vorticity")
-    return apply_multiplier(omega, _BS1), apply_multiplier(omega, _BS2)
+    return apply_multiplier(omega, _BS1, symbols), apply_multiplier(omega, _BS2, symbols)
 
 
 def temperature_vorticity_operator(alpha: float) -> Multiplier:
@@ -72,20 +72,27 @@ def check_alpha(alpha: float):
 
 
 def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField,
-                     transported: Optional[SpectralField] = None) -> SpectralField:
+                     transported: Optional[SpectralField] = None,
+                     carry: Optional[SpectralField] = None,
+                     symbols: Optional[SymbolTable] = None) -> SpectralField:
     """[op, v.grad] phi = op(v.grad phi) - v.grad(op phi), products dealiased.
 
     The commutator is linear in op, so a weighted sum of operators
     (``Multiplier.sum(..., weights=...)``) gives the same weighted sum of
     commutators in one call: two advections instead of two per part.
-    The symbol of op is built once per call.  ``transported`` is
-    ``advect(v, phi)`` if the caller has already computed it (the
-    temperature equation transports theta with the same velocity); the
-    result is then the same to the last bit, one advection cheaper.
+    ``transported`` is ``advect(v, phi)`` if the caller has already
+    computed it (the temperature equation transports theta with the same
+    velocity); the result is then the same to the last bit, one advection
+    cheaper.  Transport is linear in the transported field too, so
+    ``carry`` rides along in the second advection: the result is then
+    [op, v.grad] phi - v.grad(carry), one advection fewer than the two
+    terms apart.  Symbols come from ``symbols`` if given.
     """
-    sym = op.symbol(phi.grid)
+    sym = symbol_of(op, phi.grid, symbols)
     applied = SpectralField(phi.grid, phi.coef * sym)
+    if carry is not None:
+        applied = applied + carry
     if transported is None:
-        transported = advect(v, phi)
+        transported = advect(v, phi, symbols)
     first = SpectralField(phi.grid, transported.coef * sym)
-    return first - advect(v, applied)
+    return first - advect(v, applied, symbols)

@@ -65,23 +65,26 @@ def _vector_lp(v: Velocity, p: float, order: float = 0.0) -> float:
     if order != 0.0:
         lam = Multiplier.lambda_pow(order)
         comps = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
-    mag = np.hypot(comps[0].physical(), comps[1].physical())
-    if p == np.inf:
-        return float(np.max(mag))
-    area = v[0].grid.length ** 2
-    return float((np.mean(mag ** p) * area) ** (1.0 / p))
+    return _magnitude_lp(np.hypot(comps[0].physical(), comps[1].physical()), p, v[0].grid)
 
 
-def _grad_frobenius_lp(v: Velocity, p: float) -> float:
+def _grad_magnitude(v: Velocity) -> np.ndarray:
+    """|grad v| on the grid: the pointwise Frobenius norm of the gradient."""
     acc = None
     for comp in v:
         gx, gy = gradient(comp)
         sq = gx.physical() ** 2 + gy.physical() ** 2
         acc = sq if acc is None else acc + sq
     mag = np.sqrt(acc)
+    mag.setflags(write=False)
+    return mag
+
+
+def _magnitude_lp(mag: np.ndarray, p: float, grid: Grid) -> float:
+    """L^p norm over the box of the grid samples ``mag``."""
     if p == np.inf:
         return float(np.max(mag))
-    area = v[0].grid.length ** 2
+    area = grid.length ** 2
     return float((np.mean(mag ** p) * area) ** (1.0 / p))
 
 
@@ -289,20 +292,23 @@ class TrialDraw:
     v, phi and psi are drawn on first use with the seed tuples a spec
     drawing alone would use, so specs share them and their sample caches.
     ``transported()`` is v.grad(phi), the operator-free half of every
-    commutator on v.  ``scalar`` memoises numbers of the drawn fields
-    under keys of field role and exponents, never object ids: norms, and
-    pairing LHS values keyed by operator.  Fields a spec derives
+    commutator on v, and ``grad_magnitude()`` the samples of |grad v|
+    that fazel5, f10 and g50 read (one n-by-n array).  ``scalar``
+    memoises numbers of the drawn fields under keys of field role and
+    exponents, never object ids: norms, and pairing LHS values keyed by
+    operator.  Fields a spec derives
     (commutators, eq25's smoothed velocity) are not kept: holding them
     would raise the peak memory of an estimate run.
     """
 
-    __slots__ = ("grid", "seed", "_fields", "_transported", "_scalars")
+    __slots__ = ("grid", "seed", "_fields", "_transported", "_grad_magnitude", "_scalars")
 
     def __init__(self, grid: Grid, seed):
         self.grid = grid
         self.seed = tuple(seed)
         self._fields: Dict[str, object] = {}
         self._transported: Optional[SpectralField] = None
+        self._grad_magnitude: Optional[np.ndarray] = None
         self._scalars: Dict[tuple, float] = {}
 
     def field(self, role: str):
@@ -314,6 +320,11 @@ class TrialDraw:
         if self._transported is None:
             self._transported = advect(self.field("v"), self.field("phi"))
         return self._transported
+
+    def grad_magnitude(self) -> np.ndarray:
+        if self._grad_magnitude is None:
+            self._grad_magnitude = _grad_magnitude(self.field("v"))
+        return self._grad_magnitude
 
     def scalar(self, key: tuple, compute: Callable[[], float]) -> float:
         if key not in self._scalars:
@@ -347,8 +358,15 @@ def _v_lp(fields, p: float, order: float = 0.0) -> float:
     return _scalar(fields, ("vector", "v", p, order), lambda: _vector_lp(fields["v"], p, order))
 
 
+def _grad_v(fields) -> np.ndarray:
+    """|grad v| of the drawn velocity, from the draw's shared samples."""
+    trial = fields.get("trial")
+    return _grad_magnitude(fields["v"]) if trial is None else trial.grad_magnitude()
+
+
 def _grad_v_lp(fields, p: float) -> float:
-    return _scalar(fields, ("grad", "v", p), lambda: _grad_frobenius_lp(fields["v"], p))
+    return _scalar(fields, ("grad", "v", p),
+                   lambda: _magnitude_lp(_grad_v(fields), p, fields["v"][0].grid))
 
 
 def _commutator_v(op: Multiplier, fields) -> SpectralField:
@@ -470,11 +488,7 @@ def _draw_g50(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
 def _g50_fields(spec, grid, fields):
     comm = _commutator_v(Multiplier.smooth_bump(fields["k"]), fields)
     q1, p1 = spec.integrability["q1"], spec.integrability["p1"]
-    gx0, gy0 = gradient(fields["v"][0])
-    gx1, gy1 = gradient(fields["v"][1])
-    grad_mag = np.sqrt(gx0.physical()**2 + gy0.physical()**2
-                       + gx1.physical()**2 + gy1.physical()**2)
-    rhs_field = (maximal_function(grad_mag ** q1) ** (1.0 / q1)
+    rhs_field = (maximal_function(_grad_v(fields) ** q1) ** (1.0 / q1)
                  * maximal_function(np.abs(fields["phi"].physical()) ** p1) ** (1.0 / p1))
     return np.abs(comm.physical()), rhs_field
 

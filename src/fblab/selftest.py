@@ -111,7 +111,7 @@ def check_paraproduct_constant() -> bool:
 
 def check_maximal_constant() -> bool:
     g = _grid()
-    m = maximal_function(2.5 * np.ones((g.n, g.n)), g)
+    m = maximal_function(2.5 * np.ones((g.n, g.n)))
     return float(np.max(np.abs(m - 2.5))) < 1e-10
 
 

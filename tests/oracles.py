@@ -6,7 +6,8 @@ velocity-pressure form of the right-hand side, a Newton-refined sup, the
 full n-by-n spectrum layout), or a plain measure the tests compare with
 (relative L2 distance, Hermitian defect, block reconstruction), or a
 slower route the package replaced (the Leray projection, the per-radius
-window means of the maximal function).
+window means of the maximal function, the hybrid source terms with f
+advected on its own).
 """
 
 import math
@@ -16,10 +17,11 @@ import numpy as np
 
 from fblab.dyadic import BlockSet, maximal_function, maximal_radii
 from fblab.fields import SpectralField, pad_size
-from fblab.model import ModelParams
+from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
-from fblab.operators import Velocity, advect, check_alpha, divergence, gradient
+from fblab.operators import (Velocity, advect, check_alpha, commutator_apply, divergence,
+                             gradient)
 
 
 def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
@@ -112,6 +114,20 @@ def leray_project(v: Velocity) -> Velocity:
     phi = SpectralField(grid, phi_coef)
     gx, gy = gradient(phi)
     return v[0] - gx, v[1] - gy
+
+
+def nonlinear_three_advections(state: SimState):
+    """The hybrid form's source terms with f advected on its own:
+    -a u.grad f + w Lambda^(2(beta-alpha)) d1 theta + [C, u.grad] theta,
+    three advections where ``model.nonlinear`` makes two."""
+    u, th = state_velocity(state), state.theta
+    h = hybrid_terms(state.params)
+    w_lin, lin = h.linear
+    transported = advect(u, th)
+    dP = (-h.advect * advect(u, state.primary)
+          + w_lin * apply_multiplier(th, lin)
+          + commutator_apply(h.commutator(), u, th, transported))
+    return dP, -h.advect * transported
 
 
 def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams):
@@ -253,7 +269,7 @@ def fefferman_stein_per_p(blocks, p: float, grid, r: float = 2.0) -> float:
     num = np.zeros_like(blocks[0])
     den = np.zeros_like(blocks[0])
     for g in blocks:
-        num += maximal_function(g, grid) ** r
+        num += maximal_function(g) ** r
         den += np.abs(g) ** r
     area = grid.length ** 2
     lhs = (np.mean(num ** (p / r)) * area) ** (1.0 / p)

@@ -314,11 +314,11 @@ class TestSharedDraws:
 
         advect = operators.advect
 
-        def counted_advect(v, f):
+        def counted_advect(v, f, *rest):
             if id(v) in drawn and id(f) in drawn:  # v.grad(phi) of the drawn fields
                 n, (_, t, attempt, _) = drawn[id(f)]
                 transports[n, t, attempt] += 1
-            return advect(v, f)
+            return advect(v, f, *rest)
 
         for name in ("random_divfree_field", "random_scalar_field"):
             monkeypatch.setattr(registry, name, counted_draw(getattr(registry, name)))
@@ -331,6 +331,25 @@ class TestSharedDraws:
         want = {(n, (4, t, 0, role)) for n in (64, 128) for t in range(3) for role in roles}
         assert set(draws) == want and set(draws.values()) == {1}
         assert transports == {(n, t, 0): 1 for n in (64, 128) for t in range(3)}
+
+    def test_one_velocity_gradient_per_trial(self, monkeypatch):
+        # fazel5, f10 and g50 all read |grad v|: its four components are
+        # transformed once per (grid, trial, attempt), not once per spec
+        import fblab.registry as registry
+
+        reg = build_registry(0.75)
+        specs = [reg[i] for i in ("fazel5", "f10", "g50")]
+        want = estimate_constants(specs, trials=3, grid_sizes=(32, 64), seed=2)
+        calls = Counter()
+        gradient = registry.gradient
+
+        def counted_gradient(f, *rest):
+            calls[f.grid.n] += 1
+            return gradient(f, *rest)
+
+        monkeypatch.setattr(registry, "gradient", counted_gradient)
+        assert estimate_constants(specs, trials=3, grid_sizes=(32, 64), seed=2) == want
+        assert calls == {32: 2 * 3, 64: 2 * 3}  # one per velocity component a trial
 
     def test_degenerate_redraw_stays_with_its_spec(self, monkeypatch):
         import dataclasses

@@ -257,16 +257,14 @@ class TestMaximalFunction:
         assert np.max(np.abs(moved - want) / want) <= 1e-10
 
     def test_constant(self):
-        g = make_grid(64, TWO_PI)
-        m = maximal_function(np.full((64, 64), -3.0), g)
+        m = maximal_function(np.full((64, 64), -3.0))
         assert np.max(np.abs(m - 3.0)) < 1e-10
 
     def test_dominates_pointwise(self):
-        g = make_grid(64, TWO_PI)
         rng = np.random.default_rng(12)
         bump = np.zeros((64, 64))
         bump[10:14, 50:54] = rng.standard_normal((4, 4))
-        m = maximal_function(bump, g)
+        m = maximal_function(bump)
         assert np.all(m >= np.abs(bump) - 1e-12)
 
     def test_block_domination_constant_recorded(self):

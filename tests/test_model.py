@@ -7,24 +7,31 @@ system is checked against the vorticity system through the exact linear
 change of variables.
 """
 
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fblab.ensembles import random_scalar_field
+from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
                          Trajectory, cfl_limit, convert_state, hybrid_terms, initial_state,
                          integrate, nonlinear, rhs, scaled_velocity_split, state_velocity, step,
+                         step_operators,
                          theta_dissipation_rate, transform_to_f, transform_to_g,
                          velocity_dissipation_rate, vorticity_from_f)
-from fblab.multipliers import Multiplier, apply_multiplier
+from fblab.multipliers import Multiplier, SymbolTable, apply_multiplier
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm
 from fblab.operators import (advect, biot_savart, commutator_apply, curl,
                              temperature_vorticity_operator)
 
-from oracles import f_from_g, full_coef, primitive_rhs, refined_sup, rel_l2_diff
+from oracles import (f_from_g, full_coef, nonlinear_three_advections, primitive_rhs, refined_sup,
+                     rel_l2_diff)
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
@@ -267,6 +274,129 @@ class TestMergedCommutator:
             plain = commutator_apply(op, u, th)
             reused = commutator_apply(op, u, th, advect(u, th))
             assert np.array_equal(plain.coef, reused.coef)
+
+
+class TestTwoAdvectionStage:
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("eps0", [1.0, 0.5])
+    def test_matches_three_advection_oracle(self, n, eps0):
+        # f rides in the commutator's second advection instead of its own
+        g = make_grid(n, TWO_PI)
+        for seed in (0, 1, 2):
+            st_ = initial_state(g, ModelParams(alpha=ALPHA, eps0=eps0), "f", seed=seed,
+                                amplitude_theta=1.0, amplitude_primary=1.0)
+            got = nonlinear(st_)
+            for g_, w_ in zip(got, nonlinear_three_advections(st_)):
+                err = np.max(np.abs(g_.coef - w_.coef)) / np.max(np.abs(w_.coef))
+                assert err <= 1e-13, seed
+            tabled = nonlinear(st_, symbols=SymbolTable(g))
+            for g_, t_ in zip(got, tabled):
+                assert np.array_equal(g_.coef, t_.coef)
+
+    def test_carry_is_transported_with_the_commutator(self):
+        g = make_grid(64, TWO_PI)
+        v = random_divfree_field(g, 3, band=(0, 4))
+        phi, carry = (random_scalar_field(g, seed, band=(0, 4)) for seed in (4, 5))
+        op = Multiplier.riesz(ALPHA)
+        got = commutator_apply(op, v, phi, carry=carry)
+        want = commutator_apply(op, v, phi) - advect(v, carry)
+        assert np.max(np.abs(got.coef - want.coef)) <= 1e-13 * np.max(np.abs(want.coef))
+
+    @pytest.mark.parametrize("tag", ["f", "omega"])
+    def test_op_counts_per_step(self, monkeypatch, tag):
+        # two advections a stage in both forms: 8 products, 32 + 2 (guard) FFTs a step
+        import fblab.fields as fields
+        import fblab.operators as operators
+
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        st_ = make_state(n=32, formulation=tag, seed=5)
+        dt = 0.5 * cfl_limit(st_)
+        for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
+        wrapped = counting("multiply", fields.multiply)
+        monkeypatch.setattr(fields, "multiply", wrapped)
+        monkeypatch.setattr(operators, "multiply", wrapped)
+        step(st_, dt)  # the guard's two transforms are among the step's
+        assert counts == {"fft": 34, "multiply": 8}
+        counts.clear()
+        integrate(make_state(n=32, formulation=tag, seed=5), 3 * dt, dt=dt)
+        assert counts == {"fft": 3 * 34, "multiply": 3 * 8}
+
+    @pytest.mark.parametrize("tag", ["f", "omega"])
+    def test_symbol_builds_do_not_grow_with_steps(self, monkeypatch, tag):
+        builds = []
+        original = Multiplier.symbol
+
+        def counted(spec, grid):
+            builds.append(spec)
+            return original(spec, grid)
+
+        monkeypatch.setattr(Multiplier, "symbol", counted)
+        per_run = []
+        for n_steps in (1, 2, 5):
+            st_ = make_state(n=32, formulation=tag, seed=6)
+            builds.clear()
+            integrate(st_, 0.01 * n_steps, dt=0.01)
+            per_run.append(len(builds))
+        assert per_run[0] > 0 and per_run == [per_run[0]] * 3
+        st_ = make_state(n=32, formulation=tag, seed=6)
+        operators = step_operators(st_, 0.01)
+        step(st_, 0.01, operators=operators)
+        builds.clear()
+        step(st_, 0.01, operators=operators)
+        assert builds == []
+
+    def test_step_operators_belong_to_their_run(self):
+        st_ = make_state(n=32, formulation="f", seed=6)
+        operators = step_operators(st_, 0.01)
+        for state, dt in ((st_, 0.02), (make_state(n=64, formulation="f"), 0.01),
+                          (convert_state(st_, "omega"), 0.01),
+                          (replace(st_, params=ModelParams(alpha=0.8)), 0.01)):
+            with pytest.raises(ValueError):
+                step(state, dt, operators=operators)
+        for arr in (*operators.half, *operators.full):
+            assert not arr.flags.writeable
+
+    def test_concurrent_runs_match_sequential_bit_for_bit(self):
+        # two configs on one shared grid, each run twice in its own thread
+        g = make_grid(32, TWO_PI)
+        starts = [initial_state(g, ModelParams(alpha=ALPHA, eps0=0.5), "f", seed=1),
+                  initial_state(g, ModelParams(alpha=0.8), "omega", seed=2)]
+
+        def run(st_):
+            return integrate(st_, 0.04, dt=0.005, cadence=2).states
+
+        want = [run(st_) for st_ in starts]
+        results = {}
+
+        def worker(slot):
+            results[slot] = run(starts[slot % 2])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for slot, states in results.items():
+            assert len(states) == len(want[slot % 2])
+            for got, ref in zip(states, want[slot % 2]):
+                assert got.time == ref.time
+                assert np.array_equal(got.primary.coef, ref.primary.coef)
+                assert np.array_equal(got.theta.coef, ref.theta.coef)
 
 
 class TestScaledSystem:
