@@ -23,19 +23,19 @@ ledger and the integrator cannot drift apart; ``test_substitution_oracle``
 checks those weights independently, by rescaling a state and comparing
 tendencies.
 
-Every velocity-dependent term is also split through u = u_F + u_Theta.
-The full-velocity terms are computed on their own, not summed from the
-splits; the commutator is linear in the velocity, so the signed splits
-add back to the full term up to roundoff.
+Every velocity-dependent term is split through u = u_F + u_Theta, and
+each full-velocity pairing is the sum of its two splits (I1, I3, I4, I5,
+K2 and K3 are linear in u), so no term field is built for u itself.
 
 The terms depend on the state only, so :func:`energy_terms` evaluates a
 state once for every configuration: each term field is built once per
 velocity and paired with each configuration's target (Lambda^(2s) F,
 Lambda^(2 kappa) Theta, or F^(p-1) through :func:`integral_product`,
 which keeps the band of each power on F), then dropped.  Per state that
-is 12 advections (four per velocity: u.grad F, u.grad Theta, and the
-second halves of the two commutators, which reuse u.grad Theta) however
-many configurations are asked for.
+is 8 advections (four per split velocity: u.grad F, u.grad Theta, and
+the second halves of the two commutators, which reuse u.grad Theta)
+however many configurations are asked for, with the symbols of one
+table per :func:`ledger_run`.
 
 Ledger evaluation is independent per time slice (rates come from stored
 functional values), so slices parallelize trivially.
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import SpectralField
 from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split
-from .multipliers import Multiplier, apply_multiplier
+from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
 from .dyadic import besov_norm
@@ -149,10 +149,10 @@ def ledger_configs(alpha: float, rho: float = DEFAULT_RHO) -> Dict[str, LedgerCo
 # -- term evaluation -----------------------------------------------------------
 
 
-def _lam(field: SpectralField, s: float) -> SpectralField:
+def _lam(field: SpectralField, s: float, symbols: SymbolTable) -> SpectralField:
     if s == 0.0:
         return field
-    return apply_multiplier(field, Multiplier.lambda_pow(s))
+    return apply_multiplier(field, Multiplier.lambda_pow(s), symbols)
 
 
 @dataclass
@@ -171,15 +171,18 @@ class EnergyLedgerRow:
     coercivity_ratio: float = float("nan")
 
 
-def energy_terms(state: SimState, configs: Sequence[LedgerConfig]) -> List[EnergyLedgerRow]:
+def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
+                 symbols: Optional[SymbolTable] = None) -> List[EnergyLedgerRow]:
     """Evaluate every ledger term of one state, one row per config.
 
-    Each term field is built once and paired with every config's target
-    before the next one is built: <Lambda^s term, Lambda^s F> is the
-    pairing of the term with Lambda^(2s) F, one target per config, and
-    the L^p pairings go through :func:`integral_product`, which keeps the
-    band of each power of F on F.  The two commutators of a velocity
-    reuse its u.grad Theta of I5.
+    Each term field is built once per split velocity and paired with
+    every config's target before the next one is built: <Lambda^s term,
+    Lambda^s F> is the pairing of the term with Lambda^(2s) F, one target
+    per config, and the L^p pairings go through :func:`integral_product`,
+    which keeps the band of each power of F on F.  The two commutators of
+    a velocity reuse its u.grad Theta of I5; the full-velocity terms are
+    the sums of the split pairings.  Symbols come from ``symbols``, a
+    table for the state's grid, or from a table of the call's own.
     """
     for c in configs:
         if c.p % 2 or c.p < 2:
@@ -192,10 +195,13 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig]) -> List[Energ
     a, b, e = params.alpha, params.beta, params.eps0
     h = hybrid_terms(params)
     (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
+    if symbols is None:
+        symbols = SymbolTable(state.grid)
     # F on a handle of its own: the power bands the pairings keep on it
     # go with it, instead of living as long as the state
     F, Th = SpectralField(state.grid, state.primary.coef), state.theta
-    targets = [{"s": _lam(F, 2.0 * c.s), "kappa": _lam(Th, 2.0 * c.kappa)} for c in configs]
+    targets = [{"s": _lam(F, 2.0 * c.s, symbols), "kappa": _lam(Th, 2.0 * c.kappa, symbols)}
+               for c in configs]
     signed: List[Dict[str, float]] = [{} for _ in configs]
 
     def pair(name: str, weight: float, term: SpectralField, target: str, power_name: str = ""):
@@ -204,17 +210,20 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig]) -> List[Energ
             if power_name:
                 sg[power_name] = weight * integral_product(term, F, c.p - 1)
 
-    uf, ut = scaled_velocity_split(F, Th, params)
-    velocities = {"": (uf[0] + ut[0], uf[1] + ut[1]), "_f": uf, "_t": ut}
-    for suffix, u in velocities.items():
-        pair(f"I1{suffix}", h.advect, advect(u, F), "s")
-        transported = advect(u, Th)
+    uf, ut = scaled_velocity_split(F, Th, params, symbols)
+    for suffix, u in (("_f", uf), ("_t", ut)):
+        pair(f"I1{suffix}", h.advect, advect(u, F, symbols), "s")
+        transported = advect(u, Th, symbols)
         pair(f"I5{suffix}", h.advect, transported, "kappa")
-        pair(f"I3{suffix}", w_rc, commutator_apply(riesz, u, Th, transported), "s", f"K2{suffix}")
-        pair(f"I4{suffix}", w_sc, commutator_apply(smooth, u, Th, transported), "s", f"K3{suffix}")
-    pair("I2", w_lin, apply_multiplier(Th, lin), "s", "K1")
+        pair(f"I3{suffix}", w_rc, commutator_apply(riesz, u, Th, transported, symbols=symbols),
+             "s", f"K2{suffix}")
+        pair(f"I4{suffix}", w_sc, commutator_apply(smooth, u, Th, transported, symbols=symbols),
+             "s", f"K3{suffix}")
+    for sg in signed:
+        sg.update({k: sg[k + "_f"] + sg[k + "_t"] for k in ("I1", "I3", "I4", "I5", "K2", "K3")})
+    pair("I2", w_lin, apply_multiplier(Th, lin, symbols), "s", "K1")
 
-    lam_a, lam_b = _lam(F, a), _lam(Th, b)
+    lam_a, lam_b = _lam(F, a, symbols), _lam(Th, b, symbols)
     rows = []
     for c, sg, tg in zip(configs, signed, targets):
         diss_p_signed = h.dissipation * integral_product(lam_a, F, c.p - 1)
@@ -268,18 +277,24 @@ def ledger_run(states: Sequence[SimState], configs: Sequence[LedgerConfig],
     right-hand terms, up to a scale-aware tolerance
     5*max(dt^2, quad_tol)*scale.
 
-    Each state is evaluated once for every config; the result holds one
-    (rows, verdict) pair per config, in the order given.
+    Each state is evaluated once for every config, with one symbol table
+    for the run; the result holds one (rows, verdict) pair per config, in
+    the order given.  States on different grids are refused.
     """
     if len(states) < 3:
         raise ValueError("need at least three stored states for centered rates")
+    grids = sorted({(s.grid.n, s.grid.length) for s in states})
+    if len(grids) > 1:
+        raise ValueError("ledger states lie on different grids: "
+                         + " and ".join(f"n = {n}, L = {length:g}" for n, length in grids))
     times = np.array([s.time for s in states])
     dts = np.diff(times)
     if np.max(dts) > min_cadence_warning:
         import warnings
         warnings.warn("output cadence is coarse; finite-difference rates may be inaccurate")
 
-    per_state = [energy_terms(s, configs) for s in states]
+    symbols = SymbolTable(states[0].grid)
+    per_state = [energy_terms(s, configs, symbols) for s in states]
     return [_check_rows([rows[i] for rows in per_state], times, config, rate_tol_scale, quad_tol)
             for i, config in enumerate(configs)]
 

@@ -118,10 +118,6 @@ class BlockSet:
     def blocks(self) -> List[Tuple[int, SpectralField]]:
         return [(j, self.block(j)) for j in self.levels]
 
-    def low_remainder(self) -> SpectralField:
-        """Content below the partition range (contains the mean)."""
-        return SpectralField(self.f.grid, self.f.coef * self.partition.lowpass_symbol(self.partition.jmin))
-
     def below(self, k: int) -> SpectralField:
         """f_{<k}: every block strictly below level k plus the low remainder."""
         sym = self.partition.lowpass_symbol(k)

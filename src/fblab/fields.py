@@ -195,9 +195,10 @@ def power_band(field: SpectralField, power: int) -> np.ndarray:
         h = field.grid.n // 2
         m = nice_fft_size((power + 1) * h + 2)
         values = field.physical_on(m)
-        sampled = values
-        for _ in range(power - 1):  # repeated products: ndarray ** k calls pow, ~30x slower
-            sampled = sampled * values
+        sampled = values if power == 1 else values * values
+        for _ in range(power - 2):  # repeated products: ndarray ** k calls pow, ~30x slower
+            sampled *= values
+        del values  # at most two m-grid arrays live at once
         spec = np.fft.rfft2(sampled, norm="forward")
         band = np.concatenate((spec[:h + 1, :h + 1], spec[m - h + 1:, :h + 1]))
         band[h, :h] = 0.5 * (band[h, :h] + spec[m - h, :h])

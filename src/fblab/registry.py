@@ -11,7 +11,7 @@ flagged ``canary`` deliberately violate a hypothesis; they are runnable
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -553,7 +553,3 @@ def build_registry(alpha: float = 0.75) -> Dict[str, InequalitySpec]:
                                _norm_lhs, _rhs_eq25, draw=_draw_eq25, near_boundary=True,
                                family="eq25"),
     }
-
-
-def hypothesis_satisfying_ids(registry: Dict[str, InequalitySpec]) -> List[str]:
-    return [sid for sid in SPEC_IDS if sid in registry and not registry[sid].canary]

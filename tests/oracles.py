@@ -4,10 +4,10 @@ None of these has a caller in ``fblab``: each is an independent route to
 a quantity the package computes another way (a second formula for f, the
 velocity-pressure form of the right-hand side, a Newton-refined sup, the
 full n-by-n spectrum layout), or a plain measure the tests compare with
-(relative L2 distance, Hermitian defect, block reconstruction), or a
-slower route the package replaced (the Leray projection, the per-radius
-window means of the maximal function, the hybrid source terms with f
-advected on its own).
+(relative L2 distance, Hermitian defect, block reconstruction, the
+specs whose hypotheses hold), or a slower route the package replaced
+(the Leray projection, the per-radius window means of the maximal
+function, the hybrid source terms with f advected on its own).
 """
 
 import math
@@ -22,6 +22,7 @@ from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
 from fblab.operators import (Velocity, advect, check_alpha, commutator_apply, divergence,
                              gradient)
+from fblab.registry import SPEC_IDS
 
 
 def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
@@ -89,11 +90,18 @@ def hermitian_defect(field: SpectralField) -> float:
 
 
 def reconstruct(blocks: BlockSet) -> SpectralField:
-    """The low remainder plus every block of the partition: f again."""
-    coef = blocks.low_remainder().coef.copy()
+    """The low remainder (the content below the partition range, mean
+    included) plus every block of the partition: f again."""
+    coef = blocks.f.coef * blocks.partition.lowpass_symbol(blocks.partition.jmin)
     for j in blocks.levels:
         coef = coef + blocks.block(j).coef
     return SpectralField(blocks.f.grid, coef)
+
+
+def hypothesis_satisfying_ids(registry) -> list:
+    """The registered spec ids whose hypotheses hold (no canary), in
+    registry order."""
+    return [sid for sid in SPEC_IDS if sid in registry and not registry[sid].canary]
 
 
 def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:

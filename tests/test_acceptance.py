@@ -24,10 +24,10 @@ from fblab.model import (ModelParams, convert_state, initial_state, integrate, s
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner, l2_norm_sq, lp_norm
 from fblab.operators import advect
-from fblab.registry import build_registry, hypothesis_satisfying_ids
+from fblab.registry import build_registry
 from fblab.cli import EXIT_OK, main
 
-from oracles import refined_sup, rel_l2_diff
+from oracles import hypothesis_satisfying_ids, refined_sup, rel_l2_diff
 
 TWO_PI = 2 * np.pi
 

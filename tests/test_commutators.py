@@ -19,8 +19,10 @@ from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner
-from fblab.registry import ConstraintError, build_registry, hypothesis_satisfying_ids
+from fblab.registry import ConstraintError, build_registry
 from fblab.operators import advect
+
+from oracles import hypothesis_satisfying_ids
 
 TWO_PI = 2 * np.pi
 

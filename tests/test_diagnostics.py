@@ -253,12 +253,13 @@ class TestEnergyTerms:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-14), name
 
     def test_velocity_split_is_bilinear(self):
+        # the row sums the u_F and u_Theta pairings; the oracle builds the
+        # terms of u_full = u_F + u_Theta on their own
         st = hybrid_state(seed=5)
         row = one_row(st, 0.375, 0.375, 4)
+        want = per_config_terms(st, 0.375, 0.375, 4)["signed"]
         for name in ("I1", "I3", "I4", "I5", "K2", "K3"):
-            total = row.signed[name]
-            split = row.signed[f"{name}_f"] + row.signed[f"{name}_t"]
-            assert total == pytest.approx(split, rel=1e-11, abs=1e-13), name
+            assert row.signed[name] == pytest.approx(want[name], rel=1e-11, abs=1e-13), name
 
     def test_odd_p_rejected(self):
         with pytest.raises(ValueError):
@@ -301,8 +302,9 @@ class TestOnePass:
                     assert row.terms[name] == abs(row.signed[name])
 
     def test_op_counts_do_not_grow_with_configs(self, monkeypatch):
-        # per state: four advections per velocity (u, u_F, u_Theta), one
-        # sum-of-products call each; the commutators reuse the u.grad Theta of I5
+        # per state: four advections per split velocity (u_F, u_Theta), one
+        # sum-of-products call each; the commutators reuse the u.grad Theta
+        # of I5, and the full-velocity terms are sums of the split pairings
         counts = {"advect": 0, "multiply": 0}
 
         def counting(name, fn):
@@ -320,7 +322,7 @@ class TestOnePass:
             counts.update(advect=0, multiply=0)
             rows = energy_terms(hybrid_state(n=32), chosen)
             assert len(rows) == len(chosen)
-            assert counts == {"advect": 12, "multiply": 12}
+            assert counts == {"advect": 8, "multiply": 8}
 
     def test_rejects_any_bad_config(self):
         good = ledger_configs(ALPHA)["l2"]
@@ -368,6 +370,35 @@ class TestLedgerRun:
         st = hybrid_state()
         with pytest.raises(ValueError):
             ledger_run([st, st], [ledger_configs(ALPHA)["l2"]])
+
+    def test_mixed_grids_refused_before_any_evaluation(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(diagnostics, "energy_terms",
+                            lambda *args: evaluated.append(args) or [])
+        coarse, fine = hybrid_state(n=16), hybrid_state(n=32)
+        with pytest.raises(ValueError, match=r"n = 16, L = 6.28319 and n = 32, L = 6.28319"):
+            ledger_run([coarse, coarse, fine], [ledger_configs(ALPHA)["l2"]])
+        assert evaluated == []
+
+    def test_symbol_builds_do_not_grow_with_states(self, monkeypatch):
+        builds = []
+        original = Multiplier.symbol
+
+        def counted(spec, grid):
+            builds.append(spec)
+            return original(spec, grid)
+
+        monkeypatch.setattr(Multiplier, "symbol", counted)
+        st = hybrid_state(n=32, seed=3)
+        configs = list(ledger_configs(ALPHA).values())
+        per_run = []
+        for n_states in (3, 5):
+            states = [SimState(0.01 * i, st.theta, st.primary, "f", st.params)
+                      for i in range(n_states)]
+            builds.clear()
+            ledger_run(states, configs)
+            per_run.append(len(builds))
+        assert per_run[0] > 0 and per_run[1] == per_run[0]
 
     def test_scaled_run_rows_pass(self):
         g = make_grid(64, TWO_PI)
