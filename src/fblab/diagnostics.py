@@ -32,10 +32,12 @@ state once for every configuration: each term field is built once per
 velocity and paired with each configuration's target (Lambda^(2s) F,
 Lambda^(2 kappa) Theta, or F^(p-1) through :func:`integral_product`,
 which keeps the band of each power on F), then dropped.  Per state that
-is 8 advections (four per split velocity: u.grad F, u.grad Theta, and
-the second halves of the two commutators, which reuse u.grad Theta)
-however many configurations are asked for, with the symbols of one
-table per :func:`ledger_run`.
+is 4 gradients, each shared by both split velocities (of F, Theta,
+R_alpha Theta and Lambda^(beta-2alpha) d1 Theta; the commutators reuse
+u.grad Theta), 8 products and 12 padded inverse transforms (the four
+velocity components and the eight gradient components), however many
+configurations are asked for, with the symbols of one table per
+:func:`ledger_run`.
 
 Ledger evaluation is independent per time slice (rates come from stored
 functional values), so slices parallelize trivially.
@@ -175,14 +177,15 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
                  symbols: Optional[SymbolTable] = None) -> List[EnergyLedgerRow]:
     """Evaluate every ledger term of one state, one row per config.
 
-    Each term field is built once per split velocity and paired with
-    every config's target before the next one is built: <Lambda^s term,
-    Lambda^s F> is the pairing of the term with Lambda^(2s) F, one target
-    per config, and the L^p pairings go through :func:`integral_product`,
-    which keeps the band of each power of F on F.  The two commutators of
-    a velocity reuse its u.grad Theta of I5; the full-velocity terms are
-    the sums of the split pairings.  Symbols come from ``symbols``, a
-    table for the state's grid, or from a table of the call's own.
+    Each term field is built for both split velocities at once, from one
+    gradient, and paired with every config's target before the next one
+    is built: <Lambda^s term, Lambda^s F> is the pairing of the term with
+    Lambda^(2s) F, one target per config, and the L^p pairings go through
+    :func:`integral_product`, which keeps the band of each power of F on
+    F.  The two commutators of a velocity reuse its u.grad Theta of I5;
+    the full-velocity terms are the sums of the split pairings.  Symbols
+    come from ``symbols``, a table for the state's grid, or from a table
+    of the call's own.
     """
     for c in configs:
         if c.p % 2 or c.p < 2:
@@ -210,18 +213,23 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
             if power_name:
                 sg[power_name] = weight * integral_product(term, F, c.p - 1)
 
-    uf, ut = scaled_velocity_split(F, Th, params, symbols)
-    for suffix, u in (("_f", uf), ("_t", ut)):
-        pair(f"I1{suffix}", h.advect, advect(u, F, symbols), "s")
-        transported = advect(u, Th, symbols)
-        pair(f"I5{suffix}", h.advect, transported, "kappa")
-        pair(f"I3{suffix}", w_rc, commutator_apply(riesz, u, Th, transported, symbols=symbols),
-             "s", f"K2{suffix}")
-        pair(f"I4{suffix}", w_sc, commutator_apply(smooth, u, Th, transported, symbols=symbols),
-             "s", f"K3{suffix}")
+    def pair_split(name: str, weight: float, terms, target: str, power_name: str = ""):
+        for suffix, term in zip(("_f", "_t"), terms):
+            pair(name + suffix, weight, term, target, power_name and power_name + suffix)
+
+    # I2 first: the power bands of F it leaves on F are the largest
+    # arrays of the state, built before any velocity keeps padded samples
+    pair("I2", w_lin, apply_multiplier(Th, lin, symbols), "s", "K1")
+    split = scaled_velocity_split(F, Th, params, symbols)
+    pair_split("I1", h.advect, advect(split, F, symbols), "s")
+    transported = advect(split, Th, symbols)
+    pair_split("I5", h.advect, transported, "kappa")
+    pair_split("I3", w_rc, commutator_apply(riesz, split, Th, transported, symbols=symbols),
+               "s", "K2")
+    pair_split("I4", w_sc, commutator_apply(smooth, split, Th, transported, symbols=symbols),
+               "s", "K3")
     for sg in signed:
         sg.update({k: sg[k + "_f"] + sg[k + "_t"] for k in ("I1", "I3", "I4", "I5", "K2", "K3")})
-    pair("I2", w_lin, apply_multiplier(Th, lin, symbols), "s", "K1")
 
     lam_a, lam_b = _lam(F, a, symbols), _lam(Th, b, symbols)
     rows = []

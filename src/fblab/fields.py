@@ -20,10 +20,17 @@ conjugate: :func:`parseval`.
 
 Every product of fields is dealiased: both spectra are zero-padded to a
 grid 3/2 as fine (the 3/2 a.k.a. 2/3 rule), multiplied pointwise there
-and transformed back with ``rfft2`` and truncated.  A sum of products
-is one call: :func:`multiply` also takes two tuples of fields and
-accumulates their products on the padded grid, so the advection
-u_1 d_1 f + u_2 d_2 f costs one forward transform.  On the padded
+and transformed back and truncated.  A padded transform makes the two
+1-D passes of ``irfft2``/``rfft2`` itself, its column pass (along k_1)
+over the columns k_2 = 0..n/2 only: the other columns of the m-grid
+half spectrum are zero going in and dropped coming out.  Every 1-D
+transform that runs is the one the 2-D call makes, on the same
+numbers, so samples and spectra are bit-identical to the 2-D call's
+(``tests/oracles.py`` keeps that path).  The column pass runs in place
+(``out=`` of ``numpy.fft``, new in numpy 2.0, the declared floor).
+A sum of products is one call: :func:`multiply` also takes two tuples
+of fields and accumulates their products on the padded grid, so the
+advection u_1 d_1 f + u_2 d_2 f costs one forward transform.  On the padded
 lattice the Nyquist lines of the n-lattice gain partners: the row
 k_1 = -n/2 is split evenly between -n/2 and +n/2, and the column
 k_2 = n/2 is halved, its other half being the implied conjugate at
@@ -95,7 +102,9 @@ class SpectralField:
         """Samples of the same trigonometric polynomial on a finer m-grid."""
         if m == self.grid.n:
             return self.physical()
-        return np.fft.irfft2(_pad(self.coef, m), s=(m, m), norm="forward")
+        band = _pad(self.coef, m)
+        np.fft.ifft(band, axis=0, norm="forward", out=band)
+        return np.fft.irfft(band, n=m, axis=1, norm="forward")
 
     def mean(self) -> complex:
         return complex(self.coef[0, 0])
@@ -145,7 +154,9 @@ def parseval(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _pad(coef: np.ndarray, m: int) -> np.ndarray:
-    """The m-lattice half spectrum (m > n) of the n-lattice one, zero-padded.
+    """Columns k_2 = 0..n/2 of the m-lattice half spectrum (m > n) of the
+    n-lattice one, zero-padded: an m-by-(n/2+1) block; the columns past
+    n/2 are zero, and ``irfft`` pads them itself.
 
     The n-lattice row k_1 = -n/2 stands for both -n/2 and +n/2 on the
     m-lattice and is split evenly between them; the column k_2 = n/2 is
@@ -156,18 +167,27 @@ def _pad(coef: np.ndarray, m: int) -> np.ndarray:
     if m <= n:
         raise ValueError("padding target must exceed the source size")
     h = n // 2
-    out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
-    out[:h, :h + 1] = coef[:h]
-    out[m - h + 1:, :h + 1] = coef[h + 1:]
+    out = np.zeros((m, h + 1), dtype=np.complex128)
+    out[:h] = coef[:h]
+    out[m - h + 1:] = coef[h + 1:]
     out[:, h] *= 0.5
-    out[h, :h + 1] = 0.5 * coef[h]
+    out[h] = 0.5 * coef[h]
     out[m - h, :h] = 0.5 * coef[h, :h]
     return out
 
 
+def _spectrum_columns(values: np.ndarray, cols: int) -> np.ndarray:
+    """Columns k_2 = 0..cols-1 of ``rfft2(values, norm="forward")``: the
+    row pass over all of ``values``, the column pass in place over the
+    kept columns only."""
+    spec = np.fft.rfft(values, axis=1, norm="forward")[:, :cols]
+    np.fft.fft(spec, axis=0, norm="forward", out=spec)
+    return spec
+
+
 def _truncate(spec: np.ndarray, n: int) -> np.ndarray:
-    """The n-lattice band |k_i| < n/2 of an m-lattice half spectrum; the
-    Nyquist row and column stay zero."""
+    """The n-lattice band |k_i| < n/2 of an m-lattice half spectrum (its
+    columns 0..n/2-1 suffice); the Nyquist row and column stay zero."""
     m = spec.shape[0]
     h = n // 2
     out = np.zeros((n, h + 1), dtype=np.complex128)
@@ -182,11 +202,12 @@ def power_band(field: SpectralField, power: int) -> np.ndarray:
     ``a * field**power`` for every field a on the n-grid.
 
     The power is sampled on an m-grid with m > (power + 1) n / 2, where
-    no alias of the power reaches the band, and transformed back.  The
-    fold is the adjoint of the padding: the row k_1 = -n/2 averages the
-    power's modes at -n/2 and +n/2, the column k_2 = n/2 and the corner
-    take the modes the padding puts them on.  The band is kept on the
-    field, per power; the m-grid arrays are dropped on return.
+    no alias of the power reaches the band, and transformed back; only
+    the columns k_2 = 0..n/2 that the fold reads get the column pass.
+    The fold is the adjoint of the padding: the row k_1 = -n/2 averages
+    the power's modes at -n/2 and +n/2, the column k_2 = n/2 and the
+    corner take the modes the padding puts them on.  The band is kept on
+    the field, per power; the m-grid arrays are dropped on return.
     """
     if field._bands is None:
         field._bands = {}
@@ -199,7 +220,7 @@ def power_band(field: SpectralField, power: int) -> np.ndarray:
         for _ in range(power - 2):  # repeated products: ndarray ** k calls pow, ~30x slower
             sampled *= values
         del values  # at most two m-grid arrays live at once
-        spec = np.fft.rfft2(sampled, norm="forward")
+        spec = _spectrum_columns(sampled, h + 1)
         band = np.concatenate((spec[:h + 1, :h + 1], spec[m - h + 1:, :h + 1]))
         band[h, :h] = 0.5 * (band[h, :h] + spec[m - h, :h])
         band.setflags(write=False)
@@ -235,7 +256,8 @@ def multiply(a, b) -> SpectralField:
     every retained coefficient (|k_i| <= n/2 - 1) is the exact product
     coefficient: aliases of true product modes land outside the retained
     band on the padded grid.  A sum of products is accumulated on the
-    padded grid and takes one forward transform, not one per term.  Each
+    padded grid and takes one forward transform, not one per term, whose
+    column pass covers only the n/2 columns the truncation keeps.  Each
     operand's padded samples are kept on it for its next product.
     """
     if isinstance(a, SpectralField) and isinstance(b, SpectralField):
@@ -249,7 +271,7 @@ def multiply(a, b) -> SpectralField:
     acc = _padded_samples(a[0], m) * _padded_samples(b[0], m)
     for x, y in zip(a[1:], b[1:]):
         acc += _padded_samples(x, m) * _padded_samples(y, m)
-    return SpectralField(a[0].grid, _truncate(np.fft.rfft2(acc, norm="forward"), n))
+    return SpectralField(a[0].grid, _truncate(_spectrum_columns(acc, n // 2), n))
 
 
 def _padded_samples(field: SpectralField, m: int) -> np.ndarray:

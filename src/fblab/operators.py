@@ -7,12 +7,13 @@ so the output is divergence-free exactly in its coefficients.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from .fields import SpectralField, multiply
 from .multipliers import Multiplier, SymbolTable, apply_multiplier, symbol_of
 
 Velocity = Tuple[SpectralField, SpectralField]
+Velocities = Union[Velocity, Tuple[Velocity, ...]]
 
 _D1 = Multiplier.partial(0)
 _D2 = Multiplier.partial(1)
@@ -42,9 +43,21 @@ def curl(v: Velocity) -> SpectralField:
     return apply_multiplier(v[1], _D1) - apply_multiplier(v[0], _D2)
 
 
-def advect(v: Velocity, f: SpectralField, symbols: Optional[SymbolTable] = None) -> SpectralField:
-    """v . grad(f) with alias-free products."""
-    return multiply(v, gradient(f, symbols))
+def _is_velocity(v) -> bool:
+    return isinstance(v[0], SpectralField)
+
+
+def advect(v: Velocities, f: SpectralField, symbols: Optional[SymbolTable] = None):
+    """v . grad(f) with alias-free products.
+
+    ``v`` is one velocity or a tuple of velocities; given a tuple, grad f
+    is built once and one term is returned per velocity, each the same to
+    the last bit as its own call.
+    """
+    grad = gradient(f, symbols)
+    if _is_velocity(v):
+        return multiply(v, grad)
+    return tuple(multiply(u, grad) for u in v)
 
 
 def biot_savart(omega: SpectralField, symbols: Optional[SymbolTable] = None) -> Velocity:
@@ -71,10 +84,9 @@ def check_alpha(alpha: float):
         raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
 
 
-def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField,
-                     transported: Optional[SpectralField] = None,
-                     carry: Optional[SpectralField] = None,
-                     symbols: Optional[SymbolTable] = None) -> SpectralField:
+def commutator_apply(op: Multiplier, v: Velocities, phi: SpectralField,
+                     transported=None, carry: Optional[SpectralField] = None,
+                     symbols: Optional[SymbolTable] = None):
     """[op, v.grad] phi = op(v.grad phi) - v.grad(op phi), products dealiased.
 
     The commutator is linear in op, so a weighted sum of operators
@@ -86,13 +98,22 @@ def commutator_apply(op: Multiplier, v: Velocity, phi: SpectralField,
     cheaper.  Transport is linear in the transported field too, so
     ``carry`` rides along in the second advection: the result is then
     [op, v.grad] phi - v.grad(carry), one advection fewer than the two
-    terms apart.  Symbols come from ``symbols`` if given.
+    terms apart.  ``v`` may be a tuple of velocities, ``transported``
+    then the tuple of their ``advect`` terms: op phi + carry and its
+    gradient are built once, and one commutator is returned per
+    velocity, each the same to the last bit as its own call.  Symbols
+    come from ``symbols`` if given.
     """
+    single = _is_velocity(v)
+    if single:
+        v = (v,)
+        transported = None if transported is None else (transported,)
     sym = symbol_of(op, phi.grid, symbols)
     applied = SpectralField(phi.grid, phi.coef * sym)
     if carry is not None:
         applied = applied + carry
     if transported is None:
         transported = advect(v, phi, symbols)
-    first = SpectralField(phi.grid, transported.coef * sym)
-    return first - advect(v, applied, symbols)
+    terms = tuple(SpectralField(phi.grid, t.coef * sym) - w
+                  for t, w in zip(transported, advect(v, applied, symbols)))
+    return terms[0] if single else terms

@@ -3,7 +3,7 @@
 None of these has a caller in ``fblab``: each is an independent route to
 a quantity the package computes another way (a second formula for f, the
 velocity-pressure form of the right-hand side, a Newton-refined sup, the
-full n-by-n spectrum layout), or a plain measure the tests compare with
+full n-by-n spectrum layout, the full-width padded transforms), or a plain measure the tests compare with
 (relative L2 distance, Hermitian defect, block reconstruction, the
 specs whose hypotheses hold), or a slower route the package replaced
 (the Leray projection, the per-radius window means of the maximal
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from fblab.dyadic import BlockSet, maximal_function, maximal_radii
-from fblab.fields import SpectralField, pad_size
+from fblab.fields import SpectralField, nice_fft_size, pad_size
 from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
@@ -243,6 +243,65 @@ def full_integral_product(a: SpectralField, b: SpectralField, power: int, m: int
     """integral(a * b**power) by the rectangle rule on the m-grid."""
     av, bv = full_physical_on(a, m), full_physical_on(b, m)
     return float(np.mean(av * bv**power)) * a.grid.length ** 2
+
+
+# -- the full-width padded transforms -------------------------------------------
+# The 2-D transforms ``fblab.fields`` replaced by passes over the band: the
+# padded half spectrum keeps all m/2+1 columns, ``irfft2`` and ``rfft2``
+# run their column pass over every one of them, and the columns the band
+# needs are sliced out afterwards.  The band-only passes must agree with
+# these to the last bit.
+
+
+def full_width_pad(coef: np.ndarray, m: int) -> np.ndarray:
+    """The m-lattice half spectrum, all m/2+1 columns, of the n-lattice
+    one, with the Nyquist lines split as ``fblab.fields`` splits them."""
+    n = coef.shape[0]
+    h = n // 2
+    out = np.zeros((m, m // 2 + 1), dtype=np.complex128)
+    out[:h, :h + 1] = coef[:h]
+    out[m - h + 1:, :h + 1] = coef[h + 1:]
+    out[:, h] *= 0.5
+    out[h, :h + 1] = 0.5 * coef[h]
+    out[m - h, :h] = 0.5 * coef[h, :h]
+    return out
+
+
+def full_width_physical_on(field: SpectralField, m: int) -> np.ndarray:
+    return np.fft.irfft2(full_width_pad(field.coef, m), s=(m, m), norm="forward")
+
+
+def full_width_multiply(a, b) -> np.ndarray:
+    """Half spectrum of the dealiased product (or sum of products) by
+    ``rfft2`` over the whole padded grid, then truncation."""
+    if isinstance(a, SpectralField):
+        a, b = (a,), (b,)
+    n = a[0].grid.n
+    m = pad_size(n)
+    h = n // 2
+    acc = full_width_physical_on(a[0], m) * full_width_physical_on(b[0], m)
+    for x, y in zip(a[1:], b[1:]):
+        acc += full_width_physical_on(x, m) * full_width_physical_on(y, m)
+    spec = np.fft.rfft2(acc, norm="forward")
+    out = np.zeros((n, h + 1), dtype=np.complex128)
+    out[:h, :h] = spec[:h, :h]
+    out[h + 1:, :h] = spec[m - h + 1:, :h]
+    return out
+
+
+def full_width_power_band(field: SpectralField, power: int) -> np.ndarray:
+    """The folded band of ``field**power`` by ``rfft2`` over the whole
+    m-grid, the power built in the same order of products."""
+    h = field.grid.n // 2
+    m = nice_fft_size((power + 1) * h + 2)
+    values = full_width_physical_on(field, m)
+    sampled = values if power == 1 else values * values
+    for _ in range(power - 2):
+        sampled *= values
+    spec = np.fft.rfft2(sampled, norm="forward")
+    band = np.concatenate((spec[:h + 1, :h + 1], spec[m - h + 1:, :h + 1]))
+    band[h, :h] = 0.5 * (band[h, :h] + spec[m - h, :h])
+    return band
 
 
 # -- the per-radius maximal function -------------------------------------------

@@ -302,10 +302,14 @@ class TestOnePass:
                     assert row.terms[name] == abs(row.signed[name])
 
     def test_op_counts_do_not_grow_with_configs(self, monkeypatch):
-        # per state: four advections per split velocity (u_F, u_Theta), one
-        # sum-of-products call each; the commutators reuse the u.grad Theta
-        # of I5, and the full-velocity terms are sums of the split pairings
-        counts = {"advect": 0, "multiply": 0}
+        # per state: one gradient each of F, Theta, R_alpha Theta and the
+        # smooth commutator's op Theta, shared by u_F and u_Theta; four
+        # products per split velocity (the commutators reuse the u.grad
+        # Theta of I5); padded samples of the four velocity components and
+        # the eight gradient components.  The full-velocity terms are sums
+        # of the split pairings.
+        counts = {"gradient": 0, "multiply": 0, "padded": 0}
+        n = 32
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -313,16 +317,22 @@ class TestOnePass:
                 return fn(*args, **kwargs)
             return wrapper
 
-        wrapped_advect = counting("advect", operators.advect)
-        monkeypatch.setattr(diagnostics, "advect", wrapped_advect)
-        monkeypatch.setattr(operators, "advect", wrapped_advect)
+        physical_on = SpectralField.physical_on
+
+        def counted_physical_on(field, m):
+            counts["padded"] += m == fields.pad_size(n)
+            return physical_on(field, m)
+
+        monkeypatch.setattr(operators, "gradient", counting("gradient", operators.gradient))
         monkeypatch.setattr(operators, "multiply", counting("multiply", fields.multiply))
+        monkeypatch.setattr(SpectralField, "physical_on", counted_physical_on)
         configs = list(ledger_configs(ALPHA).values())
         for chosen in (configs[:1], configs):
-            counts.update(advect=0, multiply=0)
-            rows = energy_terms(hybrid_state(n=32), chosen)
+            state = hybrid_state(n=n)
+            counts.update(gradient=0, multiply=0, padded=0)
+            rows = energy_terms(state, chosen)
             assert len(rows) == len(chosen)
-            assert counts == {"advect": 8, "multiply": 8}
+            assert counts == {"gradient": 4, "multiply": 8, "padded": 12}
 
     def test_rejects_any_bad_config(self):
         good = ledger_configs(ALPHA)["l2"]

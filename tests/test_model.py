@@ -302,9 +302,30 @@ class TestTwoAdvectionStage:
         want = commutator_apply(op, v, phi) - advect(v, carry)
         assert np.max(np.abs(got.coef - want.coef)) <= 1e-13 * np.max(np.abs(want.coef))
 
+    def test_velocity_tuple_matches_one_call_per_velocity(self):
+        # one gradient shared by both velocities changes no bit of either term
+        g = make_grid(64, TWO_PI)
+        vs = (random_divfree_field(g, 3, band=(0, 4)), random_divfree_field(g, 7, band=(0, 6)))
+        phi, carry = (random_scalar_field(g, seed, band=(0, 4)) for seed in (4, 5))
+        op = Multiplier.riesz(ALPHA)
+        for got, v in zip(advect(vs, phi), vs):
+            assert np.array_equal(got.coef, advect(v, phi).coef)
+        transported = advect(vs, phi)
+        for kwargs in ({}, {"carry": carry}):
+            plain = commutator_apply(op, vs, phi, **kwargs)
+            reused = commutator_apply(op, vs, phi, transported, **kwargs)
+            assert len(plain) == len(reused) == 2
+            for p_, r_, v, t in zip(plain, reused, vs, transported):
+                want = commutator_apply(op, v, phi, **kwargs)
+                assert np.array_equal(p_.coef, want.coef), kwargs
+                assert np.array_equal(r_.coef, commutator_apply(op, v, phi, t, **kwargs).coef)
+                assert np.array_equal(r_.coef, want.coef), kwargs
+
     @pytest.mark.parametrize("tag", ["f", "omega"])
     def test_op_counts_per_step(self, monkeypatch, tag):
-        # two advections a stage in both forms: 8 products, 32 + 2 (guard) FFTs a step
+        # two advections a stage in both forms: 8 products a step; a padded
+        # transform is two 1-D passes, so 24 inverse (ifft + irfft) and 8
+        # forward (rfft + fft) padded transforms, plus the guard's 2 irfft2
         import fblab.fields as fields
         import fblab.operators as operators
 
@@ -318,16 +339,18 @@ class TestTwoAdvectionStage:
 
         st_ = make_state(n=32, formulation=tag, seed=5)
         dt = 0.5 * cfl_limit(st_)
-        for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfftn", "irfftn", "fftn", "ifftn"):
-            monkeypatch.setattr(np.fft, name, counting("fft", getattr(np.fft, name)))
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
         wrapped = counting("multiply", fields.multiply)
         monkeypatch.setattr(fields, "multiply", wrapped)
         monkeypatch.setattr(operators, "multiply", wrapped)
+        per_step = {"irfft2": 2, "ifft": 24, "irfft": 24, "rfft": 8, "fft": 8, "multiply": 8}
         step(st_, dt)  # the guard's two transforms are among the step's
-        assert counts == {"fft": 34, "multiply": 8}
+        assert counts == per_step
         counts.clear()
         integrate(make_state(n=32, formulation=tag, seed=5), 3 * dt, dt=dt)
-        assert counts == {"fft": 3 * 34, "multiply": 3 * 8}
+        assert counts == {name: 3 * k for name, k in per_step.items()}
 
     @pytest.mark.parametrize("tag", ["f", "omega"])
     def test_symbol_builds_do_not_grow_with_steps(self, monkeypatch, tag):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fblab.ensembles import gaussian_bump_field, gaussian_dipole_field, random_divfree_field, random_scalar_field
-from fblab.fields import SpectralField, multiply, nice_fft_size, pad_size
+from fblab.fields import SpectralField, multiply, nice_fft_size, pad_size, power_band
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
 from fblab.model import ModelParams, scaled_velocity_split
@@ -17,7 +17,11 @@ from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, sobolev_no
 from fblab.operators import MeanFreeError, advect, biot_savart, curl, divergence
 
 from oracles import (full_apply_multiplier, full_coef, full_inner, full_integral_product, full_lattice,
-                     full_multiply, full_physical_on, hermitian_defect, leray_project, pad_coef)
+                     full_multiply, full_physical_on, full_width_multiply, full_width_physical_on,
+                     full_width_power_band, hermitian_defect, leray_project, pad_coef)
+
+NUMPY_FFTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+              "fftn", "ifftn", "rfftn", "irfftn")
 
 
 def unscaled_split(f, theta, alpha):
@@ -454,6 +458,9 @@ class TestRealProductPath:
             multiply((a, b), (b, oracle_fields(32, seed=7)["smooth"]))
 
     def test_one_forward_transform_per_advection(self, monkeypatch):
+        # every numpy.fft entry point is counted: a padded inverse transform
+        # is an ifft and an irfft pass, the forward one an rfft and an fft
+        # pass; the velocity's padded samples are kept after its first use
         g = make_grid(64, TWO_PI)
         v = random_divfree_field(g, 3, band=(0, 4))
         phis = [random_scalar_field(g, seed, band=(0, 4)) for seed in (4, 5, 6)]
@@ -465,11 +472,13 @@ class TestRealProductPath:
                 return transform(*args, **kwargs)
             return wrapper
 
-        for name in ("rfft2", "rfftn", "fft2", "fftn"):
+        for name in NUMPY_FFTS:
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
         for phi in phis:
             advect(v, phi)
-        assert calls == ["rfft2"] * len(phis)
+        first = ["ifft", "irfft"] * 4 + ["rfft", "fft"]
+        later = ["ifft", "irfft"] * 2 + ["rfft", "fft"]
+        assert calls == first + later * (len(phis) - 1)
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_physical_on_matches_complex_path(self, n):
@@ -479,6 +488,32 @@ class TestRealProductPath:
                 assert got.dtype == np.float64
                 assert rel_max(got, full_physical_on(f, m)) <= 1e-13, (name, m)
             assert rel_max(f.physical(), full_physical_on(f, n)) <= 1e-13, name
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_physical_on_is_bit_identical_to_full_width(self, n):
+        # the band-only passes run the same 1-D transforms as irfft2 over
+        # the full-width padded spectrum, on the same numbers
+        h = n // 2
+        sizes = [pad_size(n), 2 * n] + [nice_fft_size((P + 1) * h + 2) for P in range(1, 6)]
+        for name, f in oracle_fields(n, seed=n + 7).items():
+            for m in sizes:
+                assert np.array_equal(f.physical_on(m), full_width_physical_on(f, m)), (name, m)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_multiply_is_bit_identical_to_full_width(self, n):
+        fields = oracle_fields(n, seed=n + 8)
+        c = fields["nyquist"]
+        for x, a in fields.items():
+            for y, b in fields.items():
+                assert np.array_equal(multiply(a, b).coef, full_width_multiply(a, b)), (x, y)
+                got = multiply((a, b, c), (b, c, a)).coef
+                assert np.array_equal(got, full_width_multiply((a, b, c), (b, c, a))), (x, y)
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_power_band_is_bit_identical_to_full_width(self, n):
+        for name, f in oracle_fields(n, seed=n + 9).items():
+            for P in range(1, 6):
+                assert np.array_equal(power_band(f, P), full_width_power_band(f, P)), (name, P)
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_apply_multiplier_matches_full_layout(self, n):
