@@ -13,6 +13,9 @@ from .fields import SpectralField, multiply
 from .multipliers import Multiplier, SymbolTable, apply_multiplier, symbol_of
 
 Velocity = Tuple[SpectralField, SpectralField]
+# ``advect`` and ``commutator_apply`` take either form: one Velocity gives
+# one SpectralField back, a tuple of Velocities one SpectralField per
+# velocity, in order.  The form is told by whether v[0] is a field.
 Velocities = Union[Velocity, Tuple[Velocity, ...]]
 
 _D1 = Multiplier.partial(0)
@@ -104,16 +107,15 @@ def commutator_apply(op: Multiplier, v: Velocities, phi: SpectralField,
     velocity, each the same to the last bit as its own call.  Symbols
     come from ``symbols`` if given.
     """
-    single = _is_velocity(v)
-    if single:
-        v = (v,)
-        transported = None if transported is None else (transported,)
     sym = symbol_of(op, phi.grid, symbols)
     applied = SpectralField(phi.grid, phi.coef * sym)
     if carry is not None:
         applied = applied + carry
     if transported is None:
         transported = advect(v, phi, symbols)
-    terms = tuple(SpectralField(phi.grid, t.coef * sym) - w
-                  for t, w in zip(transported, advect(v, applied, symbols)))
-    return terms[0] if single else terms
+    if _is_velocity(v):
+        return SpectralField(phi.grid, transported.coef * sym) - advect(v, applied, symbols)
+    if len(transported) != len(v):
+        raise ValueError(f"{len(transported)} transported terms for {len(v)} velocities")
+    return tuple(SpectralField(phi.grid, t.coef * sym) - w
+                 for t, w in zip(transported, advect(v, applied, symbols)))

@@ -320,6 +320,8 @@ class TestTwoAdvectionStage:
                 assert np.array_equal(p_.coef, want.coef), kwargs
                 assert np.array_equal(r_.coef, commutator_apply(op, v, phi, t, **kwargs).coef)
                 assert np.array_equal(r_.coef, want.coef), kwargs
+        with pytest.raises(ValueError, match="1 transported terms for 2 velocities"):
+            commutator_apply(op, vs, phi, transported[:1])
 
     @pytest.mark.parametrize("tag", ["f", "omega"])
     def test_op_counts_per_step(self, monkeypatch, tag):
