@@ -19,7 +19,9 @@ it falsifies resolution instability and measures constants on the torus
 Trial t's fields are shared across specs: every spec of a campaign
 reads the same draw of (grid, trial), and each spec's ratios reduce
 through the same max as when it runs alone, so a spec's report does not
-depend on which other specs run with it.
+depend on which other specs run with it.  Specs that share a commutator
+or a smoothed velocity run back to back in each trial and reuse it, so
+each is built once a draw.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import lp_norm
-from .operators import Velocity, commutator_apply, divergence
-from .registry import InequalitySpec, TrialDraw
+from .operators import Velocity, advect, commutator_apply, divergence
+from .registry import InequalitySpec, TrialDraw, lhs_work
 
 # kernel tail above which RepresentationResult.aliasing_warning is set: the
 # block kernel then reaches the box edge and periodization may touch the
@@ -42,13 +44,15 @@ from .registry import InequalitySpec, TrialDraw
 KERNEL_TAIL_WARN = 1e-10
 
 
-def commutator_field(op, v: Velocity, phi: SpectralField, div_tol: float = 1e-12) -> SpectralField:
-    """Exact discrete commutator with a divergence-free velocity."""
+def commutator_field(op, v: Velocity, phi: SpectralField, div_tol: float = 1e-12,
+                     transported=None) -> SpectralField:
+    """Exact discrete commutator with a divergence-free velocity;
+    ``transported`` is ``advect(v, phi)`` if the caller already has it."""
     div = divergence(v)
     vnorm = max(np.max(np.abs(v[0].coef)), np.max(np.abs(v[1].coef)), 1e-300)
     if np.max(np.abs(div.coef)) > div_tol * vnorm:
         raise ValueError("commutator_field requires a divergence-free velocity")
-    return commutator_apply(op, v, phi)
+    return commutator_apply(op, v, phi, transported=transported)
 
 
 # -- representation formula ---------------------------------------------------
@@ -176,14 +180,18 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
     (grid, trial, attempt) reads one shared :class:`TrialDraw`: the
     fields, v.grad(phi) and the norms of the fields are computed once
     however many specs use them, and each report is the one the spec
-    gets alone.  A trial whose RHS degenerates is redrawn a few times
-    (attempt 1, 2, ...) for that spec only and counted.  Give at least
-    two grid sizes for a meaningful scaling table (with one the
-    stability verdict is vacuous).
+    gets alone.  Within a trial the specs run in the order of
+    :func:`_work_order`, so specs that share a commutator or a smoothed
+    velocity run back to back and reuse it from the draw's one slot;
+    reports stay in input order.  A trial whose RHS degenerates is
+    redrawn a few times (attempt 1, 2, ...) for that spec only and
+    counted.  Give at least two grid sizes for a meaningful scaling
+    table (with one the stability verdict is vacuous).
     """
     from .grid import make_grid
 
     problems = list(problems)
+    order = _work_order(problems)
     ratios: List[Dict[int, List[float]]] = [{} for _ in problems]
     degenerate = [0] * len(problems)
     for n in grid_sizes:
@@ -192,8 +200,8 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
             per_grid[n] = []
         for t in range(trials):
             draws: Dict[int, TrialDraw] = {}  # attempt -> the draw every spec shares
-            for i, problem in enumerate(problems):
-                ratio, redraws = _sample_ratio(problem, grid, draws, seed, t, max_resample)
+            for i in order:
+                ratio, redraws = _sample_ratio(problems[i], grid, draws, seed, t, max_resample)
                 ratios[i][n].append(ratio)
                 degenerate[i] += redraws
     reports = []
@@ -204,6 +212,22 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
                                       getattr(problem, "canary", False),
                                       getattr(problem, "near_boundary", False)))
     return reports
+
+
+def _work_order(problems: Sequence) -> List[int]:
+    """Indices of ``problems`` with registry specs of one velocity form
+    back to back and, within it, those of one commutator (see
+    :func:`registry.lhs_work`); each group stands where its first member
+    does.  Any other problem sorts by its own index."""
+    first: Dict[object, int] = {}
+    keys = []
+    for i, problem in enumerate(problems):
+        if isinstance(problem, InequalitySpec):
+            form, op = lhs_work(problem)
+            keys.append((first.setdefault(form, i), first.setdefault((form, op), i)))
+        else:
+            keys.append((i, i))
+    return sorted(range(len(problems)), key=keys.__getitem__)
 
 
 def _sample_ratio(problem, grid: Grid, draws: Dict[int, TrialDraw], seed: int, t: int,
@@ -253,8 +277,9 @@ def smoothing_comparison(alpha: float, trials: int, n: int, seed: int = 0) -> Di
         den *= lp_norm(apply_multiplier(th, Multiplier.lambda_pow(1.0 - alpha)), 2.0)
         if den <= 0:
             continue
+        transported = advect(v, th)
         for name, op in (("rough", rough), ("smooth", smooth)):
-            c = commutator_field(op, v, th)
+            c = commutator_field(op, v, th, transported=transported)
             worst[name] = max(worst[name], lp_norm(c, 2.0) / den)
     worst["smooth_over_rough"] = worst["smooth"] / max(worst["rough"], 1e-300)
     return worst

@@ -111,6 +111,10 @@ class RunConfig:
                         spec.validate()
                     except ConstraintError as exc:
                         raise ConfigError(str(exc)) from exc
+            if not self.grids:
+                raise ConfigError("estimate grids must name at least one grid size")
+            if len(set(self.grids)) != len(self.grids):
+                raise ConfigError(f"estimate grids must not repeat a size, got {self.grids}")
             for g in self.grids:
                 try:
                     make_grid(g, 2 * math.pi)  # the estimates run on the 2*pi box

@@ -107,7 +107,6 @@ class InequalitySpec:
     near_boundary: bool = False
     _lhs: Callable = dc_field(default=None, repr=False)
     _rhs: Callable = dc_field(default=None, repr=False)
-    _draw: Callable = dc_field(default=None, repr=False)
     needs_pairing_field: bool = False
 
     def validate(self):
@@ -119,7 +118,11 @@ class InequalitySpec:
     def draw(self, grid: Grid, seed, trial: Optional["TrialDraw"] = None) -> Dict[str, object]:
         """Fields of one attempt; ``trial`` is the :class:`TrialDraw` of
         (grid, seed) that other specs share, a fresh one if None."""
-        return self._draw(self, trial or TrialDraw(grid, seed))
+        trial = trial or TrialDraw(grid, seed)
+        out = {"v": trial.field("v"), "phi": trial.field("phi"), "trial": trial}
+        if self.needs_pairing_field:
+            out["psi"] = trial.field("psi")
+        return out
 
     def lhs(self, grid: Grid, fields) -> float:
         return self._lhs(self, grid, fields)
@@ -296,12 +299,17 @@ class TrialDraw:
     that fazel5, f10 and g50 read (one n-by-n array).  ``scalar``
     memoises numbers of the drawn fields under keys of field role and
     exponents, never object ids: norms, and pairing LHS values keyed by
-    operator.  Fields a spec derives
-    (commutators, eq25's smoothed velocity) are not kept: holding them
-    would raise the peak memory of an estimate run.
+    operator.  A field a spec derives (a commutator, or eq25's smoothed
+    velocity with its transport of phi) goes in one slot through
+    ``derived``: the next spec asking for the same key reuses it, and
+    another key replaces it.  Specs sharing that work run back to back
+    (see :func:`lhs_work`), so each is built once a draw, and at most
+    one derived field outlives its spec: holding them all would raise
+    the peak memory of an estimate run.
     """
 
-    __slots__ = ("grid", "seed", "_fields", "_transported", "_grad_magnitude", "_scalars")
+    __slots__ = ("grid", "seed", "_fields", "_transported", "_grad_magnitude", "_scalars",
+                 "_derived_key", "_derived")
 
     def __init__(self, grid: Grid, seed):
         self.grid = grid
@@ -310,6 +318,8 @@ class TrialDraw:
         self._transported: Optional[SpectralField] = None
         self._grad_magnitude: Optional[np.ndarray] = None
         self._scalars: Dict[tuple, float] = {}
+        self._derived_key: Optional[tuple] = None
+        self._derived = None
 
     def field(self, role: str):
         if role not in self._fields:
@@ -331,12 +341,14 @@ class TrialDraw:
             self._scalars[key] = compute()
         return self._scalars[key]
 
-
-def _draw_standard(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
-    out = {"v": trial.field("v"), "phi": trial.field("phi"), "trial": trial}
-    if spec.needs_pairing_field:
-        out["psi"] = trial.field("psi")
-    return out
+    def derived(self, key: tuple, compute: Callable[[], object]):
+        """The derived field under ``key``: the slot's if its key matches,
+        else computed and put in the slot in place of the one held."""
+        if self._derived_key != key:
+            self._derived_key, self._derived = None, None  # free it before building
+            self._derived = compute()
+            self._derived_key = key
+        return self._derived
 
 
 # -- evaluators -----------------------------------------------------------
@@ -369,22 +381,53 @@ def _grad_v_lp(fields, p: float) -> float:
                    lambda: _magnitude_lp(_grad_v(fields), p, fields["v"][0].grid))
 
 
-def _commutator_v(op: Multiplier, fields) -> SpectralField:
-    """[op, v.grad] phi of the drawn fields, from the draw's shared v.grad(phi)."""
-    trial = fields.get("trial")
-    transported = None if trial is None else trial.transported()
-    return commutator_apply(op, fields["v"], fields["phi"], transported=transported)
+# keep every product inside the alias-safe band of the smallest grid used: g50's block
+_MID_BLOCK_LEVEL = 3
+
+
+def lhs_work(spec: InequalitySpec) -> Tuple[float, Multiplier]:
+    """The commutator [op, w.grad] phi that the spec's LHS builds, as
+    (order, op): w = Lambda^order v is its velocity form (order 0: the
+    drawn v).  Specs with equal work, or with one velocity form, share
+    it within a draw when they run back to back (see TrialDraw)."""
+    e, family = spec.exponents, spec.family
+    if family in ("fazel5", "eq200"):
+        return 0.0, Multiplier.riesz(spec.alpha)
+    if family == "g50":
+        return 0.0, Multiplier.smooth_bump(_MID_BLOCK_LEVEL)
+    if family == "eq25":
+        return -e["s3"], Multiplier.lambda_pow(e["s2"])
+    if family in ("eq20", "eq201"):
+        return 0.0, Multiplier.lambda_pow(e["s2"])
+    return 0.0, Multiplier.lambda_pow(e.get("S", e.get("s")))  # aaa, fazel6, f10, f20
+
+
+def _commutator(spec: InequalitySpec, fields) -> SpectralField:
+    """The LHS commutator of ``spec`` (see :func:`lhs_work`).  In a draw,
+    one on v goes in the draw's slot for the next spec with its operator;
+    for a smoothed velocity the slot holds that velocity and its transport
+    of phi instead, for the next spec of that velocity form."""
+    order, op = lhs_work(spec)
+    v, phi, trial = fields["v"], fields["phi"], fields.get("trial")
+
+    def smoothed():
+        lam = Multiplier.lambda_pow(order)
+        w = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
+        return w, advect(w, phi)
+
+    if order != 0.0:
+        w, transported = smoothed() if trial is None else trial.derived(("velocity", order), smoothed)
+        return commutator_apply(op, w, phi, transported=transported)
+    if trial is None:
+        return commutator_apply(op, v, phi)
+    return trial.derived(("commutator", op),
+                         lambda: commutator_apply(op, v, phi, transported=trial.transported()))
 
 
 def _pairing_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
-    e = spec.exponents
-    if spec.family == "fazel5":
-        op = Multiplier.riesz(spec.alpha)
-    else:
-        s = e.get("S", e.get("s"))
-        op = Multiplier.lambda_pow(s)
+    _, op = lhs_work(spec)
     return _scalar(fields, ("pairing", op),
-                   lambda: abs(inner(_commutator_v(op, fields), fields["psi"])))
+                   lambda: abs(inner(_commutator(spec, fields), fields["psi"])))
 
 
 def _rhs_aaa(spec, grid, fields):
@@ -424,24 +467,15 @@ def _rhs_f20(spec, grid, fields):
 
 def _norm_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
     e, q = spec.exponents, spec.integrability
-    sid = spec.family
-    if sid == "eq200":
-        op = Multiplier.riesz(spec.alpha)
+    if spec.family == "eq200":
         outer, pnorm = e["s"], 2.0
-    elif sid == "eq201":
-        op = Multiplier.lambda_pow(e["s2"])
+    elif spec.family == "eq201":
         outer, pnorm = e["s1"], q["p"]
-    elif sid == "eq25":
-        op = Multiplier.lambda_pow(e["s2"])
+    elif spec.family == "eq25":
         outer, pnorm = -e["s1"], 2.0
     else:  # eq20
-        op = Multiplier.lambda_pow(e["s2"])
         outer, pnorm = -e["s1"], q["p"]
-    if sid == "eq25":
-        comm = commutator_apply(op, fields["v_effective"], fields["phi"])
-    else:
-        comm = _commutator_v(op, fields)
-    return _lam_lp(comm, outer, pnorm)
+    return _lam_lp(_commutator(spec, fields), outer, pnorm)
 
 
 def _rhs_eq20(spec, grid, fields):
@@ -469,24 +503,8 @@ def _rhs_eq25(spec, grid, fields):
             * _lp(fields, "phi", e["s2"] - e["s1"] + 1.0 - e["s3"], 2.0))
 
 
-def _draw_eq25(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
-    fields = _draw_standard(spec, trial)
-    lam = Multiplier.lambda_pow(-spec.exponents["s3"])
-    fields["v_effective"] = (apply_multiplier(fields["v"][0], lam),
-                             apply_multiplier(fields["v"][1], lam))
-    return fields
-
-
-# keep every product inside the alias-safe band of the smallest grid used
-_MID_BLOCK_LEVEL = 3
-
-
-def _draw_g50(spec: InequalitySpec, trial: TrialDraw) -> Dict[str, object]:
-    return {**_draw_standard(spec, trial), "k": _MID_BLOCK_LEVEL}
-
-
 def _g50_fields(spec, grid, fields):
-    comm = _commutator_v(Multiplier.smooth_bump(fields["k"]), fields)
+    comm = _commutator(spec, fields)
     q1, p1 = spec.integrability["q1"], spec.integrability["p1"]
     rhs_field = (maximal_function(_grad_v(fields) ** q1) ** (1.0 / q1)
                  * maximal_function(np.abs(fields["phi"].physical()) ** p1) ** (1.0 / p1))
@@ -509,11 +527,10 @@ def _g50_rhs(spec, grid, fields):
 # -- registry construction -------------------------------------------------
 
 
-def _spec(spec_id, exponents, integrability, alpha, lhs, rhs, draw=_draw_standard,
-          needs_pairing_field=False, canary=False, near_boundary=False,
-          skip_validation=False, family=None) -> InequalitySpec:
+def _spec(spec_id, exponents, integrability, alpha, lhs, rhs, needs_pairing_field=False,
+          canary=False, near_boundary=False, skip_validation=False, family=None) -> InequalitySpec:
     s = InequalitySpec(spec_id, family or spec_id, exponents, integrability, alpha,
-                       canary, near_boundary, lhs, rhs, draw, needs_pairing_field)
+                       canary, near_boundary, lhs, rhs, needs_pairing_field)
     if not skip_validation:
         s.validate()
     return s
@@ -533,7 +550,7 @@ def build_registry(alpha: float = 0.75) -> Dict[str, InequalitySpec]:
         "eq20": _spec("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75},
                       {"p": 2.0, "q": 4.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq20),
         "eq25": _spec("eq25", {"s1": 0.4, "s2": 0.5, "s3": 0.35}, {}, alpha,
-                      _norm_lhs, _rhs_eq25, draw=_draw_eq25),
+                      _norm_lhs, _rhs_eq25),
         "f10": _spec("f10", {"s": 0.5}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha,
                      _pairing_lhs, _rhs_f10, needs_pairing_field=True),
         "f20": _spec("f20", {"s": 0.5, "a": 0.75}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha,
@@ -542,14 +559,12 @@ def build_registry(alpha: float = 0.75) -> Dict[str, InequalitySpec]:
                        _norm_lhs, _rhs_eq200),
         "eq201": _spec("eq201", {"s1": 0.2, "s2": 0.3, "a": 0.8},
                        {"p": 2.0, "q": 4.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq201),
-        "g50": _spec("g50", {}, {"p1": 4.0 / 3.0, "q1": 4.0}, alpha, _g50_lhs, _g50_rhs,
-                     draw=_draw_g50),
+        "g50": _spec("g50", {}, {"p1": 4.0 / 3.0, "q1": 4.0}, alpha, _g50_lhs, _g50_rhs),
         # q = 2 violates the low-high hypothesis of eq20; runnable, never gating
         "eq20_canary_q2": _spec("eq20_canary_q2", {"s1": 0.3, "s2": 0.8, "a": 0.75},
                                 {"p": 4.0 / 3.0, "q": 2.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq20,
                                 canary=True, skip_validation=True, family="eq20"),
         # hypotheses satisfied but just inside the s2 < s1 + s3 boundary
         "eq25_boundary": _spec("eq25_boundary", {"s1": 0.4, "s2": 0.74, "s3": 0.35}, {}, alpha,
-                               _norm_lhs, _rhs_eq25, draw=_draw_eq25, near_boundary=True,
-                               family="eq25"),
+                               _norm_lhs, _rhs_eq25, near_boundary=True, family="eq25"),
     }

@@ -368,6 +368,25 @@ class TestEstimateCli:
         path, _ = write_ini(tmp_path)
         assert main(["--config", path, "--grids", "48", "estimate"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("grids,flag", [("", None), ("64,128", ",")],
+                             ids=["empty_key", "empty_flag"])
+    def test_empty_grids_refused(self, tmp_path, capsys, grids, flag):
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("grids = 64,128", f"grids = {grids}"))
+        argv = ["--config", path] + (["--grids", flag] if flag is not None else []) + ["estimate"]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "grids" in err and "at least one" in err
+        assert "Traceback" not in err and not os.path.exists(out)
+
+    def test_repeated_grids_refused(self, tmp_path, capsys):
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("grids = 64,128", "grids = 64,64"))
+        assert main(["--config", path, "estimate"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "grids" in err and "repeat" in err
+        assert "Traceback" not in err and not os.path.exists(out)
+
 
 class TestSelftestCli:
     def test_exit_zero(self, capsys):

@@ -194,9 +194,8 @@ class TestSampling:
             _spec("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75},
                   {"p": 4 / 3, "q": 2.0, "r": 4.0}, 0.75, _norm_lhs, _rhs_eq20)
         with pytest.raises(ConstraintError, match="eq25 requires s2 < s1 \\+ s3"):
-            from fblab.registry import _draw_eq25, _rhs_eq25
-            _spec("eq25", {"s1": 0.4, "s2": 0.9, "s3": 0.35}, {}, 0.75,
-                  _norm_lhs, _rhs_eq25, draw=_draw_eq25)
+            from fblab.registry import _rhs_eq25
+            _spec("eq25", {"s1": 0.4, "s2": 0.9, "s3": 0.35}, {}, 0.75, _norm_lhs, _rhs_eq25)
 
     def test_all_registered_specs_sample(self):
         reg = build_registry(0.75)
@@ -333,6 +332,96 @@ class TestSharedDraws:
         want = {(n, (4, t, 0, role)) for n in (64, 128) for t in range(3) for role in roles}
         assert set(draws) == want and set(draws.values()) == {1}
         assert transports == {(n, t, 0): 1 for n in (64, 128) for t in range(3)}
+
+    def test_shared_work_built_once_per_trial(self, monkeypatch):
+        # eq20 and eq20_canary_q2 share [Lambda^0.8, v.grad] phi, fazel5 and
+        # eq200 share [R_alpha, v.grad] phi, and eq25 and eq25_boundary share
+        # Lambda^-0.35 v: each is built once per (grid, trial, attempt)
+        import fblab.registry as registry
+
+        specs = list(build_registry(0.75).values())
+        drawn, built, smoothed = {}, Counter(), Counter()
+        draw_role, commutator, apply = (registry._draw_role, registry.commutator_apply,
+                                        registry.apply_multiplier)
+
+        def recorded_role(grid, seed, role):
+            out = draw_role(grid, seed, role)
+            drawn[id(out)] = (grid.n, seed[1], seed[2], role)
+            return out
+
+        def counted_commutator(op, v, phi, *rest, **kwargs):
+            n, t, attempt, _ = drawn[id(phi)]
+            form = "v" if drawn.get(id(v), (0,) * 4)[3] == "v" else "smoothed"
+            built[n, t, attempt, form, op] += 1
+            return commutator(op, v, phi, *rest, **kwargs)
+
+        def counted_apply(f, op, *rest):
+            if op == Multiplier.lambda_pow(-0.35):
+                smoothed[f.grid.n] += 1
+            return apply(f, op, *rest)
+
+        monkeypatch.setattr(registry, "_draw_role", recorded_role)
+        monkeypatch.setattr(registry, "commutator_apply", counted_commutator)
+        monkeypatch.setattr(registry, "apply_multiplier", counted_apply)
+        reports = estimate_constants(specs, trials=2, grid_sizes=(64, 128), seed=4)
+        assert all(r.degenerate == 0 for r in reports)
+        on_v = {Multiplier.lambda_pow(0.5), Multiplier.riesz(0.75), Multiplier.lambda_pow(0.25),
+                Multiplier.lambda_pow(0.8), Multiplier.lambda_pow(0.3), Multiplier.smooth_bump(3)}
+        on_smoothed = {Multiplier.lambda_pow(0.5), Multiplier.lambda_pow(0.74)}
+        want = {(n, t, 0, form, op): 1 for n in (64, 128) for t in range(2)
+                for form, ops in (("v", on_v), ("smoothed", on_smoothed)) for op in ops}
+        assert dict(built) == want
+        assert smoothed == {64: 2 * 2, 128: 2 * 2}  # two components a trial
+
+    def test_reports_in_input_order_for_any_evaluation_order(self):
+        reg = build_registry(0.75)
+        specs = list(reg.values())
+        want = {r.spec_id: r for r in estimate_constants(specs, trials=2, grid_sizes=(64,), seed=3)}
+
+        class Outsider:
+            """eq20 through the plain problem protocol: it draws alone."""
+            spec_id, canary, near_boundary = "eq20_outsider", False, False
+
+            def draw(self, grid, seed):
+                return {k: f for k, f in reg["eq20"].draw(grid, seed).items() if k != "trial"}
+
+            def lhs(self, grid, fields):
+                return reg["eq20"].lhs(grid, fields)
+
+            def rhs(self, grid, fields):
+                return reg["eq20"].rhs(grid, fields)
+
+        outsider = Outsider()
+        want[outsider.spec_id] = estimate_constant(outsider, trials=2, grid_sizes=(64,), seed=3)
+        shuffled = [specs[i] for i in np.random.default_rng(11).permutation(len(specs))]
+        for problems in (specs[::-1], shuffled):
+            problems = problems[:5] + [outsider] + problems[5:]
+            reports = estimate_constants(problems, trials=2, grid_sizes=(64,), seed=3)
+            assert [r.spec_id for r in reports] == [p.spec_id for p in problems]
+            for got in reports:
+                assert got == want[got.spec_id]  # every field
+
+    @pytest.mark.parametrize("sid", list(build_registry(0.75)))
+    def test_work_key_names_the_lhs_commutator(self, monkeypatch, sid):
+        import fblab.registry as registry
+
+        spec = build_registry(0.75)[sid]
+        calls = []
+        commutator = registry.commutator_apply
+
+        def recorded(op, v, phi, *rest, **kwargs):
+            calls.append((op, v))
+            return commutator(op, v, phi, *rest, **kwargs)
+
+        monkeypatch.setattr(registry, "commutator_apply", recorded)
+        estimate_constant(spec, trials=1, grid_sizes=(64,), seed=1)
+        order, op = registry.lhs_work(spec)
+        ((got_op, w),) = calls
+        assert got_op == op
+        v = spec.draw(make_grid(64, TWO_PI), (1, 0, 0))["v"]
+        lam = Multiplier.lambda_pow(order)
+        for wc, vc in zip(w, v):
+            assert np.array_equal(wc.coef, vc.coef if order == 0.0 else apply_multiplier(vc, lam).coef)
 
     def test_one_velocity_gradient_per_trial(self, monkeypatch):
         # fazel5, f10 and g50 all read |grad v|: its four components are
