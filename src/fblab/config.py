@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError("cadence must be a positive integer")
         if self.init not in ("random", "bumps"):
             raise ConfigError(f"init must be random or bumps, got {self.init!r}")
+        if mode in (None, "ledger"):
+            _require_distinct("diagnostics configs", "ledger config", self.ledger_ids)
         known_ledgers = ledger_configs(self.alpha, self.rho)
         for cid in self.ledger_ids:
             if cid not in known_ledgers:
@@ -101,6 +103,7 @@ class RunConfig:
         if mode in (None, "estimate"):
             if self.trials < 1:
                 raise ConfigError(f"trials must be a positive integer, got {self.trials}")
+            _require_distinct("estimate specs", "spec", self.estimate_ids)
             registry = build_registry(self.alpha)
             for sid in self.resolve_estimate_ids():
                 if sid not in registry:
@@ -111,10 +114,7 @@ class RunConfig:
                         spec.validate()
                     except ConstraintError as exc:
                         raise ConfigError(str(exc)) from exc
-            if not self.grids:
-                raise ConfigError("estimate grids must name at least one grid size")
-            if len(set(self.grids)) != len(self.grids):
-                raise ConfigError(f"estimate grids must not repeat a size, got {self.grids}")
+            _require_distinct("estimate grids", "grid size", self.grids)
             for g in self.grids:
                 try:
                     make_grid(g, 2 * math.pi)  # the estimates run on the 2*pi box
@@ -123,6 +123,14 @@ class RunConfig:
                 if g < 64:
                     raise ConfigError(f"estimate grids must be >= 64 so every registered "
                                       f"ensemble band is representable, got {g}")
+
+
+def _require_distinct(key: str, item: str, values: list):
+    """Refuse an empty list, or one naming an entry twice (it would run twice)."""
+    if not values:
+        raise ConfigError(f"{key} must name at least one {item}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} must not repeat a {item}, got {values}")
 
 
 def _parse_list(raw: str) -> List[str]:

@@ -56,7 +56,7 @@ from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_vel
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
-from .dyadic import besov_norm
+from .dyadic import DyadicPartition, besov_norm, build_partition
 
 DEFAULT_RHO = 0.01
 
@@ -370,25 +370,29 @@ class StateNorms:
     grad_theta_linf: float
 
 
-def _grad_linf(field: SpectralField) -> float:
-    gx, gy = gradient(field)
+def _grad_linf(field: SpectralField, symbols: Optional[SymbolTable] = None) -> float:
+    gx, gy = gradient(field, symbols)
     return max(lp_norm(gx, np.inf), lp_norm(gy, np.inf))
 
 
-def state_norms(state: SimState) -> StateNorms:
+def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
+                partition: Optional[DyadicPartition] = None) -> StateNorms:
+    """Norms of one state; symbols and dyadic rings come from ``symbols``
+    and ``partition`` if given, and are built afresh otherwise."""
     ex = ExponentSuite(state.params.alpha)
     fs = convert_state(state, "f")
     f = fs.primary
-    uf, _ = scaled_velocity_split(f, fs.theta, fs.params)
+    uf, _ = scaled_velocity_split(f, fs.theta, fs.params, symbols)
+    half_alpha = apply_multiplier(f, Multiplier.lambda_pow(ex.alpha / 2), symbols)
     return StateNorms(
         t=state.time,
         theta_l2=lp_norm(state.theta, 2), theta_linf=lp_norm(state.theta, np.inf),
         f_l2=lp_norm(f, 2), f_l4=lp_norm(f, 4), f_l6=lp_norm(f, 6),
-        f_halfalpha_l2=lp_norm(apply_multiplier(f, Multiplier.lambda_pow(ex.alpha / 2)), 2),
+        f_halfalpha_l2=lp_norm(half_alpha, 2),
         uf_linf=max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf)),
-        grad_uf_linf=max(_grad_linf(uf[0]), _grad_linf(uf[1])),
-        f_besov=besov_norm(f, ex.besov_smoothness, ex.besov_integrability),
-        grad_theta_linf=_grad_linf(state.theta))
+        grad_uf_linf=max(_grad_linf(uf[0], symbols), _grad_linf(uf[1], symbols)),
+        f_besov=besov_norm(f, ex.besov_smoothness, ex.besov_integrability, partition),
+        grad_theta_linf=_grad_linf(state.theta, symbols))
 
 
 @dataclass
@@ -413,8 +417,11 @@ def _sup(values) -> float:
 
 def criteria_monitor(traj: Trajectory) -> CriteriaReport:
     """Running suprema of the blow-up-controlling quantities along a run,
-    with the per-state norms they are taken over."""
-    norms = [state_norms(st) for st in traj.states]
+    with the per-state norms they are taken over.  Every state shares one
+    symbol table and one dyadic partition, both dropped on return."""
+    grid = traj.states[0].grid
+    symbols, partition = SymbolTable(grid), build_partition(grid)
+    norms = [state_norms(st, symbols, partition) for st in traj.states]
     return CriteriaReport(
         sup_f_l6=_sup(n.f_l6 for n in norms),
         sup_uf_linf=_sup(n.uf_linf for n in norms),

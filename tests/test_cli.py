@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fblab
+from fblab import cli
 from fblab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from fblab.config import ConfigError, load_config
 from fblab.grid import make_grid
@@ -59,6 +64,14 @@ def replay_ledger(tmp_path, snaps):
     rpath = tmp_path / "replay.ini"
     rpath.write_text(replay)
     return main(["--config", str(rpath), "ledger"])
+
+
+def assert_refused(capsys, argv, out, *words):
+    """``main(argv)`` exits 1 before any compute with a message naming ``words``."""
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and all(w in err for w in words), err
+    assert "Traceback" not in err and not os.path.exists(out)
 
 
 class TestConfig:
@@ -336,6 +349,12 @@ class TestLedgerCli:
             b = (tmp_path / "replay" / f"ledger_{cid}.csv").read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("configs,word", [("", "at least one"), ("l2,l2", "repeat")],
+                             ids=["empty", "repeated"])
+    def test_bad_configs_list_refused(self, tmp_path, capsys, configs, word):
+        path, out = write_ini(tmp_path, extra=f"\n[diagnostics]\nconfigs = {configs}\n")
+        assert_refused(capsys, ["--config", path, "ledger"], out, "configs", word)
+
     def test_verdict_summary_written(self, tmp_path):
         path, out = write_ini(tmp_path)
         assert main(["--config", path, "ledger"]) == EXIT_OK
@@ -374,18 +393,19 @@ class TestEstimateCli:
         path, out = write_ini(tmp_path)
         Path(path).write_text(Path(path).read_text().replace("grids = 64,128", f"grids = {grids}"))
         argv = ["--config", path] + (["--grids", flag] if flag is not None else []) + ["estimate"]
-        assert main(argv) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("validation error:") and "grids" in err and "at least one" in err
-        assert "Traceback" not in err and not os.path.exists(out)
+        assert_refused(capsys, argv, out, "grids", "at least one")
 
     def test_repeated_grids_refused(self, tmp_path, capsys):
         path, out = write_ini(tmp_path)
         Path(path).write_text(Path(path).read_text().replace("grids = 64,128", "grids = 64,64"))
-        assert main(["--config", path, "estimate"]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("validation error:") and "grids" in err and "repeat" in err
-        assert "Traceback" not in err and not os.path.exists(out)
+        assert_refused(capsys, ["--config", path, "estimate"], out, "grids", "repeat")
+
+    @pytest.mark.parametrize("specs,word", [("", "at least one"), ("eq20,eq20", "repeat")],
+                             ids=["empty", "repeated"])
+    def test_bad_specs_list_refused(self, tmp_path, capsys, specs, word):
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("specs = eq20,g50", f"specs = {specs}"))
+        assert_refused(capsys, ["--config", path, "estimate"], out, "specs", word)
 
 
 class TestSelftestCli:
@@ -437,3 +457,54 @@ class TestReplayGuard:
         bpath.write_text(bad)
         assert main(["--config", str(bpath), "ledger"]) == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
+
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# two warm n = 128 simulate calls in a fresh process; prints the minor page
+# faults of the second
+_FAULT_PROBE = textwrap.dedent("""
+    import resource, sys
+    from fblab.cli import main
+    argv = ["--config", sys.argv[1], "--out", sys.argv[2], "simulate"]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is glibc's mallopt")
+    def test_warm_simulate_keeps_freed_arrays(self, tmp_path):
+        ini = tmp_path / "f128.ini"
+        ini.write_text("[model]\nn = 128\nformulation = f\nt_end = 0.01\ndt = 0.005\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fblab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(ini), str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        faults = int(done.stdout.split()[-1])
+        assert faults < 500, f"{faults} minor page faults in a warm simulate call"
+
+    @pytest.mark.parametrize("cdll", ["raises", "no_mallopt"])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, cdll):
+        calls = []
+
+        def fake_cdll(name):
+            calls.append(name)
+            if cdll == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("t_end = 0.12", "t_end = 0.02"))
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        assert calls == [None]
+        assert len(Path(out, "series.csv").read_text().splitlines()) > 1

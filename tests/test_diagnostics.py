@@ -12,16 +12,18 @@ by padded-grid quadrature); the one-pass ``energy_terms`` must match it
 to roundoff for every config at once.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fblab.diagnostics import (ExponentSuite, LedgerConfig, criteria_monitor, energy_terms,
-                               ledger_configs, ledger_run)
-from fblab import diagnostics, fields, operators
+                               ledger_configs, ledger_run, state_norms)
+from fblab import diagnostics, dyadic, fields, operators
 from fblab.fields import SpectralField, nice_fft_size
 from fblab.grid import make_grid
-from fblab.model import (ModelParams, SimState, convert_state, hybrid_terms, initial_state,
-                         integrate, scaled_velocity_split)
+from fblab.model import (ModelParams, SimState, Trajectory, convert_state, hybrid_terms,
+                         initial_state, integrate, scaled_velocity_split)
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner, l2_norm_sq, lp_norm
 from fblab.operators import advect, commutator_apply
@@ -455,7 +457,6 @@ class TestCriteria:
         g = make_grid(32, TWO_PI)
         p = ModelParams(alpha=ALPHA)
         z = SpectralField.zero(g)
-        from fblab.model import Trajectory
         traj = Trajectory(states=[SimState(0.0, z, z, "f", p)])
         rep = criteria_monitor(traj)
         assert rep.sup_f_l6 == 0.0 and rep.sup_besov == 0.0 and rep.sup_uf_linf == 0.0
@@ -468,3 +469,21 @@ class TestCriteria:
         f6_first = lp_norm(convert_state(traj.states[0], "f").primary, 6.0)
         assert rep.sup_f_l6 >= f6_first - 1e-14
         assert rep.embedding_ratio > 0
+
+    def test_symbols_and_rings_built_once_per_run(self, monkeypatch):
+        builds = Counter()
+        symbol, ring = Multiplier.symbol, dyadic.zeta
+        monkeypatch.setattr(Multiplier, "symbol",
+                            lambda spec, grid: builds.update(["symbol"]) or symbol(spec, grid))
+        monkeypatch.setattr(dyadic, "zeta", lambda r: builds.update(["ring"]) or ring(r))
+        st = hybrid_state(n=32, seed=3)
+        per_run = []
+        for n_states in (1, 4):
+            traj = Trajectory(states=[SimState(0.01 * i, st.theta, st.primary, "f", st.params)
+                                      for i in range(n_states)])
+            builds.clear()
+            rep = criteria_monitor(traj)
+            per_run.append(dict(builds))
+        assert per_run[0]["symbol"] > 0 and per_run[0]["ring"] > 0 and per_run[1] == per_run[0]
+        # the shared table and rings give every state its lone call's norms, bit for bit
+        assert rep.norms == [state_norms(s) for s in traj.states]
