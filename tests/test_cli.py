@@ -407,6 +407,13 @@ class TestEstimateCli:
         Path(path).write_text(Path(path).read_text().replace("specs = eq20,g50", f"specs = {specs}"))
         assert_refused(capsys, ["--config", path, "estimate"], out, "specs", word)
 
+    def test_requested_spec_violated_by_alpha_refused(self, tmp_path, capsys):
+        path, out = write_ini(tmp_path)
+        text = Path(path).read_text().replace("alpha = 0.75", "alpha = 0.6")
+        Path(path).write_text(text.replace("specs = eq20,g50", "specs = fazel5"))
+        assert_refused(capsys, ["--config", path, "estimate"], out,
+                       "fazel5 requires s1 + s2 > 1 - alpha")
+
 
 class TestSelftestCli:
     def test_exit_zero(self, capsys):

@@ -1,0 +1,143 @@
+"""Golden artifacts: CLI runs rerun and compared with the files committed
+under tests/golden/.
+
+One ``estimate`` run over every registered spec, 2 trials on grids 64 and
+128, at seeds 0 and 7.  Every number must match within 1e-12 of the
+largest number of its file; every flag, count and string exactly.  After
+an intended change of output, regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and name the files and the measured drift in CHANGES.md.
+"""
+
+import csv
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from fblab.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+SEEDS = (0, 7)
+RTOL = 1e-12
+
+ESTIMATE_INI = """\
+[model]
+alpha = 0.75
+seed = {seed}
+
+[estimates]
+specs = all
+trials = 2
+grids = 64,128
+"""
+
+
+def run_estimate(seed: int, out: Path):
+    ini = out.parent / f"estimate_seed{seed}.ini"
+    ini.write_text(ESTIMATE_INI.format(seed=seed))
+    assert main(["--config", str(ini), "--out", str(out), "estimate"]) == EXIT_OK
+
+
+def _is_count(text: str) -> bool:
+    return text.lstrip("-").isdigit()
+
+
+def _csv_cells(path: Path):
+    """(row, column, text) of every cell, header included."""
+    with open(path, newline="") as fh:
+        return [(i, j, cell) for i, row in enumerate(csv.reader(fh)) for j, cell in enumerate(row)]
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _json_leaves(obj, path=()):
+    if isinstance(obj, dict):
+        yield path + ("{keys}",), sorted(obj)
+        for key in sorted(obj):
+            yield from _json_leaves(obj[key], path + (key,))
+    elif isinstance(obj, list):
+        yield path + ("[len]",), len(obj)
+        for i, item in enumerate(obj):
+            yield from _json_leaves(item, path + (i,))
+    else:
+        yield path, obj
+
+
+def _leaves(path: Path):
+    """(where, exact value or None, float or None) of each datum of a file:
+    a float is compared within tolerance, anything else exactly."""
+    if path.suffix == ".json":
+        for where, value in _json_leaves(json.loads(path.read_text())):
+            if isinstance(value, float):
+                yield where, None, value
+            else:
+                yield where, value, None
+        return
+    for i, j, text in _csv_cells(path):
+        value = _number(text)
+        if value is None or _is_count(text):
+            yield (i, j), text, None
+        else:
+            yield (i, j), None, value
+
+
+def compare_file(got: Path, want: Path):
+    """Mismatches of ``got`` against ``want``, as readable strings."""
+    have, need = list(_leaves(got)), list(_leaves(want))
+    if [w for w, _, _ in have] != [w for w, _, _ in need]:
+        return [f"{want.name}: layout differs"]
+    finite = [abs(x) for _, _, x in need if x is not None and math.isfinite(x)]
+    tol = RTOL * max(finite, default=0.0)
+    bad = []
+    for (where, exact_got, x_got), (_, exact_want, x_want) in zip(have, need):
+        if x_want is None or x_got is None:
+            same = exact_got == exact_want and x_got is None and x_want is None
+        elif math.isfinite(x_want):
+            same = abs(x_got - x_want) <= tol
+        else:
+            same = x_got == x_want or (math.isnan(x_got) and math.isnan(x_want))
+        if not same:
+            bad.append(f"{want.name} {where}: {exact_got if x_got is None else x_got!r} "
+                       f"!= {exact_want if x_want is None else x_want!r}")
+    return bad
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_estimate_matches_golden(tmp_path, seed):
+    out = tmp_path / "out"
+    run_estimate(seed, out)
+    want_dir = GOLDEN / f"estimate_seed{seed}"
+    assert sorted(os.listdir(out)) == sorted(os.listdir(want_dir))
+    bad = []
+    for name in sorted(os.listdir(want_dir)):
+        bad += compare_file(out / name, want_dir / name)
+    assert not bad, "\n".join(bad[:20])
+
+
+def regenerate():
+    import shutil
+    import tempfile
+
+    for seed in SEEDS:
+        target = GOLDEN / f"estimate_seed{seed}"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            run_estimate(seed, out)
+            shutil.rmtree(target, ignore_errors=True)
+            shutil.copytree(out, target)
+        print(f"wrote {target}")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
