@@ -36,7 +36,7 @@ from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
 from .norms import lp_norm
 from .operators import Velocity, advect, commutator_apply, divergence
-from .registry import InequalitySpec, TrialDraw, lhs_work
+from .registry import InequalitySpec, TrialDraw, norm_plan
 
 # kernel tail above which RepresentationResult.aliasing_warning is set: the
 # block kernel then reaches the box edge and periodization may touch the
@@ -179,18 +179,26 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
     loop runs grid -> trial -> spec, and every registry spec of one
     (grid, trial, attempt) reads one shared :class:`TrialDraw`: the
     fields, v.grad(phi) and the norms of the fields are computed once
-    however many specs use them, and each report is the one the spec
-    gets alone.  Within a trial the specs run in the order of
-    :func:`_work_order`, so specs that share a commutator or a smoothed
-    velocity run back to back and reuse it from the draw's one slot;
-    reports stay in input order.  A trial whose RHS degenerates is
-    redrawn a few times (attempt 1, 2, ...) for that spec only and
-    counted.  Give at least two grid sizes for a meaningful scaling
-    table (with one the stability verdict is vacuous).
+    however many specs use them, each field a norm reads is built once
+    for every p the specs read of it (:func:`registry.norm_plan`), and
+    each report is the one the spec gets alone.  Non-canary registry
+    specs are validated first: a violated hypothesis raises
+    ConstraintError before any draw.  Within a trial the specs run in
+    the order of :func:`_work_order`, so specs that share a commutator
+    or a smoothed velocity run back to back and reuse it from the draw's
+    one slot; reports stay in input order.  A trial whose RHS
+    degenerates is redrawn a few times (attempt 1, 2, ...) for that spec
+    only and counted.  Give at least two grid sizes for a meaningful
+    scaling table (with one the stability verdict is vacuous).
     """
     from .grid import make_grid
 
     problems = list(problems)
+    specs = [p for p in problems if isinstance(p, InequalitySpec)]
+    for spec in specs:
+        if not spec.canary:
+            spec.validate()
+    plan = norm_plan(specs)
     order = _work_order(problems)
     ratios: List[Dict[int, List[float]]] = [{} for _ in problems]
     degenerate = [0] * len(problems)
@@ -201,7 +209,8 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
         for t in range(trials):
             draws: Dict[int, TrialDraw] = {}  # attempt -> the draw every spec shares
             for i in order:
-                ratio, redraws = _sample_ratio(problems[i], grid, draws, seed, t, max_resample)
+                ratio, redraws = _sample_ratio(problems[i], grid, draws, plan, seed, t,
+                                               max_resample)
                 ratios[i][n].append(ratio)
                 degenerate[i] += redraws
     reports = []
@@ -216,30 +225,31 @@ def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int
 
 def _work_order(problems: Sequence) -> List[int]:
     """Indices of ``problems`` with registry specs of one velocity form
-    back to back and, within it, those of one commutator (see
-    :func:`registry.lhs_work`); each group stands where its first member
-    does.  Any other problem sorts by its own index."""
+    back to back and, within it, those of one commutator (the declared
+    ``work``); each group stands where its first member does.  Any other
+    problem sorts by its own index."""
     first: Dict[object, int] = {}
     keys = []
     for i, problem in enumerate(problems):
         if isinstance(problem, InequalitySpec):
-            form, op = lhs_work(problem)
+            form, op = problem.work
             keys.append((first.setdefault(form, i), first.setdefault((form, op), i)))
         else:
             keys.append((i, i))
     return sorted(range(len(problems)), key=keys.__getitem__)
 
 
-def _sample_ratio(problem, grid: Grid, draws: Dict[int, TrialDraw], seed: int, t: int,
+def _sample_ratio(problem, grid: Grid, draws: Dict[int, TrialDraw], plan, seed: int, t: int,
                   max_resample: int) -> Tuple[float, int]:
     """LHS/RHS of one trial and the number of redraws it took.  Registry
-    specs draw through ``draws``; any other problem draws alone."""
+    specs draw through ``draws``, each made with ``plan``; any other
+    problem draws alone."""
     shared = isinstance(problem, InequalitySpec)
     for attempt in range(max_resample):
         key = (seed, t, attempt)
         if shared:
             if attempt not in draws:
-                draws[attempt] = TrialDraw(grid, key)
+                draws[attempt] = TrialDraw(grid, key, plan)
             fields = problem.draw(grid, key, draws[attempt])
         else:
             fields = problem.draw(grid, key)

@@ -23,9 +23,13 @@ def lp_norm(field: SpectralField, p: float, pad: int | None = None) -> float:
     if p != np.inf and p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     values = field.physical_on(pad) if pad else field.physical()
+    return samples_lp(values, p, field.grid.length ** 2)
+
+
+def samples_lp(values: np.ndarray, p: float, area: float) -> float:
+    """L^p norm over a box of ``area`` of the uniform grid samples ``values``."""
     if p == np.inf:
         return float(np.max(np.abs(values)))
-    area = field.grid.length ** 2
     return float((np.mean(np.abs(values) ** p) * area) ** (1.0 / p))
 
 

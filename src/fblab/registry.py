@@ -1,16 +1,27 @@
 """Registry of commutator-inequality specifications.
 
-Each entry binds a spec id to concrete exponents, the hypothesis checks
-of its source estimate, and LHS/RHS evaluators over sampled fields.
-Invalid exponent combinations are rejected at construction with the
-violated constraint named, e.g. "eq20 requires 2 < q < inf".  Entries
-flagged ``canary`` deliberately violate a hypothesis; they are runnable
-(for instability exploration) but must never gate a verdict.
+Each spec is one declaration, evaluated by one generic path:
+
+- LHS: a kind and the commutator C = [op, (Lambda^order v).grad] phi,
+  declared as ``work = (order, op)``: ``pairing`` |<C, psi>|, ``norm``
+  ||Lambda^outer C||_p for ``outer = (outer, p)``, or ``pointwise`` (g50)
+  max_x |C(x)| / prod M(|f|^p)(x)^(1/p) over its factors;
+- RHS: the product of ``factors`` (role, order, p) in declared order, each
+  ||Lambda^order f||_p of "phi", "psi", |Lambda^order v| ("v") or |grad v|
+  ("grad_v"); 1 for a pointwise spec;
+- hypotheses: (holds, label) rows.  One function per family builds all
+  three from (exponents, integrability, alpha).
+
+:meth:`InequalitySpec.validate` names every violated row, e.g. "eq20
+requires 2 < q < inf"; a run validates the specs it requests, none at
+construction.  ``canary`` specs violate a hypothesis on purpose: runnable
+(for instability exploration), never validated, never gating a verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -20,19 +31,12 @@ from .ensembles import random_divfree_field, random_scalar_field
 from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, apply_multiplier
-from .norms import inner, lp_norm
+from .norms import inner, samples_lp
 from .operators import Velocity, advect, commutator_apply, gradient
-
-SPEC_IDS = ("aaa", "fazel5", "fazel6", "eq20", "eq25", "f10", "f20", "eq200", "eq201", "g50")
 
 
 class ConstraintError(ValueError):
     pass
-
-
-def _holder_triple(p1, p2, p3) -> bool:
-    total = sum(0.0 if p == np.inf else 1.0 / p for p in (p1, p2, p3))
-    return abs(total - 1.0) < 1e-9
 
 
 ENSEMBLE_CYCLE = (
@@ -49,23 +53,12 @@ ENSEMBLE_CYCLE = (
 )
 
 
-def top_shell(grid: Grid) -> Tuple[int, int]:
-    """Highest dyadic level whose ring fits the grid's alias-safe band."""
-    import math
+def _band(band, grid: Grid) -> Tuple[int, int]:
+    """``band``, or for "top" the top dyadic ring in the grid's alias-safe band."""
+    if band != "top":
+        return band
     j = int(math.floor(math.log2(grid.dk * (grid.n // 3))))
     return (j, j)
-
-
-def _resolve_band(band, grid: Grid) -> Tuple[int, int]:
-    return top_shell(grid) if band == "top" else band
-
-
-def _vector_lp(v: Velocity, p: float, order: float = 0.0) -> float:
-    comps = v
-    if order != 0.0:
-        lam = Multiplier.lambda_pow(order)
-        comps = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
-    return _magnitude_lp(np.hypot(comps[0].physical(), comps[1].physical()), p, v[0].grid)
 
 
 def _grad_magnitude(v: Velocity) -> np.ndarray:
@@ -80,38 +73,30 @@ def _grad_magnitude(v: Velocity) -> np.ndarray:
     return mag
 
 
-def _magnitude_lp(mag: np.ndarray, p: float, grid: Grid) -> float:
-    """L^p norm over the box of the grid samples ``mag``."""
-    if p == np.inf:
-        return float(np.max(mag))
-    area = grid.length ** 2
-    return float((np.mean(mag ** p) * area) ** (1.0 / p))
-
-
-def _lam_lp(f: SpectralField, order: float, p: float) -> float:
-    if order == 0.0:
-        return lp_norm(f, p)
-    return lp_norm(apply_multiplier(f, Multiplier.lambda_pow(order)), p)
-
-
 @dataclass
 class InequalitySpec:
-    """One registered estimate: exponents, hypotheses, and evaluators."""
+    """One registered estimate: its declaration (see the module docstring)."""
 
     spec_id: str
     family: str
     exponents: Dict[str, float]
     integrability: Dict[str, float]
-    alpha: float = 0.75
+    alpha: float
+    kind: str                                # "pairing", "norm" or "pointwise"
+    work: Tuple[float, Multiplier]           # C = [op, (Lambda^order v).grad] phi
+    factors: Tuple[tuple, ...]               # (role, order, p)
+    hypotheses: Tuple[Tuple[bool, str], ...]
+    outer: Optional[Tuple[float, float]] = None  # a norm LHS's (outer order, p)
     canary: bool = False
     near_boundary: bool = False
-    _lhs: Callable = dc_field(default=None, repr=False)
-    _rhs: Callable = dc_field(default=None, repr=False)
-    needs_pairing_field: bool = False
+
+    @property
+    def reads_psi(self) -> bool:
+        return self.kind == "pairing" or any(role == "psi" for role, _, _ in self.factors)
 
     def validate(self):
         """Raise ConstraintError naming every violated hypothesis."""
-        violations = _CONSTRAINTS[self.family](self.exponents, self.integrability, self.alpha)
+        violations = [label for holds, label in self.hypotheses if not holds]
         if violations:
             raise ConstraintError(f"{self.spec_id} requires " + "; ".join(violations))
 
@@ -120,159 +105,23 @@ class InequalitySpec:
         (grid, seed) that other specs share, a fresh one if None."""
         trial = trial or TrialDraw(grid, seed)
         out = {"v": trial.field("v"), "phi": trial.field("phi"), "trial": trial}
-        if self.needs_pairing_field:
+        if self.reads_psi:
             out["psi"] = trial.field("psi")
         return out
 
     def lhs(self, grid: Grid, fields) -> float:
-        return self._lhs(self, grid, fields)
+        if self.kind == "norm":
+            return _norm(fields, self.work, *self.outer)
+        if self.kind == "pairing":
+            key = ("pairing", self.work)
+            return _memo(fields, key, lambda: {
+                key: abs(inner(_commutator(self.work, fields), fields["psi"]))})
+        return _pointwise_ratio(self, fields)
 
     def rhs(self, grid: Grid, fields) -> float:
-        return self._rhs(self, grid, fields)
-
-
-# -- hypothesis checks, one per estimate ---------------------------------
-
-
-def _check_aaa(e, q, alpha):
-    v = []
-    if not 0 < e["S"] < 1:
-        v.append("0 < S < 1")
-    if not all(0 <= e[k] <= 1 for k in ("S1", "S2", "S3")):
-        v.append("0 <= S1, S2, S3 <= 1")
-    if not e["S1"] + e["S2"] + e["S3"] > 1 + e["S"]:
-        v.append("S1 + S2 + S3 > 1 + S")
-    if not 1 < q["p2"] < np.inf:
-        v.append("1 < p2 < inf")
-    if not (1 < q["p1"] and 1 < q["p3"]):
-        v.append("1 < p1, p3 <= inf")
-    if not _holder_triple(q["p1"], q["p2"], q["p3"]):
-        v.append("1/p1 + 1/p2 + 1/p3 = 1")
-    return v
-
-
-def _check_fazel5(e, q, alpha):
-    v = []
-    if not all(0 <= e[k] <= 1 for k in ("s1", "s2")):
-        v.append("0 <= s1, s2 <= 1")
-    if not e["s1"] + e["s2"] > 1 - alpha:
-        v.append("s1 + s2 > 1 - alpha")
-    if not q["p3"] < np.inf:
-        v.append("p3 < inf")
-    if not _holder_triple(q["p1"], q["p2"], q["p3"]):
-        v.append("1/p1 + 1/p2 + 1/p3 = 1")
-    return v
-
-
-def _check_fazel6(e, q, alpha):
-    v = []
-    if not 0 < e["S"] < 1:
-        v.append("0 < S < 1")
-    if not all(0 <= e[k] < 1 for k in ("s2", "s3")):
-        v.append("0 <= s2, s3 < 1")
-    if not e["s2"] + e["s3"] > 1 + e["S"]:
-        v.append("s2 + s3 > 1 + S")
-    if not _holder_triple(q["p1"], q["p2"], q["p3"]):
-        v.append("1/p1 + 1/p2 + 1/p3 = 1")
-    return v
-
-
-def _check_eq20(e, q, alpha):
-    v = []
-    if not 0 <= e["s1"]:
-        v.append("0 <= s1")
-    if not 0 <= e["s2"] - e["s1"] <= 1:
-        v.append("0 <= s2 - s1 <= 1")
-    if not 2 < q["q"] < np.inf:
-        v.append("2 < q < inf")
-    if not (1 < q["p"] < np.inf and 1 < q["r"] < np.inf):
-        v.append("1 < p, r < inf")
-    if abs(1.0 / q["p"] - 1.0 / q["q"] - 1.0 / q["r"]) > 1e-9:
-        v.append("1/p = 1/q + 1/r")
-    if not e["s2"] - e["s1"] <= e["a"] <= 1:
-        v.append("a in [s2 - s1, 1]")
-    return v
-
-
-def _check_eq25(e, q, alpha):
-    v = []
-    if not all(e[k] > 0 for k in ("s1", "s2", "s3")):
-        v.append("s1, s2, s3 > 0")
-    if not (e["s1"] < 1 and e["s3"] < 1):
-        v.append("s1 < 1 and s3 < 1")
-    if not e["s2"] < e["s1"] + e["s3"]:
-        v.append("s2 < s1 + s3")
-    return v
-
-
-def _check_f10(e, q, alpha):
-    v = []
-    if not 0 <= e["s"] <= 1:
-        v.append("0 <= s <= 1")
-    if not q["p1"] > 2:
-        v.append("p1 > 2")
-    if not _holder_triple(q["p1"], q["p2"], q["p3"]):
-        v.append("1/p1 + 1/p2 + 1/p3 = 1")
-    return v
-
-
-def _check_f20(e, q, alpha):
-    v = _check_f10(e, q, alpha)
-    if not e["s"] <= e["a"] <= 1:
-        v.append("a in [s, 1]")
-    return v
-
-
-def _check_eq200(e, q, alpha):
-    beta = 1.0 - alpha
-    v = []
-    if not 0 <= e["s"] < alpha:
-        v.append("0 <= s < alpha")
-    if not beta + e["s"] < e["a"] <= 1:
-        v.append("a in (beta + s, 1]")
-    if not (2 < q["q"] < np.inf and 2 < q["r"] < np.inf):
-        v.append("2 < q, r < inf")
-    if abs(0.5 - 1.0 / q["q"] - 1.0 / q["r"]) > 1e-9:
-        v.append("1/2 = 1/q + 1/r")
-    return v
-
-
-def _check_eq201(e, q, alpha):
-    v = []
-    if not 0 <= e["s1"]:
-        v.append("0 <= s1")
-    if not 0 < e["s2"]:
-        v.append("0 < s2")
-    if not 0 <= e["s1"] + e["s2"] < 1:
-        v.append("0 <= s1 + s2 < 1")
-    if not e["s1"] + e["s2"] < e["a"] <= 1:
-        v.append("a in (s1 + s2, 1]")
-    if not 2 < q["q"] < np.inf:
-        v.append("2 < q < inf")
-    if not 1 < q["r"] < np.inf:
-        v.append("1 < r < inf")
-    if abs(1.0 / q["p"] - 1.0 / q["q"] - 1.0 / q["r"]) > 1e-9:
-        v.append("1/p = 1/q + 1/r")
-    return v
-
-
-def _check_g50(e, q, alpha):
-    v = []
-    if not (1 < q["p1"] < np.inf and 1 < q["q1"] < np.inf):
-        v.append("1 < p1, q1 < inf")
-    if abs(1.0 / q["p1"] + 1.0 / q["q1"] - 1.0) > 1e-9:
-        v.append("1/p1 + 1/q1 = 1")
-    return v
-
-
-_CONSTRAINTS = {
-    "aaa": _check_aaa, "fazel5": _check_fazel5, "fazel6": _check_fazel6,
-    "eq20": _check_eq20, "eq25": _check_eq25, "f10": _check_f10, "f20": _check_f20,
-    "eq200": _check_eq200, "eq201": _check_eq201, "g50": _check_g50,
-}
-
-
-# -- draws ---------------------------------------------------------------
+        if self.kind == "pointwise":
+            return 1.0  # the ratio is formed pointwise in the LHS
+        return math.prod(_norm(fields, *factor) for factor in self.factors)
 
 
 def _draw_role(grid: Grid, seed, role: str):
@@ -282,63 +131,67 @@ def _draw_role(grid: Grid, seed, role: str):
     cfg = ENSEMBLE_CYCLE[trial % len(ENSEMBLE_CYCLE)]
     if role == "v":
         return random_divfree_field(grid, (base, trial, attempt, 0),
-                                    _resolve_band(cfg["vband"], grid), cfg["vdecay"])
+                                    _band(cfg["vband"], grid), cfg["vdecay"])
     if role == "phi":
         return random_scalar_field(grid, (base, trial, attempt, 1),
-                                   _resolve_band(cfg["pband"], grid), cfg["pdecay"])
+                                   _band(cfg["pband"], grid), cfg["pdecay"])
     return random_scalar_field(grid, (base, trial, attempt, 2), (0, 4), 0.5)
+
+
+def norm_plan(specs) -> Dict[tuple, set]:
+    """Every p that ``specs`` read of each (role, order) field: their RHS
+    factors and, keyed by work, the Lambda^outer C of their norm LHS."""
+    plan: Dict[tuple, set] = {}
+    for spec in specs:
+        reads = spec.factors if spec.kind != "pointwise" else ()
+        if spec.kind == "norm":
+            reads += ((spec.work,) + spec.outer,)
+        for role, order, p in reads:
+            plan.setdefault((role, order), set()).add(p)
+    return plan
 
 
 class TrialDraw:
     """The draw of one (grid, trial, attempt), shared by every spec.
 
-    v, phi and psi are drawn on first use with the seed tuples a spec
-    drawing alone would use, so specs share them and their sample caches.
-    ``transported()`` is v.grad(phi), the operator-free half of every
-    commutator on v, and ``grad_magnitude()`` the samples of |grad v|
-    that fazel5, f10 and g50 read (one n-by-n array).  ``scalar``
-    memoises numbers of the drawn fields under keys of field role and
-    exponents, never object ids: norms, and pairing LHS values keyed by
-    operator.  A field a spec derives (a commutator, or eq25's smoothed
-    velocity with its transport of phi) goes in one slot through
-    ``derived``: the next spec asking for the same key reuses it, and
-    another key replaces it.  Specs sharing that work run back to back
-    (see :func:`lhs_work`), so each is built once a draw, and at most
-    one derived field outlives its spec: holding them all would raise
-    the peak memory of an estimate run.
+    ``field(role)`` makes v, phi, psi (with the seeds a spec drawing alone
+    would use), v.grad(phi) ("transported") and the |grad v| samples
+    ("grad_v") once each.  ``scalar`` memoises numbers under keys of role
+    and exponents, never object ids.  A norm of (role, order) builds its
+    field once for every p that ``plan`` (:func:`norm_plan`) lists, then
+    drops it.  A derived field (a commutator, or eq25's smoothed velocity
+    with its transport of phi) sits in the one slot of ``derived`` until
+    another key replaces it; specs sharing one run back to back
+    (``commutators._work_order``), so none is built twice and the peak
+    memory stays that of one.
     """
 
-    __slots__ = ("grid", "seed", "_fields", "_transported", "_grad_magnitude", "_scalars",
-                 "_derived_key", "_derived")
+    __slots__ = ("grid", "seed", "plan", "_fields", "_scalars", "_derived_key", "_derived")
 
-    def __init__(self, grid: Grid, seed):
+    def __init__(self, grid: Grid, seed, plan: Optional[Dict[tuple, set]] = None):
         self.grid = grid
         self.seed = tuple(seed)
+        self.plan = plan or {}
         self._fields: Dict[str, object] = {}
-        self._transported: Optional[SpectralField] = None
-        self._grad_magnitude: Optional[np.ndarray] = None
         self._scalars: Dict[tuple, float] = {}
         self._derived_key: Optional[tuple] = None
         self._derived = None
 
     def field(self, role: str):
         if role not in self._fields:
-            self._fields[role] = _draw_role(self.grid, self.seed, role)
+            if role == "transported":
+                self._fields[role] = advect(self.field("v"), self.field("phi"))
+            elif role == "grad_v":
+                self._fields[role] = _grad_magnitude(self.field("v"))
+            else:
+                self._fields[role] = _draw_role(self.grid, self.seed, role)
         return self._fields[role]
 
-    def transported(self) -> SpectralField:
-        if self._transported is None:
-            self._transported = advect(self.field("v"), self.field("phi"))
-        return self._transported
-
-    def grad_magnitude(self) -> np.ndarray:
-        if self._grad_magnitude is None:
-            self._grad_magnitude = _grad_magnitude(self.field("v"))
-        return self._grad_magnitude
-
-    def scalar(self, key: tuple, compute: Callable[[], float]) -> float:
+    def scalar(self, key: tuple, compute: Callable[[], Dict[tuple, float]]) -> float:
+        """The number under ``key``; ``compute()`` returns numbers by key,
+        ``key`` among them, and all of them are memoised."""
         if key not in self._scalars:
-            self._scalars[key] = compute()
+            self._scalars.update(compute())
         return self._scalars[key]
 
     def derived(self, key: tuple, compute: Callable[[], object]):
@@ -351,220 +204,217 @@ class TrialDraw:
         return self._derived
 
 
-# -- evaluators -----------------------------------------------------------
-# Numbers of the drawn fields go through the draw's memo (see TrialDraw);
-# a fields dict without a "trial" entry is evaluated directly.
-
-
-def _scalar(fields, key: tuple, compute: Callable[[], float]) -> float:
+def _memo(fields, key: tuple, compute: Callable[[], Dict[tuple, float]]) -> float:
+    """``compute()[key]``, through the memo of the fields' draw (see
+    TrialDraw); a fields dict without a "trial" entry is evaluated directly."""
     trial = fields.get("trial")
-    return compute() if trial is None else trial.scalar(key, compute)
+    return compute()[key] if trial is None else trial.scalar(key, compute)
 
 
-def _lp(fields, role: str, order: float, p: float) -> float:
-    """||Lambda^order f||_p of the drawn scalar field named by ``role``."""
-    return _scalar(fields, ("lam", role, order, p), lambda: _lam_lp(fields[role], order, p))
-
-
-def _v_lp(fields, p: float, order: float = 0.0) -> float:
-    return _scalar(fields, ("vector", "v", p, order), lambda: _vector_lp(fields["v"], p, order))
-
-
-def _grad_v(fields) -> np.ndarray:
-    """|grad v| of the drawn velocity, from the draw's shared samples."""
-    trial = fields.get("trial")
-    return _grad_magnitude(fields["v"]) if trial is None else trial.grad_magnitude()
-
-
-def _grad_v_lp(fields, p: float) -> float:
-    return _scalar(fields, ("grad", "v", p),
-                   lambda: _magnitude_lp(_grad_v(fields), p, fields["v"][0].grid))
-
-
-# keep every product inside the alias-safe band of the smallest grid used: g50's block
-_MID_BLOCK_LEVEL = 3
-
-
-def lhs_work(spec: InequalitySpec) -> Tuple[float, Multiplier]:
-    """The commutator [op, w.grad] phi that the spec's LHS builds, as
-    (order, op): w = Lambda^order v is its velocity form (order 0: the
-    drawn v).  Specs with equal work, or with one velocity form, share
-    it within a draw when they run back to back (see TrialDraw)."""
-    e, family = spec.exponents, spec.family
-    if family in ("fazel5", "eq200"):
-        return 0.0, Multiplier.riesz(spec.alpha)
-    if family == "g50":
-        return 0.0, Multiplier.smooth_bump(_MID_BLOCK_LEVEL)
-    if family == "eq25":
-        return -e["s3"], Multiplier.lambda_pow(e["s2"])
-    if family in ("eq20", "eq201"):
-        return 0.0, Multiplier.lambda_pow(e["s2"])
-    return 0.0, Multiplier.lambda_pow(e.get("S", e.get("s")))  # aaa, fazel6, f10, f20
-
-
-def _commutator(spec: InequalitySpec, fields) -> SpectralField:
-    """The LHS commutator of ``spec`` (see :func:`lhs_work`).  In a draw,
-    one on v goes in the draw's slot for the next spec with its operator;
-    for a smoothed velocity the slot holds that velocity and its transport
-    of phi instead, for the next spec of that velocity form."""
-    order, op = lhs_work(spec)
+def _commutator(work, fields) -> SpectralField:
+    """C = [op, w.grad] phi for ``work = (order, op)``, w = Lambda^order v.
+    In a draw, one on v goes in the draw's slot for the next spec with its
+    operator; for a smoothed velocity the slot holds that velocity and its
+    transport of phi instead, for the next spec of that velocity form."""
+    order, op = work
     v, phi, trial = fields["v"], fields["phi"], fields.get("trial")
+    if order == 0.0:
+        if trial is None:
+            return commutator_apply(op, v, phi)
+        return trial.derived(("commutator", op), lambda: commutator_apply(
+            op, v, phi, transported=trial.field("transported")))
 
     def smoothed():
         lam = Multiplier.lambda_pow(order)
         w = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
         return w, advect(w, phi)
 
+    w, transported = smoothed() if trial is None else trial.derived(("velocity", order), smoothed)
+    return commutator_apply(op, w, phi, transported=transported)
+
+
+def _samples(fields, role, order: float) -> np.ndarray:
+    """Grid samples of Lambda^order of the field ``role`` names: "phi" or
+    "psi", |.| of "v" or of "grad_v" (order 0), or a work key's C."""
+    if role == "grad_v":
+        trial = fields.get("trial")
+        return _grad_magnitude(fields["v"]) if trial is None else trial.field("grad_v")
+    f = fields[role] if isinstance(role, str) else _commutator(role, fields)
     if order != 0.0:
-        w, transported = smoothed() if trial is None else trial.derived(("velocity", order), smoothed)
-        return commutator_apply(op, w, phi, transported=transported)
-    if trial is None:
-        return commutator_apply(op, v, phi)
-    return trial.derived(("commutator", op),
-                         lambda: commutator_apply(op, v, phi, transported=trial.transported()))
+        lam = Multiplier.lambda_pow(order)
+        f = (apply_multiplier(f[0], lam), apply_multiplier(f[1], lam)) if role == "v" \
+            else apply_multiplier(f, lam)
+    return np.hypot(f[0].physical(), f[1].physical()) if role == "v" else f.physical()
 
 
-def _pairing_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
-    _, op = lhs_work(spec)
-    return _scalar(fields, ("pairing", op),
-                   lambda: abs(inner(_commutator(spec, fields), fields["psi"])))
+def _norm(fields, role, order: float, p: float) -> float:
+    """||Lambda^order f||_p of the field ``role`` names (see :func:`_samples`)."""
+    trial = fields.get("trial")
+
+    def compute():
+        ps = {p} if trial is None else {p} | trial.plan.get((role, order), set())
+        samples, area = _samples(fields, role, order), fields["phi"].grid.length ** 2
+        return {(role, order, q): samples_lp(samples, q, area) for q in ps}
+
+    return _memo(fields, (role, order, p), compute)
 
 
-def _rhs_aaa(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_lp(fields, "phi", e["S1"], q["p1"])
-            * _lp(fields, "psi", e["S2"], q["p2"])
-            * _v_lp(fields, q["p3"], e["S3"]))
-
-
-def _rhs_fazel5(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_lp(fields, "phi", e["s1"], q["p1"])
-            * _lp(fields, "psi", e["s2"], q["p2"])
-            * _grad_v_lp(fields, q["p3"]))
-
-
-def _rhs_fazel6(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_lp(fields, "phi", 0.0, q["p1"])
-            * _lp(fields, "psi", e["s2"], q["p2"])
-            * _v_lp(fields, q["p3"], e["s3"]))
-
-
-def _rhs_f10(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_grad_v_lp(fields, q["p1"])
-            * _lp(fields, "phi", e["s"], q["p2"])
-            * _lp(fields, "psi", 0.0, q["p3"]))
-
-
-def _rhs_f20(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_v_lp(fields, q["p1"], e["a"])
-            * _lp(fields, "phi", e["s"] + 1.0 - e["a"], q["p2"])
-            * _lp(fields, "psi", 0.0, q["p3"]))
-
-
-def _norm_lhs(spec: InequalitySpec, grid: Grid, fields) -> float:
-    e, q = spec.exponents, spec.integrability
-    if spec.family == "eq200":
-        outer, pnorm = e["s"], 2.0
-    elif spec.family == "eq201":
-        outer, pnorm = e["s1"], q["p"]
-    elif spec.family == "eq25":
-        outer, pnorm = -e["s1"], 2.0
-    else:  # eq20
-        outer, pnorm = -e["s1"], q["p"]
-    return _lam_lp(_commutator(spec, fields), outer, pnorm)
-
-
-def _rhs_eq20(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_v_lp(fields, q["q"], e["a"])
-            * _lp(fields, "phi", e["s2"] - e["s1"] + 1.0 - e["a"], q["r"]))
-
-
-def _rhs_eq201(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    return (_v_lp(fields, q["q"], e["a"])
-            * _lp(fields, "phi", 1.0 + e["s2"] + e["s1"] - e["a"], q["r"]))
-
-
-def _rhs_eq200(spec, grid, fields):
-    e, q = spec.exponents, spec.integrability
-    beta = 1.0 - spec.alpha
-    return (_v_lp(fields, q["q"], e["a"])
-            * _lp(fields, "phi", 1.0 + beta + e["s"] - e["a"], q["r"]))
-
-
-def _rhs_eq25(spec, grid, fields):
-    e = spec.exponents
-    return (_v_lp(fields, np.inf)
-            * _lp(fields, "phi", e["s2"] - e["s1"] + 1.0 - e["s3"], 2.0))
-
-
-def _g50_fields(spec, grid, fields):
-    comm = _commutator(spec, fields)
-    q1, p1 = spec.integrability["q1"], spec.integrability["p1"]
-    rhs_field = (maximal_function(_grad_v(fields) ** q1) ** (1.0 / q1)
-                 * maximal_function(np.abs(fields["phi"].physical()) ** p1) ** (1.0 / p1))
-    return np.abs(comm.physical()), rhs_field
-
-
-def _g50_lhs(spec, grid, fields):
-    lhs_field, rhs_field = _g50_fields(spec, grid, fields)
-    floor = 1e-12 * max(np.max(rhs_field), 1e-300)
-    mask = rhs_field > floor
+def _pointwise_ratio(spec: InequalitySpec, fields) -> float:
+    """max_x |C(x)| / bound(x), bound the product of M(|f|^p)^(1/p) over
+    the spec's factors, where the bound is above 1e-12 of its max."""
+    comm = np.abs(_commutator(spec.work, fields).physical())
+    bound = math.prod(maximal_function(np.abs(_samples(fields, role, order)) ** p) ** (1.0 / p)
+                      for role, order, p in spec.factors)
+    mask = bound > 1e-12 * max(np.max(bound), 1e-300)
     if not np.any(mask):
         return 0.0
-    return float(np.max(lhs_field[mask] / rhs_field[mask]))
+    return float(np.max(comm[mask] / bound[mask]))
 
 
-def _g50_rhs(spec, grid, fields):
-    return 1.0  # ratio already formed pointwise in the LHS evaluator
+# -- declarations, one function per family -------------------------------------
+
+_lam = Multiplier.lambda_pow
 
 
-# -- registry construction -------------------------------------------------
+def _holder(q) -> Tuple[bool, str]:
+    total = sum(0.0 if p == np.inf else 1.0 / p for p in (q["p1"], q["p2"], q["p3"]))
+    return abs(total - 1.0) < 1e-9, "1/p1 + 1/p2 + 1/p3 = 1"
 
 
-def _spec(spec_id, exponents, integrability, alpha, lhs, rhs, needs_pairing_field=False,
-          canary=False, near_boundary=False, skip_validation=False, family=None) -> InequalitySpec:
-    s = InequalitySpec(spec_id, family or spec_id, exponents, integrability, alpha,
-                       canary, near_boundary, lhs, rhs, needs_pairing_field)
-    if not skip_validation:
-        s.validate()
-    return s
+def _aaa(e, q, alpha):
+    return dict(kind="pairing", work=(0.0, _lam(e["S"])),
+                factors=(("phi", e["S1"], q["p1"]), ("psi", e["S2"], q["p2"]),
+                         ("v", e["S3"], q["p3"])),
+                hypotheses=((0 < e["S"] < 1, "0 < S < 1"),
+                            (all(0 <= e[k] <= 1 for k in ("S1", "S2", "S3")),
+                             "0 <= S1, S2, S3 <= 1"),
+                            (e["S1"] + e["S2"] + e["S3"] > 1 + e["S"], "S1 + S2 + S3 > 1 + S"),
+                            (1 < q["p2"] < np.inf, "1 < p2 < inf"),
+                            (1 < q["p1"] and 1 < q["p3"], "1 < p1, p3 <= inf"),
+                            _holder(q)))
+
+
+def _fazel5(e, q, alpha):
+    return dict(kind="pairing", work=(0.0, Multiplier.riesz(alpha)),
+                factors=(("phi", e["s1"], q["p1"]), ("psi", e["s2"], q["p2"]),
+                         ("grad_v", 0.0, q["p3"])),
+                hypotheses=((all(0 <= e[k] <= 1 for k in ("s1", "s2")), "0 <= s1, s2 <= 1"),
+                            (e["s1"] + e["s2"] > 1 - alpha, "s1 + s2 > 1 - alpha"),
+                            (q["p3"] < np.inf, "p3 < inf"),
+                            _holder(q)))
+
+
+def _fazel6(e, q, alpha):
+    return dict(kind="pairing", work=(0.0, _lam(e["S"])),
+                factors=(("phi", 0.0, q["p1"]), ("psi", e["s2"], q["p2"]),
+                         ("v", e["s3"], q["p3"])),
+                hypotheses=((0 < e["S"] < 1, "0 < S < 1"),
+                            (all(0 <= e[k] < 1 for k in ("s2", "s3")), "0 <= s2, s3 < 1"),
+                            (e["s2"] + e["s3"] > 1 + e["S"], "s2 + s3 > 1 + S"),
+                            _holder(q)))
+
+
+def _eq20(e, q, alpha):
+    return dict(kind="norm", work=(0.0, _lam(e["s2"])), outer=(-e["s1"], q["p"]),
+                factors=(("v", e["a"], q["q"]), ("phi", e["s2"] - e["s1"] + 1.0 - e["a"], q["r"])),
+                hypotheses=((0 <= e["s1"], "0 <= s1"),
+                            (0 <= e["s2"] - e["s1"] <= 1, "0 <= s2 - s1 <= 1"),
+                            (2 < q["q"] < np.inf, "2 < q < inf"),
+                            (1 < q["p"] < np.inf and 1 < q["r"] < np.inf, "1 < p, r < inf"),
+                            (abs(1.0 / q["p"] - 1.0 / q["q"] - 1.0 / q["r"]) <= 1e-9,
+                             "1/p = 1/q + 1/r"),
+                            (e["s2"] - e["s1"] <= e["a"] <= 1, "a in [s2 - s1, 1]")))
+
+
+def _eq25(e, q, alpha):
+    return dict(kind="norm", work=(-e["s3"], _lam(e["s2"])), outer=(-e["s1"], 2.0),
+                factors=(("v", 0.0, np.inf), ("phi", e["s2"] - e["s1"] + 1.0 - e["s3"], 2.0)),
+                hypotheses=((all(e[k] > 0 for k in ("s1", "s2", "s3")), "s1, s2, s3 > 0"),
+                            (e["s1"] < 1 and e["s3"] < 1, "s1 < 1 and s3 < 1"),
+                            (e["s2"] < e["s1"] + e["s3"], "s2 < s1 + s3")))
+
+
+def _f10(e, q, alpha):
+    return dict(kind="pairing", work=(0.0, _lam(e["s"])),
+                factors=(("grad_v", 0.0, q["p1"]), ("phi", e["s"], q["p2"]),
+                         ("psi", 0.0, q["p3"])),
+                hypotheses=((0 <= e["s"] <= 1, "0 <= s <= 1"), (q["p1"] > 2, "p1 > 2"),
+                            _holder(q)))
+
+
+def _f20(e, q, alpha):
+    return dict(kind="pairing", work=(0.0, _lam(e["s"])),
+                factors=(("v", e["a"], q["p1"]), ("phi", e["s"] + 1.0 - e["a"], q["p2"]),
+                         ("psi", 0.0, q["p3"])),
+                hypotheses=(_f10(e, q, alpha)["hypotheses"]
+                            + ((e["s"] <= e["a"] <= 1, "a in [s, 1]"),)))
+
+
+def _eq200(e, q, alpha):
+    beta = 1.0 - alpha
+    return dict(kind="norm", work=(0.0, Multiplier.riesz(alpha)), outer=(e["s"], 2.0),
+                factors=(("v", e["a"], q["q"]), ("phi", 1.0 + beta + e["s"] - e["a"], q["r"])),
+                hypotheses=((0 <= e["s"] < alpha, "0 <= s < alpha"),
+                            (beta + e["s"] < e["a"] <= 1, "a in (beta + s, 1]"),
+                            (2 < q["q"] < np.inf and 2 < q["r"] < np.inf, "2 < q, r < inf"),
+                            (abs(0.5 - 1.0 / q["q"] - 1.0 / q["r"]) <= 1e-9, "1/2 = 1/q + 1/r")))
+
+
+def _eq201(e, q, alpha):
+    return dict(kind="norm", work=(0.0, _lam(e["s2"])), outer=(e["s1"], q["p"]),
+                factors=(("v", e["a"], q["q"]), ("phi", 1.0 + e["s2"] + e["s1"] - e["a"], q["r"])),
+                hypotheses=((0 <= e["s1"], "0 <= s1"),
+                            (0 < e["s2"], "0 < s2"),
+                            (0 <= e["s1"] + e["s2"] < 1, "0 <= s1 + s2 < 1"),
+                            (e["s1"] + e["s2"] < e["a"] <= 1, "a in (s1 + s2, 1]"),
+                            (2 < q["q"] < np.inf, "2 < q < inf"),
+                            (1 < q["r"] < np.inf, "1 < r < inf"),
+                            (abs(1.0 / q["p"] - 1.0 / q["q"] - 1.0 / q["r"]) <= 1e-9,
+                             "1/p = 1/q + 1/r")))
+
+
+def _g50(e, q, alpha):
+    # the level-3 block keeps every product inside the alias-safe band of the smallest grid
+    return dict(kind="pointwise", work=(0.0, Multiplier.smooth_bump(3)),
+                factors=(("grad_v", 0.0, q["q1"]), ("phi", 0.0, q["p1"])),
+                hypotheses=((1 < q["p1"] < np.inf and 1 < q["q1"] < np.inf, "1 < p1, q1 < inf"),
+                            (abs(1.0 / q["p1"] + 1.0 / q["q1"] - 1.0) <= 1e-9, "1/p1 + 1/q1 = 1")))
+
+
+FAMILIES = {"aaa": _aaa, "fazel5": _fazel5, "fazel6": _fazel6, "eq20": _eq20, "eq25": _eq25,
+            "f10": _f10, "f20": _f20, "eq200": _eq200, "eq201": _eq201, "g50": _g50}
+SPEC_IDS = tuple(FAMILIES)  # each family's registered spec carries the family's name
+
+
+def declare(spec_id: str, exponents, integrability, alpha: float, family: Optional[str] = None,
+            canary: bool = False, near_boundary: bool = False) -> InequalitySpec:
+    """The spec ``spec_id`` of ``family`` (default: the id) at these
+    exponents; its hypotheses are checked by ``validate``, not here."""
+    family = family or spec_id
+    return InequalitySpec(spec_id, family, exponents, integrability, alpha, canary=canary,
+                          near_boundary=near_boundary,
+                          **FAMILIES[family](exponents, integrability, alpha))
 
 
 def build_registry(alpha: float = 0.75) -> Dict[str, InequalitySpec]:
-    return {
-        "aaa": _spec("aaa", {"S": 0.5, "S1": 0.6, "S2": 0.6, "S3": 0.6},
-                     {"p1": 3.0, "p2": 3.0, "p3": 3.0}, alpha,
-                     _pairing_lhs, _rhs_aaa, needs_pairing_field=True),
-        "fazel5": _spec("fazel5", {"s1": 0.2, "s2": 0.2},
-                        {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha,
-                        _pairing_lhs, _rhs_fazel5, needs_pairing_field=True),
-        "fazel6": _spec("fazel6", {"S": 0.25, "s2": 0.7, "s3": 0.7},
-                        {"p1": np.inf, "p2": 2.0, "p3": 2.0}, alpha,
-                        _pairing_lhs, _rhs_fazel6, needs_pairing_field=True),
-        "eq20": _spec("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75},
-                      {"p": 2.0, "q": 4.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq20),
-        "eq25": _spec("eq25", {"s1": 0.4, "s2": 0.5, "s3": 0.35}, {}, alpha,
-                      _norm_lhs, _rhs_eq25),
-        "f10": _spec("f10", {"s": 0.5}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha,
-                     _pairing_lhs, _rhs_f10, needs_pairing_field=True),
-        "f20": _spec("f20", {"s": 0.5, "a": 0.75}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha,
-                     _pairing_lhs, _rhs_f20, needs_pairing_field=True),
-        "eq200": _spec("eq200", {"s": 0.2, "a": 0.6}, {"q": 4.0, "r": 4.0}, alpha,
-                       _norm_lhs, _rhs_eq200),
-        "eq201": _spec("eq201", {"s1": 0.2, "s2": 0.3, "a": 0.8},
-                       {"p": 2.0, "q": 4.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq201),
-        "g50": _spec("g50", {}, {"p1": 4.0 / 3.0, "q1": 4.0}, alpha, _g50_lhs, _g50_rhs),
+    specs = (
+        declare("aaa", {"S": 0.5, "S1": 0.6, "S2": 0.6, "S3": 0.6},
+                {"p1": 3.0, "p2": 3.0, "p3": 3.0}, alpha),
+        declare("fazel5", {"s1": 0.2, "s2": 0.2}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha),
+        declare("fazel6", {"S": 0.25, "s2": 0.7, "s3": 0.7},
+                {"p1": np.inf, "p2": 2.0, "p3": 2.0}, alpha),
+        declare("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75}, {"p": 2.0, "q": 4.0, "r": 4.0}, alpha),
+        declare("eq25", {"s1": 0.4, "s2": 0.5, "s3": 0.35}, {}, alpha),
+        declare("f10", {"s": 0.5}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha),
+        declare("f20", {"s": 0.5, "a": 0.75}, {"p1": 4.0, "p2": 4.0, "p3": 2.0}, alpha),
+        declare("eq200", {"s": 0.2, "a": 0.6}, {"q": 4.0, "r": 4.0}, alpha),
+        declare("eq201", {"s1": 0.2, "s2": 0.3, "a": 0.8}, {"p": 2.0, "q": 4.0, "r": 4.0}, alpha),
+        declare("g50", {}, {"p1": 4.0 / 3.0, "q1": 4.0}, alpha),
         # q = 2 violates the low-high hypothesis of eq20; runnable, never gating
-        "eq20_canary_q2": _spec("eq20_canary_q2", {"s1": 0.3, "s2": 0.8, "a": 0.75},
-                                {"p": 4.0 / 3.0, "q": 2.0, "r": 4.0}, alpha, _norm_lhs, _rhs_eq20,
-                                canary=True, skip_validation=True, family="eq20"),
+        declare("eq20_canary_q2", {"s1": 0.3, "s2": 0.8, "a": 0.75},
+                {"p": 4.0 / 3.0, "q": 2.0, "r": 4.0}, alpha, family="eq20", canary=True),
         # hypotheses satisfied but just inside the s2 < s1 + s3 boundary
-        "eq25_boundary": _spec("eq25_boundary", {"s1": 0.4, "s2": 0.74, "s3": 0.35}, {}, alpha,
-                               _norm_lhs, _rhs_eq25, near_boundary=True, family="eq25"),
-    }
+        declare("eq25_boundary", {"s1": 0.4, "s2": 0.74, "s3": 0.35}, {}, alpha,
+                family="eq25", near_boundary=True),
+    )
+    return {spec.spec_id: spec for spec in specs}

@@ -22,7 +22,7 @@ from .model import ModelParams, SimState, initial_state, rhs, step, transform_to
 from .multipliers import Multiplier, apply_multiplier
 from .norms import l2_norm_sq, lp_norm
 from .operators import biot_savart, divergence
-from .registry import ConstraintError, build_registry
+from .registry import ConstraintError, build_registry, declare
 from .snapshot import read_snapshot, write_snapshot
 
 _TOL = 1e-12
@@ -181,10 +181,9 @@ def check_registry_validation() -> bool:
     for needed in ("aaa", "eq20", "eq25", "g50", "eq20_canary_q2"):
         if needed not in reg:
             return False
-    from .registry import _norm_lhs, _rhs_eq20, _spec
     try:
-        _spec("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75}, {"p": 4 / 3, "q": 2.0, "r": 4.0},
-              0.75, _norm_lhs, _rhs_eq20)
+        declare("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75}, {"p": 4 / 3, "q": 2.0, "r": 4.0},
+                0.75).validate()
         return False
     except ConstraintError:
         return True

@@ -407,6 +407,14 @@ class TestEstimateCli:
         Path(path).write_text(Path(path).read_text().replace("specs = eq20,g50", f"specs = {specs}"))
         assert_refused(capsys, ["--config", path, "estimate"], out, "specs", word)
 
+    def test_unrequested_spec_does_not_refuse_the_run(self, tmp_path):
+        # fazel5 and eq200 fail their hypotheses at alpha = 0.6; eq20 does not
+        path, out = write_ini(tmp_path)
+        text = Path(path).read_text().replace("alpha = 0.75", "alpha = 0.6")
+        Path(path).write_text(text.replace("specs = eq20,g50", "specs = eq20"))
+        assert main(["--config", path, "--grids", "64", "estimate"]) == EXIT_OK
+        assert os.path.exists(os.path.join(out, "est_eq20.csv"))
+
     def test_requested_spec_violated_by_alpha_refused(self, tmp_path, capsys):
         path, out = write_ini(tmp_path)
         text = Path(path).read_text().replace("alpha = 0.75", "alpha = 0.6")

@@ -189,13 +189,12 @@ class TestRepresentationFormula:
 
 class TestSampling:
     def test_registry_validation_messages(self):
-        from fblab.registry import _norm_lhs, _rhs_eq20, _spec
+        from fblab.registry import declare
         with pytest.raises(ConstraintError, match="eq20 requires 2 < q < inf"):
-            _spec("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75},
-                  {"p": 4 / 3, "q": 2.0, "r": 4.0}, 0.75, _norm_lhs, _rhs_eq20)
+            declare("eq20", {"s1": 0.3, "s2": 0.8, "a": 0.75},
+                    {"p": 4 / 3, "q": 2.0, "r": 4.0}, 0.75).validate()
         with pytest.raises(ConstraintError, match="eq25 requires s2 < s1 \\+ s3"):
-            from fblab.registry import _rhs_eq25
-            _spec("eq25", {"s1": 0.4, "s2": 0.9, "s3": 0.35}, {}, 0.75, _norm_lhs, _rhs_eq25)
+            declare("eq25", {"s1": 0.4, "s2": 0.9, "s3": 0.35}, {}, 0.75).validate()
 
     def test_all_registered_specs_sample(self):
         reg = build_registry(0.75)
@@ -328,7 +327,7 @@ class TestSharedDraws:
 
         reports = estimate_constants(specs, trials=3, grid_sizes=(64, 128), seed=4)
         assert all(r.degenerate == 0 for r in reports)
-        roles = (0, 1, 2) if any(s.needs_pairing_field for s in specs) else (0, 1)
+        roles = (0, 1, 2) if any(s.reads_psi for s in specs) else (0, 1)
         want = {(n, (4, t, 0, role)) for n in (64, 128) for t in range(3) for role in roles}
         assert set(draws) == want and set(draws.values()) == {1}
         assert transports == {(n, t, 0): 1 for n in (64, 128) for t in range(3)}
@@ -373,6 +372,26 @@ class TestSharedDraws:
         assert dict(built) == want
         assert smoothed == {64: 2 * 2, 128: 2 * 2}  # two components a trial
 
+    def test_each_derived_field_built_once_per_trial(self, monkeypatch):
+        # Lambda^0.6 v serves aaa and eq200, Lambda^0.75 v eq20, f20 and the
+        # canary, and Lambda^-0.3 of [Lambda^0.8, v.grad] phi eq20 and the
+        # canary: each (field, operator) pair is applied once a draw
+        import fblab.registry as registry
+
+        specs = list(build_registry(0.75).values())
+        apply, calls, keep = registry.apply_multiplier, Counter(), []
+
+        def counted_apply(f, op, *rest):
+            keep.append(f)  # a live field keeps its id unique
+            calls[id(f), op] += 1
+            return apply(f, op, *rest)
+
+        monkeypatch.setattr(registry, "apply_multiplier", counted_apply)
+        reports = estimate_constants(specs, trials=2, grid_sizes=(64, 128), seed=0)
+        assert all(r.degenerate == 0 for r in reports)
+        repeats = sorted(op.params for (_, op), count in calls.items() if count > 1)
+        assert calls and not repeats
+
     def test_reports_in_input_order_for_any_evaluation_order(self):
         reg = build_registry(0.75)
         specs = list(reg.values())
@@ -415,7 +434,7 @@ class TestSharedDraws:
 
         monkeypatch.setattr(registry, "commutator_apply", recorded)
         estimate_constant(spec, trials=1, grid_sizes=(64,), seed=1)
-        order, op = registry.lhs_work(spec)
+        order, op = spec.work
         ((got_op, w),) = calls
         assert got_op == op
         v = spec.draw(make_grid(64, TWO_PI), (1, 0, 0))["v"]
@@ -450,10 +469,15 @@ class TestSharedDraws:
         reg = build_registry(0.75)
         base = reg["eq201"]
 
-        def rhs_vanishing_on_attempt_0(spec, grid, fields):
-            return 0.0 if fields["trial"].seed[2] == 0 else base.rhs(grid, fields)
+        rhs = InequalitySpec.rhs
 
-        flaky = dataclasses.replace(base, spec_id="eq201_flaky", _rhs=rhs_vanishing_on_attempt_0)
+        def rhs_vanishing_on_attempt_0(spec, grid, fields):
+            if spec.spec_id == "eq201_flaky" and fields["trial"].seed[2] == 0:
+                return 0.0
+            return rhs(spec, grid, fields)
+
+        monkeypatch.setattr(InequalitySpec, "rhs", rhs_vanishing_on_attempt_0)
+        flaky = dataclasses.replace(base, spec_id="eq201_flaky")
         specs = [reg["aaa"], reg["eq20"], flaky, reg["g50"]]
         calls = []
         draw = InequalitySpec.draw

@@ -8,7 +8,8 @@ match word for word, rows in declaration order joined by "; ".
 import numpy as np
 import pytest
 
-from fblab.registry import ConstraintError, InequalitySpec, build_registry
+from fblab.commutators import estimate_constants
+from fblab.registry import ConstraintError, build_registry, declare
 
 INF = np.inf
 
@@ -63,11 +64,6 @@ VIOLATIONS = [
 ]
 
 
-def declare(family, exponents, integrability, alpha):
-    """The unvalidated spec of ``family`` at the given exponents."""
-    return InequalitySpec(family, family, exponents, integrability, alpha)
-
-
 def test_every_family_has_cases():
     assert {case[0] for case in VIOLATIONS} == set(build_registry(0.75)) - {
         "eq20_canary_q2", "eq25_boundary"}
@@ -87,3 +83,12 @@ def test_violation_message(family, de, dq, alpha, message):
 def test_registered_exponents_hold(family):
     base = build_registry(0.75)[family]
     declare(family, base.exponents, base.integrability, 0.75).validate()
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.6])
+def test_library_callers_cannot_sample_a_violated_spec(alpha):
+    # construction never validates; estimate_constants validates what it is given
+    reg = build_registry(alpha)
+    with pytest.raises(ConstraintError, match=r"fazel5 requires s1 \+ s2 > 1 - alpha"):
+        estimate_constants([reg["eq20"], reg["fazel5"]], trials=1, grid_sizes=(64,))
+    estimate_constants([reg["eq20"], reg["eq20_canary_q2"]], trials=1, grid_sizes=(64,))
