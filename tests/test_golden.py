@@ -1,10 +1,14 @@
 """Golden artifacts: CLI runs rerun and compared with the files committed
 under tests/golden/.
 
-One ``estimate`` run over every registered spec, 2 trials on grids 64 and
-128, at seeds 0 and 7.  Every number must match within 1e-12 of the
-largest number of its file; every flag, count and string exactly.  After
-an intended change of output, regenerate with
+Each case of ``CASES`` runs at seeds 0 and 7: one ``estimate`` over every
+registered spec (2 trials on grids 64 and 128), n = 32 ``simulate`` runs
+in the ``f``, ``omega`` and ``scaled`` forms, and one inline ``ledger``
+over l2, l4 and l6.  Every number must match within 1e-12 of the largest
+number of its file; every flag, count and string exactly.  Binary
+snapshots are not committed: the ledger case reads its own back, and
+``snapshots.csv`` names them.  After an intended change of output,
+regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -37,11 +41,51 @@ trials = 2
 grids = 64,128
 """
 
+# four stored states (t = 0, 0.02, 0.04, 0.06), the fewest a ledger
+# with centred rates can check twice
+RUN_INI = """\
+[model]
+n = 32
+alpha = {alpha}
+formulation = {form}
+eps0 = {eps0}
+t_end = 0.06
+dt = 0.01
+cadence = 2
+seed = {seed}
+amplitude_theta = 0.4
+amplitude_primary = 0.4
 
-def run_estimate(seed: int, out: Path):
-    ini = out.parent / f"estimate_seed{seed}.ini"
-    ini.write_text(ESTIMATE_INI.format(seed=seed))
-    assert main(["--config", str(ini), "--out", str(out), "estimate"]) == EXIT_OK
+[diagnostics]
+configs = l2,l4,l6
+"""
+
+
+def run_ini(form: str, alpha: float = 0.75, eps0: float = 1.0) -> str:
+    """RUN_INI with its model filled in and the seed left open."""
+    return RUN_INI.format(form=form, alpha=alpha, eps0=eps0, seed="{seed}")
+
+
+# case name: (mode, config text with a {seed} field)
+CASES = {
+    "estimate": ("estimate", ESTIMATE_INI),
+    "simulate_f": ("simulate", run_ini("f")),
+    "simulate_omega": ("simulate", run_ini("omega")),
+    "simulate_scaled": ("simulate", run_ini("scaled", eps0=0.5)),
+    "ledger": ("ledger", run_ini("f")),
+}
+
+
+def run_case(case: str, seed: int, out: Path):
+    mode, text = CASES[case]
+    ini = out.parent / f"{case}_seed{seed}.ini"
+    ini.write_text(text.format(seed=seed))
+    assert main(["--config", str(ini), "--out", str(out), mode]) == EXIT_OK
+
+
+def committed(out: Path):
+    """The artifacts of ``out`` that are kept as goldens: all but snapshots."""
+    return sorted(name for name in os.listdir(out) if not name.endswith(".fbl"))
 
 
 def _is_count(text: str) -> bool:
@@ -113,30 +157,43 @@ def compare_file(got: Path, want: Path):
     return bad
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_estimate_matches_golden(tmp_path, seed):
+def check_case(tmp_path: Path, case: str, seed: int):
     out = tmp_path / "out"
-    run_estimate(seed, out)
-    want_dir = GOLDEN / f"estimate_seed{seed}"
-    assert sorted(os.listdir(out)) == sorted(os.listdir(want_dir))
+    run_case(case, seed, out)
+    want_dir = GOLDEN / f"{case}_seed{seed}"
+    assert committed(out) == sorted(os.listdir(want_dir))
     bad = []
     for name in sorted(os.listdir(want_dir)):
         bad += compare_file(out / name, want_dir / name)
     assert not bad, "\n".join(bad[:20])
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_estimate_matches_golden(tmp_path, seed):
+    check_case(tmp_path, "estimate", seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", [case for case in CASES if case != "estimate"])
+def test_run_matches_golden(tmp_path, case, seed):
+    check_case(tmp_path, case, seed)
+
+
 def regenerate():
     import shutil
     import tempfile
 
-    for seed in SEEDS:
-        target = GOLDEN / f"estimate_seed{seed}"
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out"
-            run_estimate(seed, out)
-            shutil.rmtree(target, ignore_errors=True)
-            shutil.copytree(out, target)
-        print(f"wrote {target}")
+    for case in CASES:
+        for seed in SEEDS:
+            target = GOLDEN / f"{case}_seed{seed}"
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                run_case(case, seed, out)
+                shutil.rmtree(target, ignore_errors=True)
+                target.mkdir()
+                for name in committed(out):
+                    shutil.copy(out / name, target / name)
+            print(f"wrote {target}")
 
 
 if __name__ == "__main__":
