@@ -36,7 +36,7 @@ from .fields import SpectralField
 from .grid import Grid, make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError, Trajectory,
                     convert_state, initial_state, integrate)
-from .registry import ConstraintError, build_registry
+from .registry import ConstraintError, InequalitySpec
 from .reporting import write_csv, write_json
 from .selftest import run_selftest
 from .snapshot import SnapshotFormatError, read_snapshot, write_snapshot
@@ -161,46 +161,34 @@ def _load_trajectory(snap_dir: str, params: ModelParams, grid: Grid) -> List[Sim
 
 def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     state = _build_initial(cfg)
-    rows = []
-    status = EXIT_OK
-    diagnostic = None
+    rows, traj, diagnostic = [], None, None
     try:
         traj = integrate(state, cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl, cadence=cfg.cadence)
     except IntegrationBlowupError as exc:
         diagnostic = ("DIAGNOSTIC", f"blowup at t={exc.time:.6g}", exc.detail)
-        status = EXIT_NUMERICAL
-        traj = None
     except StabilityError as exc:
         diagnostic = ("DIAGNOSTIC", "state outgrew the step-size guard", str(exc))
-        status = EXIT_NUMERICAL
-        traj = None
     if traj is not None:
         report = criteria_monitor(traj)
         rows = [tuple(getattr(norms, key) for key in SERIES_HEADER) for norms in report.norms]
         if cfg.write_snapshots:
             _write_trajectory(out_dir, traj)
+            criteria = {key: getattr(report, key) for key in (
+                "alpha", "sup_f_l6", "sup_uf_linf", "sup_grad_uf_linf", "sup_grad_theta_linf",
+                "sup_besov")}
             write_json(os.path.join(out_dir, "criteria.json"), {
-                "domain": "torus",
-                "alpha": report.alpha,
-                "sup_f_l6": report.sup_f_l6,
-                "sup_uf_linf": report.sup_uf_linf,
-                "sup_grad_uf_linf": report.sup_grad_uf_linf,
-                "sup_grad_theta_linf": report.sup_grad_theta_linf,
-                "sup_besov": report.sup_besov,
-                "embedding_ratio_torus": report.embedding_ratio,
-                "finite": report.is_finite(),
-            })
-    all_rows = list(rows)
+                **criteria, "domain": "torus", "embedding_ratio_torus": report.embedding_ratio,
+                "finite": report.is_finite()})
     if diagnostic is not None:
-        all_rows.append(diagnostic + ("",) * (len(SERIES_HEADER) - len(diagnostic)))
-    write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, all_rows)
-    return status
+        rows.append(diagnostic + ("",) * (len(SERIES_HEADER) - len(diagnostic)))
+    write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, rows)
+    return EXIT_OK if diagnostic is None else EXIT_NUMERICAL
 
 
+_TERMS = ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3")
+_SPLITS = ("I3_f", "I3_t", "K2_f", "K2_t")
 LEDGER_HEADER = ("t", "config_id", "row_kind", "functional", "lhs_rate", "dissipation",
-                 "rhs_sum", "tolerance", "verdict",
-                 "I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3",
-                 "I3_f", "I3_t", "K2_f", "K2_t", "coercivity_ratio")
+                 "rhs_sum", "tolerance", "verdict", *_TERMS, *_SPLITS, "coercivity_ratio")
 
 
 def run_ledger(cfg: RunConfig, out_dir: str) -> int:
@@ -227,13 +215,8 @@ def run_ledger(cfg: RunConfig, out_dir: str) -> int:
                 rhs_sum = sum(row.terms[t] for t in _ROW_TERMS[kind])
                 csv_rows.append((row.t, cid, kind, row.functionals[kind], row.lhs_rate[kind],
                                  row.dissipation[kind], rhs_sum, row.tolerance[kind],
-                                 int(row.verdicts[kind]),
-                                 row.terms["I1"], row.terms["I2"], row.terms["I3"],
-                                 row.terms["I4"], row.terms["I5"], row.terms["K1"],
-                                 row.terms["K2"], row.terms["K3"],
-                                 row.signed["I3_f"], row.signed["I3_t"],
-                                 row.signed["K2_f"], row.signed["K2_t"],
-                                 row.coercivity_ratio))
+                                 int(row.verdicts[kind]), *(row.terms[t] for t in _TERMS),
+                                 *(row.signed[t] for t in _SPLITS), row.coercivity_ratio))
         write_csv(os.path.join(out_dir, f"ledger_{cid}.csv"), LEDGER_HEADER, csv_rows)
         summary["configs"][cid] = {
             "rows_checked": verdict.rows_checked,
@@ -250,16 +233,15 @@ def run_ledger(cfg: RunConfig, out_dir: str) -> int:
     return worst
 
 
-def run_estimate(cfg: RunConfig, out_dir: str, grids: Optional[List[int]] = None) -> int:
-    registry = build_registry(cfg.alpha)
-    grids = grids or cfg.grids
+def run_estimate(cfg: RunConfig, out_dir: str, specs: List[InequalitySpec]) -> int:
+    """Sample ``specs``, the list ``cfg.validate`` returns, on ``cfg.grids``."""
+    grids = cfg.grids
     summary = {"domain": "torus", "alpha": cfg.alpha,
                "note": "sampled lower bounds of best constants; never a universal verification",
                "specs": {}}
     status = EXIT_OK
-    ids = cfg.resolve_estimate_ids()
-    reports = estimate_constants([registry[sid] for sid in ids], cfg.trials, grids, seed=cfg.seed)
-    for sid, report in zip(ids, reports):
+    reports = estimate_constants(specs, cfg.trials, grids, seed=cfg.seed)
+    for sid, report in zip((spec.spec_id for spec in specs), reports):
         rows = []
         for n, ratios in sorted(report.ratios.items()):
             for t, ratio in enumerate(ratios):
@@ -315,11 +297,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
-        grids = None
         if args.grids is not None:
-            grids = [int(x) for x in args.grids.split(",") if x.strip()]
-            cfg.grids = grids
-        cfg.validate(mode=args.mode)
+            cfg.grids = [int(x) for x in args.grids.split(",") if x.strip()]
+        specs = cfg.validate(mode=args.mode)
     except (ConfigError, ConstraintError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -330,7 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return run_simulate(cfg, cfg.out_dir)
         if args.mode == "ledger":
             return run_ledger(cfg, cfg.out_dir)
-        return run_estimate(cfg, cfg.out_dir, grids)
+        return run_estimate(cfg, cfg.out_dir, specs)
     except (ConfigError, SnapshotFormatError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

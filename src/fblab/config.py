@@ -1,28 +1,22 @@
 """Run configuration: INI-style key/value files, validated before any compute.
 
-Sections and keys (defaults in parentheses):
-
-    [model]        n (64), length (2*pi), alpha (0.75), nu (1), kappa (1),
-                   eps0 (1), formulation (omega), t_end (0.5), dt (unset),
-                   cfl (0.4), cadence (1), seed (0), init (random),
-                   amplitude_theta (0.5), amplitude_primary (0.5), decay (4)
-    [diagnostics]  configs (l2,l4,l6), rho (0.01)
-    [estimates]    specs (all), trials (50), grids (64,128)
-    [ledger]       snapshots_dir (unset; replay an existing snapshot set)
-    [output]       directory (out), snapshots (true)
+``_KEYS`` names the sections and keys and the :class:`RunConfig` field
+each sets; an absent key keeps the field's default.  Each key's range,
+the modes it binds and the reason for it are rows of
+:data:`fblab.ranges.RANGES`, which :meth:`RunConfig.validate` reads.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import List, Optional
 
 from .diagnostics import ledger_configs
-from .grid import make_grid
 from .model import ModelParams
-from .registry import ConstraintError, build_registry
+from .ranges import check
+from .registry import ConstraintError, InequalitySpec, build_registry
 
 
 class ConfigError(ValueError):
@@ -59,70 +53,45 @@ class RunConfig:
     def params(self) -> ModelParams:
         return ModelParams(alpha=self.alpha, nu=self.nu, kappa=self.kappa, eps0=self.eps0)
 
-    def resolve_estimate_ids(self) -> List[str]:
+    def estimate_specs(self) -> List[InequalitySpec]:
+        """The requested specs, from one registry build; an unknown id or a
+        violated hypothesis of a non-canary spec raises ConfigError."""
+        _require_distinct("estimate specs", "spec", self.estimate_ids)
         registry = build_registry(self.alpha)
-        if self.estimate_ids == ["all"]:
-            return sorted(registry)
-        return self.estimate_ids
+        ids = sorted(registry) if self.estimate_ids == ["all"] else self.estimate_ids
+        for sid in ids:
+            if sid not in registry:
+                raise ConfigError(f"unknown estimate spec {sid!r}; known: {sorted(registry)}")
+            if not registry[sid].canary:
+                try:
+                    registry[sid].validate()
+                except ConstraintError as exc:
+                    raise ConfigError(str(exc)) from exc
+        return [registry[sid] for sid in ids]
 
-    def validate(self, mode: Optional[str] = None):
-        """Check every constraint the run will rely on; ``mode`` limits the
-        estimate-registry checks to runs that reference those specs."""
-        if self.formulation not in ("omega", "f", "scaled"):
-            raise ConfigError(f"formulation must be omega, f or scaled, got {self.formulation!r}")
+    def resolve_estimate_ids(self) -> List[str]:
+        return [spec.spec_id for spec in self.estimate_specs()]
+
+    def validate(self, mode: Optional[str] = None) -> Optional[List[InequalitySpec]]:
+        """Check the ranges of :data:`fblab.ranges.RANGES` that bind ``mode``
+        (None: every mode) and the lists the run names; returns the
+        requested estimate specs, built once, if ``mode`` is estimate or None."""
         try:
-            params = self.params()
-            make_grid(self.n, self.length)
+            check(vars(self), mode)
             # the ledger replays its run in the hybrid formulation
             if self.formulation != "omega" or mode == "ledger":
-                params.require_unit_dissipation("the hybrid formulation")
+                self.params().require_unit_dissipation("the hybrid formulation")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for key in ("t_end", "dt", "cfl"):  # dt None: derived from the CFL guard
-            value = getattr(self, key)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value!r}")
-        for key in ("rho", "amplitude_theta", "amplitude_primary", "decay"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
-        if self.cadence < 1:
-            raise ConfigError("cadence must be a positive integer")
-        if self.init not in ("random", "bumps"):
-            raise ConfigError(f"init must be random or bumps, got {self.init!r}")
         if mode in (None, "ledger"):
             _require_distinct("diagnostics configs", "ledger config", self.ledger_ids)
         known_ledgers = ledger_configs(self.alpha, self.rho)
         for cid in self.ledger_ids:
             if cid not in known_ledgers:
                 raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known_ledgers)}")
-            c = known_ledgers[cid]
-            if mode in (None, "ledger") and min(c.s, c.kappa) < 0:
-                raise ConfigError(f"rho = {self.rho!r} makes the derivative weights of ledger config "
-                                  f"{cid!r} negative (s = {c.s:g}, kappa = {c.kappa:g}); "
-                                  f"rho must not exceed beta/4 = {(1 - self.alpha) / 4:g}")
         if mode in (None, "estimate"):
-            if self.trials < 1:
-                raise ConfigError(f"trials must be a positive integer, got {self.trials}")
-            _require_distinct("estimate specs", "spec", self.estimate_ids)
-            registry = build_registry(self.alpha)
-            for sid in self.resolve_estimate_ids():
-                if sid not in registry:
-                    raise ConfigError(f"unknown estimate spec {sid!r}; known: {sorted(registry)}")
-                spec = registry[sid]
-                if not spec.canary:
-                    try:
-                        spec.validate()
-                    except ConstraintError as exc:
-                        raise ConfigError(str(exc)) from exc
             _require_distinct("estimate grids", "grid size", self.grids)
-            for g in self.grids:
-                try:
-                    make_grid(g, 2 * math.pi)  # the estimates run on the 2*pi box
-                except ValueError as exc:
-                    raise ConfigError(f"estimate grids: {exc}") from exc
-                if g < 64:
-                    raise ConfigError(f"estimate grids must be >= 64 so every registered "
-                                      f"ensemble band is representable, got {g}")
+            return self.estimate_specs()
 
 
 def _require_distinct(key: str, item: str, values: list):
@@ -136,6 +105,20 @@ def _require_distinct(key: str, item: str, values: list):
 def _parse_list(raw: str) -> List[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
+
+# INI key of each RunConfig field, by section; the field's type parses it
+_KEYS = {
+    "model": {k: k for k in ("n", "length", "alpha", "nu", "kappa", "eps0", "formulation", "t_end",
+                             "dt", "cfl", "cadence", "seed", "init", "amplitude_theta",
+                             "amplitude_primary", "decay")},
+    "diagnostics": {"configs": "ledger_ids", "rho": "rho"},
+    "estimates": {"specs": "estimate_ids", "trials": "trials", "grids": "grids"},
+    "ledger": {"snapshots_dir": "snapshots_dir"},
+    "output": {"directory": "out_dir", "snapshots": "write_snapshots"},
+}
+_PARSE = {"int": int, "float": float, "Optional[float]": float, "str": str, "Optional[str]": str,
+          "List[str]": _parse_list, "List[int]": lambda raw: [int(x) for x in _parse_list(raw)]}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 # what a malformed file raises: a bad header, duplicate, continuation
 # line or interpolation, an undecodable byte or an unparsable value
@@ -152,43 +135,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path!r} not found or unreadable")
     cfg = RunConfig()
     try:
-        if parser.has_section("model"):
-            m = parser["model"]
-            cfg.n = m.getint("n", cfg.n)
-            cfg.length = m.getfloat("length", cfg.length)
-            cfg.alpha = m.getfloat("alpha", cfg.alpha)
-            cfg.nu = m.getfloat("nu", cfg.nu)
-            cfg.kappa = m.getfloat("kappa", cfg.kappa)
-            cfg.eps0 = m.getfloat("eps0", cfg.eps0)
-            cfg.formulation = m.get("formulation", cfg.formulation)
-            cfg.t_end = m.getfloat("t_end", cfg.t_end)
-            if m.get("dt", None) is not None:
-                cfg.dt = m.getfloat("dt")
-            cfg.cfl = m.getfloat("cfl", cfg.cfl)
-            cfg.cadence = m.getint("cadence", cfg.cadence)
-            cfg.seed = m.getint("seed", cfg.seed)
-            cfg.init = m.get("init", cfg.init)
-            cfg.amplitude_theta = m.getfloat("amplitude_theta", cfg.amplitude_theta)
-            cfg.amplitude_primary = m.getfloat("amplitude_primary", cfg.amplitude_primary)
-            cfg.decay = m.getfloat("decay", cfg.decay)
-        if parser.has_section("diagnostics"):
-            d = parser["diagnostics"]
-            if d.get("configs", None) is not None:
-                cfg.ledger_ids = _parse_list(d.get("configs"))
-            cfg.rho = d.getfloat("rho", cfg.rho)
-        if parser.has_section("estimates"):
-            e = parser["estimates"]
-            if e.get("specs", None) is not None:
-                cfg.estimate_ids = _parse_list(e.get("specs"))
-            cfg.trials = e.getint("trials", cfg.trials)
-            if e.get("grids", None) is not None:
-                cfg.grids = [int(x) for x in _parse_list(e.get("grids"))]
-        if parser.has_section("ledger"):
-            cfg.snapshots_dir = parser["ledger"].get("snapshots_dir", None)
-        if parser.has_section("output"):
-            o = parser["output"]
-            cfg.out_dir = o.get("directory", cfg.out_dir)
-            cfg.write_snapshots = o.getboolean("snapshots", cfg.write_snapshots)
+        for name, keys in _KEYS.items():
+            section = parser[name] if parser.has_section(name) else {}
+            for key, attr in keys.items():
+                if section.get(key) is None:
+                    continue
+                kind = _FIELD_TYPES[attr]
+                setattr(cfg, attr, section.getboolean(key) if kind == "bool"
+                        else _PARSE[kind](section.get(key)))
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"could not parse {path!r}: {exc}") from exc
     return cfg

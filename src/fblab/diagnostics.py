@@ -57,6 +57,7 @@ from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
 from .dyadic import DyadicPartition, besov_norm, build_partition
+from .ranges import BESOV
 
 DEFAULT_RHO = 0.01
 
@@ -110,7 +111,7 @@ class ExponentSuite:
         switches and the sign flips)."""
         a = self.alpha
         out = {
-            "alpha_above_two_thirds": a > 2.0 / 3.0,
+            "alpha_above_two_thirds": BESOV.holds(vars(self)),
             "q0_at_least_one": self.q0 >= 1.0,
             "criterion_exponent_in_range": 2.0 / a < 6.0 < 2.0 / (1.0 - a),
         }
@@ -378,7 +379,8 @@ def _grad_linf(field: SpectralField, symbols: Optional[SymbolTable] = None) -> f
 def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
                 partition: Optional[DyadicPartition] = None) -> StateNorms:
     """Norms of one state; symbols and dyadic rings come from ``symbols``
-    and ``partition`` if given, and are built afresh otherwise."""
+    and ``partition`` if given, and are built afresh otherwise.  The Besov
+    norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
     ex = ExponentSuite(state.params.alpha)
     fs = convert_state(state, "f")
     f = fs.primary
@@ -391,24 +393,28 @@ def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
         f_halfalpha_l2=lp_norm(half_alpha, 2),
         uf_linf=max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf)),
         grad_uf_linf=max(_grad_linf(uf[0], symbols), _grad_linf(uf[1], symbols)),
-        f_besov=besov_norm(f, ex.besov_smoothness, ex.besov_integrability, partition),
+        f_besov=(besov_norm(f, ex.besov_smoothness, ex.besov_integrability, partition)
+                 if BESOV.holds(vars(ex)) else math.nan),
         grad_theta_linf=_grad_linf(state.theta, symbols))
 
 
 @dataclass
 class CriteriaReport:
+    """Suprema along a run; the Besov two are None outside ``BESOV``."""
+
     sup_f_l6: float
     sup_uf_linf: float
     sup_grad_uf_linf: float
     sup_grad_theta_linf: float
-    sup_besov: float
-    embedding_ratio: float
+    sup_besov: Optional[float]
+    embedding_ratio: Optional[float]
     alpha: float
     norms: List[StateNorms] = dc_field(default_factory=list)
 
     def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.sup_f_l6, self.sup_uf_linf, self.sup_grad_uf_linf,
-                                       self.sup_grad_theta_linf, self.sup_besov)))
+        return all(math.isfinite(s) for s in (self.sup_f_l6, self.sup_uf_linf, self.sup_grad_uf_linf,
+                                              self.sup_grad_theta_linf, self.sup_besov)
+                   if s is not None)
 
 
 def _sup(values) -> float:
@@ -422,11 +428,13 @@ def criteria_monitor(traj: Trajectory) -> CriteriaReport:
     grid = traj.states[0].grid
     symbols, partition = SymbolTable(grid), build_partition(grid)
     norms = [state_norms(st, symbols, partition) for st in traj.states]
+    besov = BESOV.holds(vars(traj.states[0].params))
     return CriteriaReport(
         sup_f_l6=_sup(n.f_l6 for n in norms),
         sup_uf_linf=_sup(n.uf_linf for n in norms),
         sup_grad_uf_linf=_sup(n.grad_uf_linf for n in norms),
         sup_grad_theta_linf=_sup(n.grad_theta_linf for n in norms),
-        sup_besov=_sup(n.f_besov for n in norms),
-        embedding_ratio=_sup(n.grad_uf_linf / n.f_besov for n in norms if n.f_besov > 0),
+        sup_besov=_sup(n.f_besov for n in norms) if besov else None,
+        embedding_ratio=(_sup(n.grad_uf_linf / n.f_besov for n in norms if n.f_besov > 0)
+                         if besov else None),
         alpha=traj.states[0].params.alpha, norms=norms)

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+from .ranges import check
 
 
 @dataclass(frozen=True)
@@ -27,10 +25,7 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or not _is_power_of_two(int(self.n)) or self.n < 8:
-            raise ValueError(f"grid size must be a power of two >= 8, got {self.n!r}")
-        if not 0 < self.length < np.inf:
-            raise ValueError(f"box period must be positive and finite, got {self.length!r}")
+        check({"n": self.n, "length": self.length})
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "length", float(self.length))
 
@@ -64,5 +59,5 @@ class Grid:
         return np.meshgrid(self.x1d, self.x1d, indexing="ij")
 
 def make_grid(n: int, length: float) -> Grid:
-    """Build a periodic grid; rejects non-power-of-two n and a length <= 0 or infinite."""
+    """Build a periodic grid; n and length must lie in their ranges (:mod:`fblab.ranges`)."""
     return Grid(n, length)

@@ -56,8 +56,9 @@ from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import l2_norm_sq
-from .operators import (Velocity, advect, biot_savart, check_alpha, commutator_apply,
-                        require_mean_free, temperature_vorticity_operator)
+from .operators import (Velocity, advect, biot_savart, commutator_apply, require_mean_free,
+                        temperature_vorticity_operator)
+from .ranges import check
 
 FORMULATIONS = ("omega", "f")
 
@@ -77,7 +78,7 @@ class StabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters; beta is always 1 - alpha (critical coupling)."""
+    """Physical parameters (ranges: :mod:`fblab.ranges`); beta = 1 - alpha (critical)."""
 
     alpha: float
     nu: float = 1.0
@@ -85,12 +86,7 @@ class ModelParams:
     eps0: float = 1.0
 
     def __post_init__(self):
-        check_alpha(self.alpha)
-        for key, value in (("nu", self.nu), ("kappa", self.kappa)):
-            if not 0 <= value < np.inf:  # also refuses NaN
-                raise ValueError(f"{key} must be finite and nonnegative, got {value}")
-        if not 0.0 < self.eps0 <= 1.0:
-            raise ValueError(f"eps0 must lie in (0, 1], got {self.eps0}")
+        check(vars(self))
 
     @property
     def beta(self) -> float:
@@ -125,20 +121,20 @@ class SimState:
 
 def transform_to_g(omega: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     """First-stage hybrid variable G = omega - R_alpha theta."""
-    check_alpha(alpha)
+    check({"alpha": alpha})
     require_mean_free(omega, "vorticity")
     return omega - apply_multiplier(theta, Multiplier.riesz(alpha))
 
 
 def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     """Second-stage hybrid variable f = omega - R_alpha (I + Lambda^(beta-alpha)) theta."""
-    check_alpha(alpha)
+    check({"alpha": alpha})
     require_mean_free(omega, "vorticity")
     return omega - apply_multiplier(theta, temperature_vorticity_operator(alpha))
 
 
 def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
-    check_alpha(alpha)
+    check({"alpha": alpha})
     return f + apply_multiplier(theta, temperature_vorticity_operator(alpha))
 
 
@@ -402,10 +398,6 @@ class Trajectory:
     states: List[SimState]
     integrals: List[Dict[str, float]] = dc_field(default_factory=list)
 
-    @property
-    def times(self) -> List[float]:
-        return [s.time for s in self.states]
-
     def final(self) -> SimState:
         return self.states[-1]
 
@@ -459,19 +451,18 @@ def initial_state(grid: Grid, params: ModelParams, formulation: str = "omega",
     Gaussian bump pairs; always dealias-safe and mean-free."""
     from .ensembles import gaussian_bump_field, gaussian_dipole_field, random_scalar_field
 
+    check({"init": kind})
     if kind == "random":
         if band is None:
             band = (0, max(2, int(math.log2(grid.n // 6))))
         theta = random_scalar_field(grid, _seed_int(seed, "theta"), band, decay, amplitude_theta)
         omega = random_scalar_field(grid, _seed_int(seed, "omega"), band, decay, amplitude_primary)
-    elif kind == "bumps":
+    else:
         scale = grid.length / (2 * np.pi)
         width = 0.45 * scale
         theta = gaussian_bump_field(grid, (0.45 * grid.length, 0.40 * grid.length), width, amplitude_theta)
         omega = gaussian_dipole_field(grid, (0.55 * grid.length, 0.60 * grid.length),
                                       1.2 * width, width, amplitude_primary)
-    else:
-        raise ValueError(f"unknown initial-data kind {kind!r}")
     state = SimState(0.0, theta, omega, "omega", params)
     target = "f" if formulation == "scaled" else formulation
     return convert_state(state, target)

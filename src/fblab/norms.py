@@ -26,11 +26,22 @@ def lp_norm(field: SpectralField, p: float, pad: int | None = None) -> float:
     return samples_lp(values, p, field.grid.length ** 2)
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
+
+
 def samples_lp(values: np.ndarray, p: float, area: float) -> float:
-    """L^p norm over a box of ``area`` of the uniform grid samples ``values``."""
+    """L^p norm over a box of ``area`` of the uniform grid samples ``values``:
+    (mean(|values|^p) area)^(1/p), or m (mean((|values|/m)^p) area)^(1/p)
+    where m^p (m = max |values|) is not a normal finite float."""
+    mag = np.abs(values)
+    top = mag.max()
     if p == np.inf:
-        return float(np.max(np.abs(values)))
-    return float((np.mean(np.abs(values) ** p) * area) ** (1.0 / p))
+        return float(top)
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = 0 < top < np.inf and not _TINY <= top ** p < np.inf
+    if scaled:
+        return float(top * (np.mean((mag / top) ** p) * area) ** (1.0 / p))
+    return float((np.mean(mag ** p) * area) ** (1.0 / p))
 
 
 def sobolev_norm(field: SpectralField, s: float, p: float, homogeneous: bool = False) -> float:

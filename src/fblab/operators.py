@@ -82,11 +82,6 @@ def temperature_vorticity_operator(alpha: float) -> Multiplier:
     return Multiplier.sum(riesz, Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha)))
 
 
-def check_alpha(alpha: float):
-    if not 0.5 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (1/2, 1), got {alpha}")
-
-
 def commutator_apply(op: Multiplier, v: Velocities, phi: SpectralField,
                      transported=None, carry: Optional[SpectralField] = None,
                      symbols: Optional[SymbolTable] = None):

@@ -20,8 +20,8 @@ from fblab.fields import SpectralField, nice_fft_size, pad_size
 from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import l2_norm_sq
-from fblab.operators import (Velocity, advect, check_alpha, commutator_apply, divergence,
-                             gradient)
+from fblab.operators import Velocity, advect, commutator_apply, divergence, gradient
+from fblab.ranges import check
 from fblab.registry import SPEC_IDS
 
 
@@ -106,7 +106,7 @@ def hypothesis_satisfying_ids(registry) -> list:
 
 def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
     """Second formula for f: subtract Lambda^(beta-2alpha) d1 theta from G."""
-    check_alpha(alpha)
+    check({"alpha": alpha})
     beta = 1.0 - alpha
     op = Multiplier.compose(Multiplier.lambda_pow(beta - 2 * alpha), Multiplier.partial(0))
     return g - apply_multiplier(theta, op)

@@ -12,7 +12,7 @@ import pytest
 
 import fblab
 from fblab import cli
-from fblab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from fblab.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from fblab.config import ConfigError, load_config
 from fblab.grid import make_grid
 from fblab.ensembles import random_scalar_field
@@ -168,6 +168,10 @@ class TestNumericValues:
         ("estimates", "trials", "0", "estimate"), ("estimates", "trials", "-3", "estimate"),
         ("diagnostics", "rho", "nan", "ledger"),
         ("diagnostics", "rho", "0.2", "ledger"), ("diagnostics", "rho", "1e6", "ledger"),
+        ("model", "length", "nan", "simulate"), ("model", "length", "inf", "ledger"),
+        ("model", "alpha", "1", "simulate"), ("model", "alpha", "nan", "estimate"),
+        ("model", "eps0", "0", "simulate"), ("model", "eps0", "1.5", "ledger"),
+        ("model", "cadence", "0", "simulate"), ("model", "seed", "-1", "estimate"),
     ])
     def test_refused_with_named_key(self, tmp_path, capsys, section, key, value, mode):
         path = numeric_ini(tmp_path, section, key, value)
@@ -175,6 +179,52 @@ class TestNumericValues:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and key in err
         assert not (tmp_path / "o").exists()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("mode", ["simulate", "ledger", "estimate"])
+    @pytest.mark.parametrize("source", ["key", "flag"])
+    def test_negative_seed_refused(self, tmp_path, capsys, mode, source):
+        path, out = write_ini(tmp_path)
+        if source == "key":
+            Path(path).write_text(Path(path).read_text().replace("seed = 11", "seed = -1"))
+        argv = ["--config", path] + (["--seed", "-1"] if source == "flag" else []) + [mode]
+        assert_refused(capsys, argv, out, "seed")
+
+
+def read_series(out):
+    """Data rows of ``out``/series.csv as dicts of floats."""
+    lines = Path(out, "series.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+
+
+class TestBesovRange:
+    """Below alpha = 2/3 the Besov index 6/(3 alpha - 2) is undefined: runs
+    go on and write the Besov quantities as undefined."""
+
+    @pytest.mark.parametrize("mode", ["simulate", "ledger"])
+    @pytest.mark.parametrize("alpha", [0.6, 2.0 / 3.0], ids=["0.6", "two_thirds"])
+    def test_runs_write_besov_undefined(self, tmp_path, capsys, mode, alpha):
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("alpha = 0.75", f"alpha = {alpha!r}"))
+        assert main(["--config", path, mode]) in (EXIT_OK, EXIT_INVARIANT)
+        assert "Traceback" not in capsys.readouterr().err
+        rows = read_series(out)
+        assert [row["t"] for row in rows] == pytest.approx([0.0, 0.03, 0.06, 0.09, 0.12])
+        assert all(np.isnan(row["f_besov"]) and np.isfinite(row["f_l6"]) for row in rows)
+        criteria = json.loads(Path(out, "criteria.json").read_text())
+        assert criteria["sup_besov"] is None and criteria["embedding_ratio_torus"] is None
+        assert criteria["finite"] is True and criteria["sup_f_l6"] > 0
+
+    def test_besov_near_two_thirds_is_positive(self, tmp_path):
+        # r = 600: the direct L^r norm of each block underflows to 0
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(Path(path).read_text().replace("alpha = 0.75", "alpha = 0.67"))
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        criteria = json.loads(Path(out, "criteria.json").read_text())
+        assert 0 < criteria["sup_besov"] < np.inf and criteria["finite"] is True
+        assert all(row["f_besov"] > 0 for row in read_series(out))
 
 
 class TestSnapshotFormat:
@@ -376,6 +426,21 @@ class TestEstimateCli:
             assert body[0] == "spec_id,grid_n,trial,seed,ratio"
             assert len(body) == 1 + 3 * 2  # trials x grids
         assert os.path.exists(os.path.join(out, "lp_measurements.csv"))
+
+    def test_registry_built_once(self, tmp_path, monkeypatch):
+        import fblab.config
+        import fblab.registry
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fblab.registry.build_registry(*args, **kwargs)
+
+        for module in (fblab.config, cli):
+            monkeypatch.setattr(module, "build_registry", counted, raising=False)
+        path, _ = write_ini(tmp_path)
+        assert main(["--config", path, "--grids", "64", "estimate"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_grid_flag_override(self, tmp_path):
         path, out = write_ini(tmp_path)

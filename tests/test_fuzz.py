@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fblab.cli import _load_trajectory
 from fblab.config import ConfigError, RunConfig, load_config
@@ -199,7 +199,8 @@ def parse_config(path, blob):
 
 
 _NUMERIC_KEYS = [("model", key) for key in ("t_end", "dt", "cfl", "nu", "kappa", "amplitude_theta",
-                                            "amplitude_primary", "decay")]
+                                            "amplitude_primary", "decay", "alpha", "eps0",
+                                            "length", "n", "cadence", "seed")]
 _NUMERIC_KEYS += [("diagnostics", "rho"), ("estimates", "trials")]
 
 
@@ -207,6 +208,7 @@ class TestConfigFuzz:
     @FUZZ
     @given(where=st.sampled_from(_NUMERIC_KEYS),
            value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e400", "0.5", "3"]))
+    @example(where=("model", "length"), value="nan")
     def test_numeric_value(self, tmp_path, where, value):
         # one numeric key set: the config validates, or the error names the key
         section, key = where

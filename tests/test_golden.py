@@ -3,8 +3,8 @@ under tests/golden/.
 
 Each case of ``CASES`` runs at seeds 0 and 7: one ``estimate`` over every
 registered spec (2 trials on grids 64 and 128), n = 32 ``simulate`` runs
-in the ``f``, ``omega`` and ``scaled`` forms, and one inline ``ledger``
-over l2, l4 and l6.  Every number must match within 1e-12 of the largest
+in the ``f``, ``omega`` and ``scaled`` forms and in the ``f`` form at
+alpha = 0.7, and one inline ``ledger`` over l2, l4 and l6.  Every number must match within 1e-12 of the largest
 number of its file; every flag, count and string exactly.  Binary
 snapshots are not committed: the ledger case reads its own back, and
 ``snapshots.csv`` names them.  After an intended change of output,
@@ -72,6 +72,8 @@ CASES = {
     "simulate_f": ("simulate", run_ini("f")),
     "simulate_omega": ("simulate", run_ini("omega")),
     "simulate_scaled": ("simulate", run_ini("scaled", eps0=0.5)),
+    # Besov index r = 60: block norms of about 1e-20 need the scale-safe L^p
+    "simulate_alpha07": ("simulate", run_ini("f", alpha=0.7)),
     "ledger": ("ledger", run_ini("f")),
 }
 

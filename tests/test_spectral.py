@@ -344,6 +344,14 @@ class TestNorms:
         expected = np.sqrt(np.sum((full_lattice(g).kmag ** (2 * s)) * np.abs(full_coef(f)) ** 2) * g.length**2)
         assert sobolev_norm(f, s, 2.0, homogeneous=True) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [24, 150])
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_lp_norm_scales_at_any_p(self, c, p):
+        # the direct mean(|f|^p) underflows to 0, or overflows, for c f
+        g = make_grid(32, TWO_PI)
+        f = random_scalar_field(g, 14, band=(0, 3))
+        assert lp_norm(c * f, p) == pytest.approx(c * lp_norm(f, p), rel=1e-13, abs=0)
+
     def test_negative_order_needs_mean_free(self):
         g = make_grid(32, TWO_PI)
         with_mean = SpectralField.from_physical(g, 1.0 + np.zeros((32, 32)))
