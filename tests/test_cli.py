@@ -171,7 +171,8 @@ class TestNumericValues:
         ("model", "length", "nan", "simulate"), ("model", "length", "inf", "ledger"),
         ("model", "alpha", "1", "simulate"), ("model", "alpha", "nan", "estimate"),
         ("model", "eps0", "0", "simulate"), ("model", "eps0", "1.5", "ledger"),
-        ("model", "cadence", "0", "simulate"), ("model", "seed", "-1", "estimate"),
+        ("model", "cadence", "0", "simulate"), ("model", "seed", "-1", "simulate"),
+        ("model", "seed", "-1", "ledger"), ("model", "seed", "-1", "estimate"),
     ])
     def test_refused_with_named_key(self, tmp_path, capsys, section, key, value, mode):
         path = numeric_ini(tmp_path, section, key, value)
@@ -180,16 +181,10 @@ class TestNumericValues:
         assert err.startswith("validation error:") and key in err
         assert not (tmp_path / "o").exists()
 
-
-class TestSeedRange:
     @pytest.mark.parametrize("mode", ["simulate", "ledger", "estimate"])
-    @pytest.mark.parametrize("source", ["key", "flag"])
-    def test_negative_seed_refused(self, tmp_path, capsys, mode, source):
+    def test_negative_seed_flag_refused(self, tmp_path, capsys, mode):
         path, out = write_ini(tmp_path)
-        if source == "key":
-            Path(path).write_text(Path(path).read_text().replace("seed = 11", "seed = -1"))
-        argv = ["--config", path] + (["--seed", "-1"] if source == "flag" else []) + [mode]
-        assert_refused(capsys, argv, out, "seed")
+        assert_refused(capsys, ["--config", path, "--seed", "-1", mode], out, "seed")
 
 
 def read_series(out):
