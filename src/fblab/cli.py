@@ -34,8 +34,8 @@ from .diagnostics import _ROW_TERMS, criteria_monitor, ledger_configs, ledger_ru
 from .commutators import estimate_constants
 from .fields import SpectralField
 from .grid import Grid, make_grid
-from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError, Trajectory,
-                    convert_state, initial_state, integrate)
+from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
+                    initial_state, integrate)
 from .registry import ConstraintError, InequalitySpec
 from .reporting import write_csv, write_json
 from .selftest import run_selftest
@@ -84,14 +84,13 @@ def _snapshot_name(index: int) -> str:
     return f"snap_{index:06d}.fbl"
 
 
-def _write_trajectory(out_dir: str, traj: Trajectory):
+def _write_trajectory(out_dir: str, f_states: List[SimState]):
     index_rows = []
-    for i, st in enumerate(traj.states):
-        fs = convert_state(st, "f")
+    for i, fs in enumerate(f_states):
         name = _snapshot_name(i)
-        write_snapshot(os.path.join(out_dir, name), st.grid,
+        write_snapshot(os.path.join(out_dir, name), fs.grid,
                        {"theta": fs.theta, "f": fs.primary})
-        index_rows.append((name, st.time, st.params.alpha, st.params.eps0))
+        index_rows.append((name, fs.time, fs.params.alpha, fs.params.eps0))
     write_csv(os.path.join(out_dir, "snapshots.csv"), ("file", "t", "alpha", "eps0"), index_rows)
 
 
@@ -172,13 +171,13 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
         report = criteria_monitor(traj)
         rows = [tuple(getattr(norms, key) for key in SERIES_HEADER) for norms in report.norms]
         if cfg.write_snapshots:
-            _write_trajectory(out_dir, traj)
-            criteria = {key: getattr(report, key) for key in (
-                "alpha", "sup_f_l6", "sup_uf_linf", "sup_grad_uf_linf", "sup_grad_theta_linf",
-                "sup_besov")}
-            write_json(os.path.join(out_dir, "criteria.json"), {
-                **criteria, "domain": "torus", "embedding_ratio_torus": report.embedding_ratio,
-                "finite": report.is_finite()})
+            _write_trajectory(out_dir, report.f_states)
+        criteria = {key: getattr(report, key) for key in (
+            "alpha", "sup_f_l6", "sup_uf_linf", "sup_grad_uf_linf", "sup_grad_theta_linf",
+            "sup_besov")}
+        write_json(os.path.join(out_dir, "criteria.json"), {
+            **criteria, "domain": "torus", "embedding_ratio_torus": report.embedding_ratio,
+            "finite": report.is_finite()})
     if diagnostic is not None:
         rows.append(diagnostic + ("",) * (len(SERIES_HEADER) - len(diagnostic)))
     write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, rows)

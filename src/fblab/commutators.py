@@ -33,6 +33,7 @@ import numpy as np
 
 from .fields import SpectralField
 from .grid import Grid
+from .model import ModelParams, hybrid_terms
 from .multipliers import Multiplier, apply_multiplier
 from .norms import lp_norm
 from .operators import Velocity, advect, commutator_apply, divergence
@@ -269,16 +270,15 @@ def estimate_constant(problem, trials: int, grid_sizes: Sequence[int], seed: int
 
 
 def smoothing_comparison(alpha: float, trials: int, n: int, seed: int = 0) -> Dict[str, float]:
-    """Measured constants for the two temperature commutators on a shared
-    ensemble: the extra negative-order factor should not make the term
-    harder.  Reported as an observation, not asserted."""
+    """Measured constants for the two temperature commutators of
+    :class:`fblab.model.HybridTerms` on a shared ensemble: the extra
+    negative-order factor should not make the term harder.  Reported as
+    an observation, not asserted."""
     from .grid import make_grid
     from .ensembles import random_divfree_field, random_scalar_field
 
     grid = make_grid(n, 2 * np.pi)
-    beta = 1.0 - alpha
-    rough = Multiplier.riesz(alpha)
-    smooth = Multiplier.compose(Multiplier.lambda_pow(beta - 2 * alpha), Multiplier.partial(0))
+    h = hybrid_terms(ModelParams(alpha))
     worst = {"rough": 0.0, "smooth": 0.0}
     for t in range(trials):
         v = random_divfree_field(grid, (seed, t, 0), band=(0, 3), decay=1.0)
@@ -288,7 +288,7 @@ def smoothing_comparison(alpha: float, trials: int, n: int, seed: int = 0) -> Di
         if den <= 0:
             continue
         transported = advect(v, th)
-        for name, op in (("rough", rough), ("smooth", smooth)):
+        for name, (_, op) in (("rough", h.riesz_comm), ("smooth", h.smooth_comm)):
             c = commutator_field(op, v, th, transported=transported)
             worst[name] = max(worst[name], lp_norm(c, 2.0) / den)
     worst["smooth_over_rough"] = worst["smooth"] / max(worst["rough"], 1e-300)

@@ -85,10 +85,10 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         if mode in (None, "ledger"):
             _require_distinct("diagnostics configs", "ledger config", self.ledger_ids)
-        known_ledgers = ledger_configs(self.alpha, self.rho)
-        for cid in self.ledger_ids:
-            if cid not in known_ledgers:
-                raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known_ledgers)}")
+            known = ledger_configs(self.alpha, self.rho)
+            for cid in self.ledger_ids:
+                if cid not in known:
+                    raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known)}")
         if mode in (None, "estimate"):
             _require_distinct("estimate grids", "grid size", self.grids)
             return self.estimate_specs()

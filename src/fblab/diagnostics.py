@@ -17,11 +17,11 @@ int F|F|^(p-2) Lambda^alpha F, which is nonnegative).  Rates of the
 tracked functionals are centered finite differences of stored values, so
 the ledger never re-enters the integrator.
 
-The eps0 weights and the source operators are those of
-:func:`fblab.model.nonlinear` (one table, ``hybrid_terms``), so the
-ledger and the integrator cannot drift apart; ``test_substitution_oracle``
-checks those weights independently, by rescaling a state and comparing
-tendencies.
+The eps0 weights, the source operators, the velocity split and the
+coercivity weight come from :class:`fblab.model.HybridTerms`, the table
+the integrator reads, so the two cannot drift apart;
+``test_substitution_oracle`` checks those weights independently, by
+rescaling a state and comparing tendencies.
 
 Every velocity-dependent term is split through u = u_F + u_Theta, and
 each full-velocity pairing is the sum of its two splits (I1, I3, I4, I5,
@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import SpectralField
-from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split
+from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split, u_f
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
@@ -196,7 +196,8 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
     if state.tag != "f":
         raise ValueError("the ledger runs on hybrid-formulation states")
     params = state.params
-    a, b, e = params.alpha, params.beta, params.eps0
+    params.require_unit_dissipation("the ledger")
+    a, b = params.alpha, params.beta
     h = hybrid_terms(params)
     (w_lin, lin), (w_rc, riesz), (w_sc, smooth) = h.linear, h.riesz_comm, h.smooth_comm
     if symbols is None:
@@ -246,7 +247,7 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
             "kappa": 0.5 * inner(Th, tg["kappa"]),
             "p": integral_product(F, F, c.p - 1) / c.p,
         }
-        lower = (e ** (2 * a - 1)) * lp_norm(F, 2 * c.p / (2.0 - a)) ** c.p
+        lower = h.coercivity * lp_norm(F, 2 * c.p / (2.0 - a)) ** c.p
         terms = {name: abs(sg[name]) for name in ("I1", "I2", "I3", "I4", "I5", "K1", "K2", "K3")}
         rows.append(EnergyLedgerRow(
             t=state.time, config_id=c.config_id, functionals=functionals,
@@ -382,9 +383,9 @@ def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
     and ``partition`` if given, and are built afresh otherwise.  The Besov
     norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
     ex = ExponentSuite(state.params.alpha)
-    fs = convert_state(state, "f")
+    fs = convert_state(state, "f", symbols)
     f = fs.primary
-    uf, _ = scaled_velocity_split(f, fs.theta, fs.params, symbols)
+    uf = u_f(f, hybrid_terms(fs.params), symbols)
     half_alpha = apply_multiplier(f, Multiplier.lambda_pow(ex.alpha / 2), symbols)
     return StateNorms(
         t=state.time,
@@ -410,6 +411,7 @@ class CriteriaReport:
     embedding_ratio: Optional[float]
     alpha: float
     norms: List[StateNorms] = dc_field(default_factory=list)
+    f_states: List[SimState] = dc_field(default_factory=list)  # the states the norms read
 
     def is_finite(self) -> bool:
         return all(math.isfinite(s) for s in (self.sup_f_l6, self.sup_uf_linf, self.sup_grad_uf_linf,
@@ -423,11 +425,13 @@ def _sup(values) -> float:
 
 def criteria_monitor(traj: Trajectory) -> CriteriaReport:
     """Running suprema of the blow-up-controlling quantities along a run,
-    with the per-state norms they are taken over.  Every state shares one
-    symbol table and one dyadic partition, both dropped on return."""
+    with the per-state norms they are taken over and the ``f`` form of each
+    state, its one conversion.  Every state shares one symbol table and one
+    dyadic partition, both dropped on return."""
     grid = traj.states[0].grid
     symbols, partition = SymbolTable(grid), build_partition(grid)
-    norms = [state_norms(st, symbols, partition) for st in traj.states]
+    f_states = [convert_state(st, "f", symbols) for st in traj.states]
+    norms = [state_norms(fs, symbols, partition) for fs in f_states]
     besov = BESOV.holds(vars(traj.states[0].params))
     return CriteriaReport(
         sup_f_l6=_sup(n.f_l6 for n in norms),
@@ -437,4 +441,4 @@ def criteria_monitor(traj: Trajectory) -> CriteriaReport:
         sup_besov=_sup(n.f_besov for n in norms) if besov else None,
         embedding_ratio=(_sup(n.grad_uf_linf / n.f_besov for n in norms if n.f_besov > 0)
                          if besov else None),
-        alpha=traj.states[0].params.alpha, norms=norms)
+        alpha=traj.states[0].params.alpha, norms=norms, f_states=f_states)

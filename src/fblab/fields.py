@@ -135,6 +135,8 @@ class SpectralField:
             raise TypeError("use multiply() for field products, * is scalar-only")
         if np.iscomplexobj(scalar):
             raise TypeError("fields are real; * takes a real scalar")
+        if isinstance(scalar, (int, float)) and scalar == 1:
+            return self  # fields are immutable, and 1 * c is c to the last bit
         return SpectralField(self.grid, self.coef * scalar)
 
     __rmul__ = __mul__

@@ -16,10 +16,12 @@ A state carries one of two tags:
 
 The ``f`` tag also carries the rescaled hybrid system (the config word
 ``scaled``, meaning the ``f`` form with eps0 < 1): after
-t -> eps0^beta t, x -> eps0 x each term picks up the power of eps0 in
-:func:`hybrid_terms` and the velocity split is the rescaled one.  eps0
+t -> eps0^beta t, x -> eps0 x each term picks up a power of eps0.  eps0
 lives in :class:`ModelParams`, and eps0 = 1 gives the equation above.
-:func:`nonlinear` is the one definition of these source terms.  It
+:class:`HybridTerms` is the one place the hybrid algebra is written: the
+eps0 weights, the operator V of the change of variables and of the
+velocity, the velocity rows and the ledger's coercivity weight.
+:func:`nonlinear` is the one definition of the source terms.  It
 evaluates the two temperature commutators as one, [C, u.grad] theta with
 C the eps0-weighted sum of their operators, since a commutator is linear
 in its operator.  Transport is linear in the transported field, so the
@@ -31,13 +33,14 @@ and u.grad theta is the temperature equation's own transport term.  A
 stage costs two advections.
 
 Stepping the hybrid form requires nu = kappa = 1 (the change of
-variables mixes the two dissipations); :func:`hybrid_terms` checks it.
-An ``f`` state of any parameters can still be built and converted, which
-the diagnostics of a vorticity run rely on.  Dissipation is integrated exactly through an
-integrating-factor RK4 step; advection and source terms are treated
-explicitly with alias-free products.  The symbols a stage uses and the
-four propagators of the step are built once per :func:`integrate` call
-(:class:`StepOperators`) and dropped with it.
+variables mixes the two dissipations); :func:`_dissipation_rates` checks
+it.  An ``f`` state of any parameters can still be built, converted and
+given its velocity, which the diagnostics of a vorticity run rely on.
+Dissipation is integrated exactly through an integrating-factor RK4
+step; advection and source terms are treated explicitly with alias-free
+products.  The symbols a stage uses and the four propagators of the step
+are built once per :func:`integrate` call (:class:`StepOperators`) and
+dropped with it.
 
 A single trajectory advances sequentially; independent trajectories
 (parameter sweeps, seed families) share no mutable state and can run in
@@ -55,9 +58,7 @@ import numpy as np
 from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
-from .norms import l2_norm_sq
-from .operators import (Velocity, advect, biot_savart, commutator_apply, require_mean_free,
-                        temperature_vorticity_operator)
+from .operators import Velocity, advect, biot_savart, commutator_apply, require_mean_free
 from .ranges import check
 
 FORMULATIONS = ("omega", "f")
@@ -116,6 +117,59 @@ class SimState:
         return self.theta.grid
 
 
+# -- the hybrid algebra ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class HybridTerms:
+    """The one table of the hybrid algebra: each term of the hybrid
+    equation, the velocity split and the ledger's coercivity weight, with
+    the power of eps0 each picks up under t -> eps0^beta t, x -> eps0 x
+    (all weights are 1 when eps0 = 1).  Each theta-driven source is a
+    (weight, operator) pair.  The velocity is u = U_F + U_Theta, with
+    U_F = w_f grad_perp Delta^{-1} F, U_Theta = grad_perp Delta^{-1} V Theta and
+    V = eps0^(beta-1) R_alpha + eps0^(2beta-alpha-1) Lambda^(beta-2alpha) d1.
+    At eps0 = 1, V = R_alpha (I + Lambda^(beta-alpha)) is the operator of
+    the change of variables f = omega - V theta."""
+
+    advect: float
+    dissipation: float
+    linear: Tuple[float, Multiplier]        # Lambda^(2(beta-alpha)) d1 theta
+    riesz_comm: Tuple[float, Multiplier]    # [R_alpha, u.grad] theta
+    smooth_comm: Tuple[float, Multiplier]   # [Lambda^(beta-2alpha) d1, u.grad] theta
+    w_f: float                              # eps0^-1
+    v: Multiplier                           # V, whose smooth part is smooth_comm's operator
+    u_theta: Tuple[Multiplier, Multiplier]  # the two components of grad_perp Delta^{-1} V
+    coercivity: float                       # eps0^(2alpha-1) of the ledger's lower bound
+
+    def commutator(self) -> Multiplier:
+        """w_rc R_alpha + w_sc Lambda^(beta-2alpha) d1: the commutator is
+        linear in its operator, so one call gives both weighted terms."""
+        (w_rc, riesz), (w_sc, smooth) = self.riesz_comm, self.smooth_comm
+        return Multiplier.sum(riesz, smooth, weights=(w_rc, w_sc))
+
+
+def hybrid_terms(params: ModelParams) -> HybridTerms:
+    """The :class:`HybridTerms` of ``params``, for any nu and kappa: only
+    stepping the hybrid form needs nu = kappa = 1 (:func:`_dissipation_rates`)."""
+    a, b, e = params.alpha, params.beta, params.eps0
+    riesz = Multiplier.riesz(a)
+    smooth = Multiplier.compose(Multiplier.lambda_pow(b - 2 * a), Multiplier.partial(0))
+    v = Multiplier.sum(riesz, smooth, weights=(e ** (b - 1.0), e ** (2 * b - a - 1.0)))
+    return HybridTerms(
+        advect=e ** a,
+        dissipation=e ** (a - b),
+        linear=(e ** (2.0 - 3.0 * a),
+                Multiplier.compose(Multiplier.lambda_pow(2 * (b - a)), Multiplier.partial(0))),
+        riesz_comm=(e, riesz),
+        smooth_comm=(e ** (2.0 * b), smooth),
+        w_f=1.0 / e,
+        v=v,
+        u_theta=tuple(Multiplier.compose(Multiplier.inv_lap_perp_grad(i), v) for i in (0, 1)),
+        coercivity=e ** (2 * a - 1),
+    )
+
+
 # -- changes of variables -------------------------------------------------
 
 
@@ -126,28 +180,26 @@ def transform_to_g(omega: SpectralField, theta: SpectralField, alpha: float) -> 
     return omega - apply_multiplier(theta, Multiplier.riesz(alpha))
 
 
-def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
-    """Second-stage hybrid variable f = omega - R_alpha (I + Lambda^(beta-alpha)) theta."""
-    check({"alpha": alpha})
+def transform_to_f(omega: SpectralField, theta: SpectralField, alpha: float,
+                   symbols: Optional[SymbolTable] = None) -> SpectralField:
+    """Second-stage hybrid variable f = omega - V theta, V of
+    :class:`HybridTerms` at eps0 = 1; symbols come from ``symbols`` if given."""
     require_mean_free(omega, "vorticity")
-    return omega - apply_multiplier(theta, temperature_vorticity_operator(alpha))
+    return omega - apply_multiplier(theta, hybrid_terms(ModelParams(alpha)).v, symbols)
 
 
-def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:
-    check({"alpha": alpha})
-    return f + apply_multiplier(theta, temperature_vorticity_operator(alpha))
+def vorticity_from_f(f: SpectralField, theta: SpectralField, alpha: float,
+                     symbols: Optional[SymbolTable] = None) -> SpectralField:
+    return f + apply_multiplier(theta, hybrid_terms(ModelParams(alpha)).v, symbols)
 
 
-def convert_state(state: SimState, tag: str) -> SimState:
+def convert_state(state: SimState, tag: str, symbols: Optional[SymbolTable] = None) -> SimState:
     """Re-express the state in the other formulation at fixed theta."""
     if tag == state.tag:
         return state
-    a = state.params.alpha
-    if tag == "f":
-        new = transform_to_f(state.primary, state.theta, a)
-    else:
-        new = vorticity_from_f(state.primary, state.theta, a)
-    return replace(state, primary=new, tag=tag)
+    convert = transform_to_f if tag == "f" else vorticity_from_f
+    return replace(state, primary=convert(state.primary, state.theta, state.params.alpha, symbols),
+                   tag=tag)
 
 
 # -- velocity reconstruction ----------------------------------------------
@@ -155,73 +207,28 @@ def convert_state(state: SimState, tag: str) -> SimState:
 
 def scaled_velocity_split(f: SpectralField, theta: SpectralField, params: ModelParams,
                           symbols: Optional[SymbolTable] = None) -> Tuple[Velocity, Velocity]:
-    """Velocity split (U_F, U_Theta) of the hybrid formulation.
+    """Velocity split (U_F, U_Theta) of the hybrid formulation, the rows of
+    :class:`HybridTerms`: four applies.  Symbols come from ``symbols`` if given."""
+    h = hybrid_terms(params)
+    return u_f(f, h, symbols), tuple(apply_multiplier(theta, op, symbols) for op in h.u_theta)
 
-    u_f = grad_perp Delta^{-1} f carries the hybrid variable and
-    u_theta = grad_perp Delta^{-1} R_alpha (I + Lambda^(beta-alpha)) theta
-    the temperature.  Substituting t -> eps0^beta t, x -> eps0 x into the
-    stream-function inversion gives U_F = eps0^{-1} grad_perp Delta^{-1} F
-    and rescales the two temperature factors by eps0^{beta-1} and
-    eps0^{2beta-alpha-1}; with eps0 = 1 the factors are 1.  Symbols come
-    from ``symbols`` if given.
-    """
-    a, b, e = params.alpha, params.beta, params.eps0
+
+def u_f(f: SpectralField, h: HybridTerms, symbols: Optional[SymbolTable] = None) -> Velocity:
+    """U_F = w_f grad_perp Delta^{-1} F alone."""
     require_mean_free(f, "hybrid variable")
-    uf = biot_savart(f, symbols)
-    uf = (uf[0] * (1.0 / e), uf[1] * (1.0 / e))
-    riesz_part = apply_multiplier(theta, Multiplier.riesz(a), symbols) * e ** (b - 1.0)
-    tail_op = Multiplier.compose(Multiplier.partial(0), Multiplier.lambda_pow(b - 2 * a))
-    tail_part = apply_multiplier(theta, tail_op, symbols) * e ** (2 * b - a - 1.0)
-    contrib = riesz_part + tail_part
-    ut = (apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(0), symbols),
-          apply_multiplier(contrib, Multiplier.inv_lap_perp_grad(1), symbols))
-    return uf, ut
+    return tuple(h.w_f * c for c in biot_savart(f, symbols))
 
 
 def state_velocity(state: SimState, symbols: Optional[SymbolTable] = None) -> Velocity:
-    """Full advecting velocity for either formulation."""
+    """Full advecting velocity for either formulation; in the ``f`` form
+    u = grad_perp Delta^{-1}(w_f f + V theta), three applies."""
     if state.tag == "omega":
         return biot_savart(state.primary, symbols)
-    uf, ut = scaled_velocity_split(state.primary, state.theta, state.params, symbols)
-    return uf[0] + ut[0], uf[1] + ut[1]
+    h = hybrid_terms(state.params)
+    return biot_savart(h.w_f * state.primary + apply_multiplier(state.theta, h.v, symbols), symbols)
 
 
 # -- right-hand sides -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HybridTerms:
-    """Terms of the hybrid equation with the power of eps0 each picks up
-    under t -> eps0^beta t, x -> eps0 x (all weights are 1 when eps0 = 1).
-    Each theta-driven source is a (weight, operator) pair."""
-
-    advect: float
-    dissipation: float
-    linear: Tuple[float, Multiplier]        # Lambda^(2(beta-alpha)) d1 theta
-    riesz_comm: Tuple[float, Multiplier]    # [R_alpha, u.grad] theta
-    smooth_comm: Tuple[float, Multiplier]   # [Lambda^(beta-2alpha) d1, u.grad] theta
-
-    def commutator(self) -> Multiplier:
-        """w_rc R_alpha + w_sc Lambda^(beta-2alpha) d1: the commutator is
-        linear in its operator, so one call gives both weighted terms."""
-        (w_rc, riesz), (w_sc, smooth) = self.riesz_comm, self.smooth_comm
-        return Multiplier.sum(riesz, smooth, weights=(w_rc, w_sc))
-
-
-def hybrid_terms(params: ModelParams) -> HybridTerms:
-    """The one table of hybrid weights and operators; the change of
-    variables mixes the two dissipations, so it needs nu = kappa = 1."""
-    params.require_unit_dissipation("the hybrid formulation")
-    a, b, e = params.alpha, params.beta, params.eps0
-    return HybridTerms(
-        advect=e ** a,
-        dissipation=e ** (a - b),
-        linear=(e ** (2.0 - 3.0 * a),
-                Multiplier.compose(Multiplier.lambda_pow(2 * (b - a)), Multiplier.partial(0))),
-        riesz_comm=(e, Multiplier.riesz(a)),
-        smooth_comm=(e ** (2.0 * b),
-                     Multiplier.compose(Multiplier.lambda_pow(b - 2 * a), Multiplier.partial(0))),
-    )
 
 
 def nonlinear(state: SimState, u: Optional[Velocity] = None,
@@ -260,6 +267,7 @@ def _dissipation_rates(state: SimState) -> Tuple[float, float, float, float]:
     p = state.params
     if state.tag == "omega":
         return p.nu, p.alpha, p.kappa, p.beta
+    p.require_unit_dissipation("the hybrid formulation")
     return hybrid_terms(p).dissipation, p.alpha, 1.0, p.beta
 
 
@@ -424,20 +432,6 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
             traj.states.append(current)
             traj.integrals.append(dict(totals))
     return traj
-
-
-# -- standard accumulators ---------------------------------------------------
-
-
-def theta_dissipation_rate(state: SimState) -> float:
-    half = apply_multiplier(state.theta, Multiplier.lambda_pow(state.params.beta / 2.0))
-    return l2_norm_sq(half)
-
-
-def velocity_dissipation_rate(state: SimState) -> float:
-    u = state_velocity(state)
-    lam = Multiplier.lambda_pow(state.params.alpha / 2.0)
-    return l2_norm_sq(apply_multiplier(u[0], lam)) + l2_norm_sq(apply_multiplier(u[1], lam))
 
 
 # -- initial data -------------------------------------------------------------

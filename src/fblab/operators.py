@@ -74,14 +74,6 @@ def biot_savart(omega: SpectralField, symbols: Optional[SymbolTable] = None) -> 
     return apply_multiplier(omega, _BS1, symbols), apply_multiplier(omega, _BS2, symbols)
 
 
-def temperature_vorticity_operator(alpha: float) -> Multiplier:
-    """Multiplier mapping the temperature to its vorticity contribution,
-    i.e. the symbol of R_alpha (I + Lambda^(beta-alpha)) with beta = 1 - alpha."""
-    beta = 1.0 - alpha
-    riesz = Multiplier.riesz(alpha)
-    return Multiplier.sum(riesz, Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha)))
-
-
 def commutator_apply(op: Multiplier, v: Velocities, phi: SpectralField,
                      transported=None, carry: Optional[SpectralField] = None,
                      symbols: Optional[SymbolTable] = None):

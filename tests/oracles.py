@@ -5,9 +5,11 @@ a quantity the package computes another way (a second formula for f, the
 velocity-pressure form of the right-hand side, a Newton-refined sup, the
 full n-by-n spectrum layout, the full-width padded transforms), or a plain measure the tests compare with
 (relative L2 distance, Hermitian defect, block reconstruction, the
-specs whose hypotheses hold), or a slower route the package replaced
+specs whose hypotheses hold, the change of variables' operator as the
+paper writes it), or a slower route the package replaced
 (the Leray projection, the per-radius window means of the maximal
-function, the hybrid source terms with f advected on its own).
+function, the hybrid source terms with f advected on its own), or an integrand
+the package has no caller of (the dissipation rates).
 """
 
 import math
@@ -124,6 +126,15 @@ def leray_project(v: Velocity) -> Velocity:
     return v[0] - gx, v[1] - gy
 
 
+def temperature_vorticity_operator(alpha: float) -> Multiplier:
+    """R_alpha (I + Lambda^(beta-alpha)) with beta = 1 - alpha, written from
+    its definition: the operator of the change of variables, which
+    ``HybridTerms.v`` writes as R_alpha + Lambda^(beta-2alpha) d1."""
+    beta = 1.0 - alpha
+    riesz = Multiplier.riesz(alpha)
+    return Multiplier.sum(riesz, Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha)))
+
+
 def nonlinear_three_advections(state: SimState):
     """The hybrid form's source terms with f advected on its own:
     -a u.grad f + w Lambda^(2(beta-alpha)) d1 theta + [C, u.grad] theta,
@@ -136,6 +147,19 @@ def nonlinear_three_advections(state: SimState):
           + w_lin * apply_multiplier(th, lin)
           + commutator_apply(h.commutator(), u, th, transported))
     return dP, -h.advect * transported
+
+
+def theta_dissipation_rate(state: SimState) -> float:
+    """||Lambda^(beta/2) theta||^2, an accumulator of ``model.integrate``."""
+    half = apply_multiplier(state.theta, Multiplier.lambda_pow(state.params.beta / 2.0))
+    return l2_norm_sq(half)
+
+
+def velocity_dissipation_rate(state: SimState) -> float:
+    """||Lambda^(alpha/2) u||^2, an accumulator of ``model.integrate``."""
+    u = state_velocity(state)
+    lam = Multiplier.lambda_pow(state.params.alpha / 2.0)
+    return l2_norm_sq(apply_multiplier(u[0], lam)) + l2_norm_sq(apply_multiplier(u[1], lam))
 
 
 def primitive_rhs(u: Velocity, theta: SpectralField, params: ModelParams):

@@ -20,14 +20,14 @@ from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField, multiply
 from fblab.grid import make_grid
 from fblab.model import (ModelParams, convert_state, initial_state, integrate, state_velocity,
-                         theta_dissipation_rate, vorticity_from_f)
+                         vorticity_from_f)
 from fblab.multipliers import Multiplier, apply_multiplier
 from fblab.norms import inner, l2_norm_sq, lp_norm
 from fblab.operators import advect
 from fblab.registry import build_registry
 from fblab.cli import EXIT_OK, main
 
-from oracles import hypothesis_satisfying_ids, refined_sup, rel_l2_diff
+from oracles import hypothesis_satisfying_ids, refined_sup, rel_l2_diff, theta_dissipation_rate
 
 TWO_PI = 2 * np.pi
 

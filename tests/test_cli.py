@@ -100,12 +100,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nonsense"):
             cfg.validate()
 
-    def test_unknown_ledger_config(self, tmp_path):
-        path, _ = write_ini(tmp_path)
+    @pytest.mark.parametrize("mode", [None, "ledger", "simulate", "estimate"])
+    def test_unknown_ledger_config(self, tmp_path, capsys, mode):
+        # only a run that evaluates a ledger reads [diagnostics] configs
+        path, out = write_ini(tmp_path, extra="\n[diagnostics]\nconfigs = l8\n")
         cfg = load_config(path)
-        cfg.ledger_ids = ["l8"]
-        with pytest.raises(ConfigError, match="l8"):
-            cfg.validate()
+        if mode is None:
+            with pytest.raises(ConfigError, match="l8"):
+                cfg.validate()
+        elif mode == "ledger":
+            assert_refused(capsys, ["--config", path, "ledger"], out, "unknown ledger config 'l8'")
+        else:
+            assert main(["--config", path, "--grids", "64", mode]) == EXIT_OK
 
     def test_validation_exit_code(self, tmp_path):
         path, _ = write_ini(tmp_path, extra="\n[model2]\n")
@@ -346,6 +352,35 @@ class TestSimulate:
         assert os.path.exists(os.path.join(out, "snapshots.csv"))
         assert os.path.exists(os.path.join(out, "criteria.json"))
 
+    def test_criteria_written_without_snapshots(self, tmp_path):
+        path, out = write_ini(tmp_path, name="a.ini", out=str(tmp_path / "with"))
+        bare = tmp_path / "b.ini"
+        bare.write_text(BASE_INI.format(out=str(tmp_path / "bare"))
+                        .replace("[output]\n", "[output]\nsnapshots = false\n"))
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        assert main(["--config", str(bare), "simulate"]) == EXIT_OK
+        assert sorted(os.listdir(tmp_path / "bare")) == ["criteria.json", "series.csv"]
+        for name in ("criteria.json", "series.csv"):
+            assert (tmp_path / "bare" / name).read_bytes() == Path(out, name).read_bytes()
+
+    def test_one_f_conversion_per_stored_omega_state(self, tmp_path, monkeypatch):
+        # the criteria monitor and the snapshots share one conversion
+        import fblab.model
+        calls = []
+        convert = fblab.model.transform_to_f
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(fblab.model, "transform_to_f", counted)
+        ini = BASE_INI.format(out=str(tmp_path / "o")).replace("formulation = f", "formulation = omega")
+        path = tmp_path / "omega.ini"
+        path.write_text(ini)
+        assert main(["--config", str(path), "simulate"]) == EXIT_OK
+        rows = Path(tmp_path / "o" / "snapshots.csv").read_text().strip().splitlines()
+        assert len(rows) - 1 == 5 == len(calls)
+
     def test_omega_run_with_non_unit_dissipation(self, tmp_path):
         # only the hybrid formulations need nu = kappa = 1; the series and
         # criteria of a vorticity run still read the state in the f form
@@ -492,8 +527,10 @@ class TestSelftestCli:
 
 class TestNumericalFailure:
     def test_blowup_yields_partial_csv_and_code_two(self, tmp_path):
-        # inviscid run with an aggressive dt and no guard margin: force a
-        # blowup by running far beyond the advective limit
+        # inviscid run with dt far beyond the step-size guard: the run ends
+        # at its first step in StabilityError ("dt=2 exceeds the
+        # advective/dissipative guard 0.234005"), not in a blowup; either
+        # numerical failure leaves the header and the DIAGNOSTIC row
         ini = """
 [model]
 n = 32

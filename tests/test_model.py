@@ -22,16 +22,14 @@ from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
                          Trajectory, cfl_limit, convert_state, hybrid_terms, initial_state,
                          integrate, nonlinear, rhs, scaled_velocity_split, state_velocity, step,
-                         step_operators,
-                         theta_dissipation_rate, transform_to_f, transform_to_g,
-                         velocity_dissipation_rate, vorticity_from_f)
+                         step_operators, transform_to_f, transform_to_g, vorticity_from_f)
 from fblab.multipliers import Multiplier, SymbolTable, apply_multiplier
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm
-from fblab.operators import (advect, biot_savart, commutator_apply, curl,
-                             temperature_vorticity_operator)
+from fblab.operators import advect, biot_savart, commutator_apply, curl
 
 from oracles import (f_from_g, full_coef, nonlinear_three_advections, primitive_rhs, refined_sup,
-                     rel_l2_diff)
+                     rel_l2_diff, temperature_vorticity_operator, theta_dissipation_rate,
+                     velocity_dissipation_rate)
 
 TWO_PI = 2 * np.pi
 ALPHA = 0.75
@@ -156,6 +154,41 @@ class TestTransforms:
         for tag in ("f", "omega"):
             st1 = convert_state(convert_state(st0, tag), "omega")
             assert np.max(np.abs(st1.primary.coef - st0.primary.coef)) < 1e-12
+
+
+class TestHybridTable:
+    def test_v_is_the_change_of_variables_operator(self):
+        # R_alpha + Lambda^(beta-2alpha) d1 = R_alpha (I + Lambda^(beta-alpha))
+        g = make_grid(64, TWO_PI)
+        for alpha in (0.55, 0.75, 0.9):
+            got = hybrid_terms(ModelParams(alpha=alpha)).v.symbol(g)
+            want = temperature_vorticity_operator(alpha).symbol(g)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_any_dissipation_has_a_table(self):
+        # the velocity rows hold for any nu and kappa; only stepping checks
+        params = ModelParams(alpha=ALPHA, nu=0.0, kappa=0.5, eps0=0.5)
+        h = hybrid_terms(params)
+        assert h.v.parts[1] == h.smooth_comm[1] and h.w_f == 2.0
+
+    @pytest.mark.parametrize("eps0", [1.0, 0.5])
+    def test_velocity_applies(self, monkeypatch, eps0):
+        # U_F and U_Theta take two applies each, u three; u is their sum
+        import fblab.model
+        import fblab.operators
+        st_ = initial_state(make_grid(64, TWO_PI), ModelParams(alpha=ALPHA, eps0=eps0), "f",
+                            seed=3, amplitude_theta=1.0, amplitude_primary=1.0)
+        calls = []
+        for module in (fblab.model, fblab.operators):
+            monkeypatch.setattr(module, "apply_multiplier",
+                                lambda *a, **k: calls.append(a[1]) or apply_multiplier(*a, **k))
+        uf, ut = scaled_velocity_split(st_.primary, st_.theta, st_.params)
+        assert len(calls) == 4
+        u = state_velocity(st_)
+        assert len(calls) == 7
+        for got, a, b in zip(u, uf, ut):
+            want = a + b
+            assert np.max(np.abs(got.coef - want.coef)) <= 1e-14 * np.max(np.abs(want.coef))
 
 
 class TestVorticityRHS:

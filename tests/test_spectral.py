@@ -112,6 +112,14 @@ class TestSpectralField:
         assert np.array_equal((f * 2.0).coef, 2.0 * f.coef)
         assert np.array_equal((np.float64(0.5) * f).coef, 0.5 * f.coef)
 
+    def test_unit_scalar_returns_the_field(self):
+        # fields are immutable, and 1 * c is c to the last bit
+        g = make_grid(16, TWO_PI)
+        f = SpectralField.from_physical(g, np.random.default_rng(4).standard_normal((16, 16)))
+        for one in (1.0, 1, np.float64(1.0)):
+            assert f * one is f and one * f is f
+        assert np.array_equal((f * 1.0).coef, SpectralField(g, f.coef * 1.0).coef)
+
 
 class TestMultipliers:
     def test_single_mode_half_power(self):
