@@ -15,9 +15,8 @@ from .norms import inner, lp_norm, sobolev_norm
 from .dyadic import (BlockSet, DyadicPartition, besov_norm, build_partition, dyadic_block,
                      maximal_function, paraproduct_split, square_function)
 from .ensembles import gaussian_bump_field, random_divfree_field, random_scalar_field
-from .model import (ModelParams, SimState, Trajectory, initial_state, integrate, rhs,
-                    scaled_velocity_split, step, transform_to_f, transform_to_g,
-                    vorticity_from_f)
+from .model import (ModelParams, SimState, initial_state, integrate, rhs, scaled_velocity_split,
+                    step, transform_to_f, transform_to_g, vorticity_from_f)
 from .diagnostics import (CriteriaReport, EnergyLedgerRow, ExponentSuite, LedgerConfig,
                           criteria_monitor, energy_terms, ledger_configs, ledger_run)
 from .commutators import (EstimateReport, commutator_field, estimate_constant,

@@ -2,7 +2,9 @@
 
 Subcommands:
 
-    simulate   advance a trajectory, write the norm time series and snapshots
+    simulate   advance a trajectory, write the norm time series and snapshots;
+               each state the integrator yields is measured and written before
+               the next step, so a failed run keeps the states it completed
     ledger     evaluate the energy ledgers over a snapshot set (replaying a
                stored set, or producing one inline first)
     estimate   run best-constant sampling campaigns from the registry
@@ -27,15 +29,18 @@ import ctypes
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import _ROW_TERMS, criteria_monitor, ledger_configs, ledger_run
+from .diagnostics import _ROW_TERMS, CriteriaReport, criteria_monitor, ledger_configs, ledger_run
 from .commutators import estimate_constants
+from .dyadic import build_partition
 from .fields import SpectralField
 from .grid import Grid, make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
                     initial_state, integrate)
+from .multipliers import SymbolTable
 from .registry import ConstraintError, InequalitySpec
 from .reporting import write_csv, write_json
 from .selftest import run_selftest
@@ -73,8 +78,7 @@ SERIES_HEADER = ("t", "theta_l2", "theta_linf", "f_l2", "f_l4", "f_l6",
                  "f_halfalpha_l2", "uf_linf", "grad_uf_linf", "f_besov")
 
 
-def _build_initial(cfg: RunConfig) -> SimState:
-    grid = make_grid(cfg.n, cfg.length)
+def _build_initial(cfg: RunConfig, grid: Grid) -> SimState:
     return initial_state(grid, cfg.params(), cfg.formulation, kind=cfg.init, seed=cfg.seed,
                          amplitude_theta=cfg.amplitude_theta,
                          amplitude_primary=cfg.amplitude_primary, decay=cfg.decay)
@@ -82,16 +86,6 @@ def _build_initial(cfg: RunConfig) -> SimState:
 
 def _snapshot_name(index: int) -> str:
     return f"snap_{index:06d}.fbl"
-
-
-def _write_trajectory(out_dir: str, f_states: List[SimState]):
-    index_rows = []
-    for i, fs in enumerate(f_states):
-        name = _snapshot_name(i)
-        write_snapshot(os.path.join(out_dir, name), fs.grid,
-                       {"theta": fs.theta, "f": fs.primary})
-        index_rows.append((name, fs.time, fs.params.alpha, fs.params.eps0))
-    write_csv(os.path.join(out_dir, "snapshots.csv"), ("file", "t", "alpha", "eps0"), index_rows)
 
 
 def _index_number(row: dict, key: str, where: str) -> float:
@@ -159,26 +153,33 @@ def _load_trajectory(snap_dir: str, params: ModelParams, grid: Grid) -> List[Sim
 
 
 def run_simulate(cfg: RunConfig, out_dir: str) -> int:
-    state = _build_initial(cfg)
-    rows, traj, diagnostic = [], None, None
+    """One pass: each stored state is converted to ``f`` once (on the
+    integrator's symbol table), measured and written before the next step;
+    a failed run still writes its completed rows, snapshots and DIAGNOSTIC row."""
+    grid = make_grid(cfg.n, cfg.length)
+    symbols, partition = SymbolTable(grid), build_partition(grid)
+    norms, index_rows, diagnostic = [], [], None
     try:
-        traj = integrate(state, cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl, cadence=cfg.cadence)
+        for state, _ in integrate(_build_initial(cfg, grid), cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl,
+                                  cadence=cfg.cadence, symbols=symbols):
+            fs, record = criteria_monitor(state, symbols, partition)
+            norms.append(record)
+            if cfg.write_snapshots:
+                name = _snapshot_name(len(index_rows))
+                write_snapshot(os.path.join(out_dir, name), grid, {"theta": fs.theta, "f": fs.primary})
+                index_rows.append((name, fs.time, fs.params.alpha, fs.params.eps0))
+            del state, fs  # not held through the next steps
     except IntegrationBlowupError as exc:
         diagnostic = ("DIAGNOSTIC", f"blowup at t={exc.time:.6g}", exc.detail)
     except StabilityError as exc:
         diagnostic = ("DIAGNOSTIC", "state outgrew the step-size guard", str(exc))
-    if traj is not None:
-        report = criteria_monitor(traj)
-        rows = [tuple(getattr(norms, key) for key in SERIES_HEADER) for norms in report.norms]
-        if cfg.write_snapshots:
-            _write_trajectory(out_dir, report.f_states)
-        criteria = {key: getattr(report, key) for key in (
-            "alpha", "sup_f_l6", "sup_uf_linf", "sup_grad_uf_linf", "sup_grad_theta_linf",
-            "sup_besov")}
-        write_json(os.path.join(out_dir, "criteria.json"), {
-            **criteria, "domain": "torus", "embedding_ratio_torus": report.embedding_ratio,
-            "finite": report.is_finite()})
-    if diagnostic is not None:
+    rows = [tuple(getattr(record, key) for key in SERIES_HEADER) for record in norms]
+    if cfg.write_snapshots:
+        write_csv(os.path.join(out_dir, "snapshots.csv"), ("file", "t", "alpha", "eps0"), index_rows)
+    if diagnostic is None:
+        report = CriteriaReport.of(norms, cfg.alpha)
+        write_json(os.path.join(out_dir, "criteria.json"), {**asdict(report), "domain": "torus"})
+    else:
         rows.append(diagnostic + ("",) * (len(SERIES_HEADER) - len(diagnostic)))
     write_csv(os.path.join(out_dir, "series.csv"), SERIES_HEADER, rows)
     return EXIT_OK if diagnostic is None else EXIT_NUMERICAL

@@ -52,11 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .fields import SpectralField
-from .model import SimState, Trajectory, convert_state, hybrid_terms, scaled_velocity_split, u_f
+from .model import SimState, convert_state, hybrid_terms, scaled_velocity_split, u_f
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
-from .dyadic import DyadicPartition, besov_norm, build_partition
+from .dyadic import DyadicPartition, besov_norm
 from .ranges import BESOV
 
 DEFAULT_RHO = 0.01
@@ -377,17 +377,18 @@ def _grad_linf(field: SpectralField, symbols: Optional[SymbolTable] = None) -> f
     return max(lp_norm(gx, np.inf), lp_norm(gy, np.inf))
 
 
-def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
-                partition: Optional[DyadicPartition] = None) -> StateNorms:
-    """Norms of one state; symbols and dyadic rings come from ``symbols``
-    and ``partition`` if given, and are built afresh otherwise.  The Besov
-    norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
+def criteria_monitor(state: SimState, symbols: Optional[SymbolTable] = None,
+                     partition: Optional[DyadicPartition] = None) -> Tuple[SimState, StateNorms]:
+    """The ``f`` form of one stored state, its one conversion, and the norms
+    that control blowup.  A run passes every state the same ``symbols``
+    and dyadic ``partition``; without them they are built afresh.  The
+    Besov norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
     ex = ExponentSuite(state.params.alpha)
     fs = convert_state(state, "f", symbols)
     f = fs.primary
     uf = u_f(f, hybrid_terms(fs.params), symbols)
     half_alpha = apply_multiplier(f, Multiplier.lambda_pow(ex.alpha / 2), symbols)
-    return StateNorms(
+    return fs, StateNorms(
         t=state.time,
         theta_l2=lp_norm(state.theta, 2), theta_linf=lp_norm(state.theta, np.inf),
         f_l2=lp_norm(f, 2), f_l4=lp_norm(f, 4), f_l6=lp_norm(f, 6),
@@ -401,44 +402,31 @@ def state_norms(state: SimState, symbols: Optional[SymbolTable] = None,
 
 @dataclass
 class CriteriaReport:
-    """Suprema along a run; the Besov two are None outside ``BESOV``."""
+    """Suprema along a run; the Besov two are None outside ``BESOV``, and
+    ``finite`` judges the other suprema."""
 
     sup_f_l6: float
     sup_uf_linf: float
     sup_grad_uf_linf: float
     sup_grad_theta_linf: float
     sup_besov: Optional[float]
-    embedding_ratio: Optional[float]
+    embedding_ratio_torus: Optional[float]
     alpha: float
-    norms: List[StateNorms] = dc_field(default_factory=list)
-    f_states: List[SimState] = dc_field(default_factory=list)  # the states the norms read
+    finite: bool
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(s) for s in (self.sup_f_l6, self.sup_uf_linf, self.sup_grad_uf_linf,
-                                              self.sup_grad_theta_linf, self.sup_besov)
-                   if s is not None)
+    @classmethod
+    def of(cls, norms: List[StateNorms], alpha: float) -> "CriteriaReport":
+        """Running suprema of the :func:`criteria_monitor` records of a run."""
+        besov = BESOV.holds({"alpha": alpha})
+        sups = dict(sup_f_l6=_sup(n.f_l6 for n in norms), sup_uf_linf=_sup(n.uf_linf for n in norms),
+                    sup_grad_uf_linf=_sup(n.grad_uf_linf for n in norms),
+                    sup_grad_theta_linf=_sup(n.grad_theta_linf for n in norms),
+                    sup_besov=_sup(n.f_besov for n in norms) if besov else None)
+        return cls(**sups, alpha=alpha,
+                   embedding_ratio_torus=(_sup(n.grad_uf_linf / n.f_besov for n in norms
+                                               if n.f_besov > 0) if besov else None),
+                   finite=all(math.isfinite(s) for s in sups.values() if s is not None))
 
 
 def _sup(values) -> float:
     return max([0.0, *values])
-
-
-def criteria_monitor(traj: Trajectory) -> CriteriaReport:
-    """Running suprema of the blow-up-controlling quantities along a run,
-    with the per-state norms they are taken over and the ``f`` form of each
-    state, its one conversion.  Every state shares one symbol table and one
-    dyadic partition, both dropped on return."""
-    grid = traj.states[0].grid
-    symbols, partition = SymbolTable(grid), build_partition(grid)
-    f_states = [convert_state(st, "f", symbols) for st in traj.states]
-    norms = [state_norms(fs, symbols, partition) for fs in f_states]
-    besov = BESOV.holds(vars(traj.states[0].params))
-    return CriteriaReport(
-        sup_f_l6=_sup(n.f_l6 for n in norms),
-        sup_uf_linf=_sup(n.uf_linf for n in norms),
-        sup_grad_uf_linf=_sup(n.grad_uf_linf for n in norms),
-        sup_grad_theta_linf=_sup(n.grad_theta_linf for n in norms),
-        sup_besov=_sup(n.f_besov for n in norms) if besov else None,
-        embedding_ratio=(_sup(n.grad_uf_linf / n.f_besov for n in norms if n.f_besov > 0)
-                         if besov else None),
-        alpha=traj.states[0].params.alpha, norms=norms, f_states=f_states)

@@ -38,9 +38,12 @@ it.  An ``f`` state of any parameters can still be built, converted and
 given its velocity, which the diagnostics of a vorticity run rely on.
 Dissipation is integrated exactly through an integrating-factor RK4
 step; advection and source terms are treated explicitly with alias-free
-products.  The symbols a stage uses and the four propagators of the step
-are built once per :func:`integrate` call (:class:`StepOperators`) and
-dropped with it.
+products.  The symbols a stage uses, the :class:`HybridTerms` table and
+the four propagators of the step are built once per :func:`integrate`
+call (:class:`StepOperators`) and dropped with it.  :func:`integrate`
+yields each stored state as it is reached and keeps only the current
+one; a stage or step state that stops being finite or mean-free raises
+:class:`IntegrationBlowupError`.
 
 A single trajectory advances sequentially; independent trajectories
 (parameter sweeps, seed families) share no mutable state and can run in
@@ -50,25 +53,26 @@ parallel freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from .fields import SpectralField
 from .grid import Grid
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
-from .operators import Velocity, advect, biot_savart, commutator_apply, require_mean_free
+from .operators import (MeanFreeError, Velocity, advect, biot_savart, commutator_apply,
+                        require_mean_free)
 from .ranges import check
 
 FORMULATIONS = ("omega", "f")
 
 
 class IntegrationBlowupError(RuntimeError):
-    """Raised when the state stops being finite; carries diagnostics."""
+    """Raised when a state stops being finite or mean-free; carries diagnostics."""
 
     def __init__(self, time: float, detail: str):
-        super().__init__(f"non-finite state at t={time:.6g}: {detail}")
+        super().__init__(f"blowup at t={time:.6g}: {detail}")
         self.time = time
         self.detail = detail
 
@@ -219,12 +223,14 @@ def u_f(f: SpectralField, h: HybridTerms, symbols: Optional[SymbolTable] = None)
     return tuple(h.w_f * c for c in biot_savart(f, symbols))
 
 
-def state_velocity(state: SimState, symbols: Optional[SymbolTable] = None) -> Velocity:
+def state_velocity(state: SimState, symbols: Optional[SymbolTable] = None,
+                   terms: Optional[HybridTerms] = None) -> Velocity:
     """Full advecting velocity for either formulation; in the ``f`` form
-    u = grad_perp Delta^{-1}(w_f f + V theta), three applies."""
+    u = grad_perp Delta^{-1}(w_f f + V theta), three applies.  ``terms`` is
+    the state's :class:`HybridTerms` if the caller has built it."""
     if state.tag == "omega":
         return biot_savart(state.primary, symbols)
-    h = hybrid_terms(state.params)
+    h = terms or hybrid_terms(state.params)
     return biot_savart(h.w_f * state.primary + apply_multiplier(state.theta, h.v, symbols), symbols)
 
 
@@ -232,27 +238,29 @@ def state_velocity(state: SimState, symbols: Optional[SymbolTable] = None) -> Ve
 
 
 def nonlinear(state: SimState, u: Optional[Velocity] = None,
-              symbols: Optional[SymbolTable] = None) -> Tuple[SpectralField, SpectralField]:
+              symbols: Optional[SymbolTable] = None,
+              terms: Optional[HybridTerms] = None) -> Tuple[SpectralField, SpectralField]:
     """Everything except the stiff fractional dissipation.
 
-    ``u`` is the state's velocity if the caller has already built it, and
-    symbols come from ``symbols`` if given.  In the ``f`` form the two
-    temperature commutators are evaluated as one, with the merged
-    operator C of :meth:`HybridTerms.commutator`; the commutator reuses
-    T = u.grad theta of the temperature equation and carries a f, a the
-    advection weight, through its second advection:
+    ``u`` and ``terms`` are the state's velocity and :class:`HybridTerms`
+    if the caller has already built them, and symbols come from
+    ``symbols`` if given.  In the ``f`` form the two temperature
+    commutators are evaluated as one, with the merged operator C of
+    :meth:`HybridTerms.commutator`; the commutator reuses T = u.grad theta
+    of the temperature equation and carries a f, a the advection weight,
+    through its second advection:
     -a u.grad f + [C, u.grad] theta = C T - u.grad(C theta + a f).
     Two advections a call.
     """
     if u is None:
-        u = state_velocity(state, symbols)
+        u = state_velocity(state, symbols, terms)
     th = state.theta
     if state.tag == "omega":
         dP = (-advect(u, state.primary, symbols)
               + apply_multiplier(th, Multiplier.partial(0), symbols))
         dT = -advect(u, th, symbols)
         return dP, dT
-    h = hybrid_terms(state.params)
+    h = terms or hybrid_terms(state.params)
     w_lin, lin = h.linear
     transported = advect(u, th, symbols)
     dP = (w_lin * apply_multiplier(th, lin, symbols)
@@ -262,19 +270,20 @@ def nonlinear(state: SimState, u: Optional[Velocity] = None,
     return dP, dT
 
 
-def _dissipation_rates(state: SimState) -> Tuple[float, float, float, float]:
+def _dissipation_rates(state: SimState, h: HybridTerms) -> Tuple[float, float, float, float]:
     """(coefficient, order) pairs for the primary field and theta."""
     p = state.params
     if state.tag == "omega":
         return p.nu, p.alpha, p.kappa, p.beta
     p.require_unit_dissipation("the hybrid formulation")
-    return hybrid_terms(p).dissipation, p.alpha, 1.0, p.beta
+    return h.dissipation, p.alpha, 1.0, p.beta
 
 
 def rhs(state: SimState) -> Tuple[SpectralField, SpectralField]:
     """Full tendencies (d primary/dt, d theta/dt) in the state's formulation."""
-    dP, dT = nonlinear(state)
-    cP, ordP, cT, ordT = _dissipation_rates(state)
+    h = hybrid_terms(state.params)
+    dP, dT = nonlinear(state, terms=h)
+    cP, ordP, cT, ordT = _dissipation_rates(state, h)
     return (dP - cP * apply_multiplier(state.primary, Multiplier.lambda_pow(ordP)),
             dT - cT * apply_multiplier(state.theta, Multiplier.lambda_pow(ordT)))
 
@@ -293,34 +302,40 @@ def cfl_limit(state: SimState, c: float = 0.4, u: Optional[Velocity] = None) -> 
     return c * min(advective, dx ** state.params.alpha)
 
 
-def _check_finite(state: SimState):
-    for name, fld in (("theta", state.theta), ("primary", state.primary)):
-        if not np.all(np.isfinite(fld.coef)):
-            raise IntegrationBlowupError(state.time, f"{name} coefficients are not finite")
+def _check_finite(time: float, theta: np.ndarray, primary: np.ndarray):
+    for name, coef in (("theta", theta), ("primary", primary)):
+        if not np.all(np.isfinite(coef)):
+            raise IntegrationBlowupError(time, f"{name} coefficients are not finite")
 
 
 @dataclass(frozen=True)
 class StepOperators:
     """What every step of one run reuses, built once per (grid, params,
     tag, dt): the table of the stages' symbols, each built on first use,
-    and the four integrating-factor propagators exp(-dt c |k|^order), for
-    the primary field and theta over half and full steps."""
+    the :class:`HybridTerms` of the params, and the four
+    integrating-factor propagators exp(-dt c |k|^order), for the primary
+    field and theta over half and full steps."""
 
     key: Tuple
     symbols: SymbolTable
+    terms: HybridTerms
     half: Tuple[np.ndarray, np.ndarray]
     full: Tuple[np.ndarray, np.ndarray]
 
 
-def step_operators(state: SimState, dt: float) -> StepOperators:
-    """The :class:`StepOperators` of steps of size dt from states like ``state``."""
+def step_operators(state: SimState, dt: float,
+                   symbols: Optional[SymbolTable] = None) -> StepOperators:
+    """The :class:`StepOperators` of steps of size dt from states like
+    ``state``, on the table ``symbols`` if the caller shares one."""
     grid = state.grid
-    cP, ordP, cT, ordT = _dissipation_rates(state)
+    terms = hybrid_terms(state.params)
+    cP, ordP, cT, ordT = _dissipation_rates(state, terms)
     half = (np.exp(-0.5 * dt * cP * grid.kmag**ordP), np.exp(-0.5 * dt * cT * grid.kmag**ordT))
     full = (half[0]**2, half[1]**2)
     for arr in (*half, *full):
         arr.setflags(write=False)
-    return StepOperators((grid, state.params, state.tag, dt), SymbolTable(grid), half, full)
+    key = (grid, state.params, state.tag, dt)
+    return StepOperators(key, symbols or SymbolTable(grid), terms, half, full)
 
 
 def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = True,
@@ -348,11 +363,11 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
         operators = step_operators(state, dt)
     elif operators.key != (state.grid, state.params, state.tag, dt):
         raise ValueError("step operators were built for another grid, model, formulation or dt")
-    symbols = operators.symbols
-    _check_finite(state)
+    symbols, terms = operators.symbols, operators.terms
+    _check_finite(state.time, state.theta.coef, state.primary.coef)
     u0 = None
     if enforce_cfl:
-        u0 = state_velocity(state, symbols)  # shared with stage 1
+        u0 = state_velocity(state, symbols, terms)  # shared with stage 1
         limit = cfl_limit(state, cfl_c, u0)
         if abs(dt) > limit * (1 + 1e-9):
             raise StabilityError(f"dt={dt:g} exceeds the advective/dissipative guard {limit:g}")
@@ -360,7 +375,12 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     grid = state.grid
 
     def wrap(pc, tc, t) -> SimState:
-        return SimState(t, SpectralField(grid, tc), SpectralField(grid, pc), state.tag, state.params)
+        """A stage or step state; one that is not finite or not mean-free is a blowup."""
+        _check_finite(t, tc, pc)
+        try:
+            return SimState(t, SpectralField(grid, tc), SpectralField(grid, pc), state.tag, state.params)
+        except MeanFreeError as exc:
+            raise IntegrationBlowupError(t, str(exc)) from exc
 
     def prop(coef_pair, half: bool):
         ep, et = operators.half if half else operators.full
@@ -369,28 +389,27 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     p0, t0 = state.primary.coef, state.theta.coef
     s0 = state
 
-    k1 = nonlinear(s0, u0, symbols)
+    k1 = nonlinear(s0, u0, symbols, terms)
     del u0  # its samples are not held through stages 2-4
     a_p, a_t = prop((p0 + 0.5 * dt * k1[0].coef, t0 + 0.5 * dt * k1[1].coef), half=True)
     s_a = wrap(a_p, a_t, state.time + 0.5 * dt)
 
-    k2 = nonlinear(s_a, symbols=symbols)
+    k2 = nonlinear(s_a, symbols=symbols, terms=terms)
     hp, ht = prop((p0, t0), half=True)
     s_b = wrap(hp + 0.5 * dt * k2[0].coef, ht + 0.5 * dt * k2[1].coef, state.time + 0.5 * dt)
 
-    k3 = nonlinear(s_b, symbols=symbols)
+    k3 = nonlinear(s_b, symbols=symbols, terms=terms)
     k3p_half, k3t_half = prop((k3[0].coef, k3[1].coef), half=True)
     fp, ft = prop((p0, t0), half=False)
     s_c = wrap(fp + dt * k3p_half, ft + dt * k3t_half, state.time + dt)
 
-    k4 = nonlinear(s_c, symbols=symbols)
+    k4 = nonlinear(s_c, symbols=symbols, terms=terms)
     k1p_full, k1t_full = prop((k1[0].coef, k1[1].coef), half=False)
     k2p_half, k2t_half = prop((k2[0].coef, k2[1].coef), half=True)
     new_p = fp + dt / 6.0 * (k1p_full + 2.0 * k2p_half + 2.0 * k3p_half + k4[0].coef)
     new_t = ft + dt / 6.0 * (k1t_full + 2.0 * k2t_half + 2.0 * k3t_half + k4[1].coef)
 
     out = wrap(new_p, new_t, state.time + dt)
-    _check_finite(out)
 
     if accumulators and totals is not None:
         for name, func in accumulators.items():
@@ -399,22 +418,13 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     return out
 
 
-@dataclass
-class Trajectory:
-    """States stored at the output cadence, plus accumulated integrals."""
-
-    states: List[SimState]
-    integrals: List[Dict[str, float]] = dc_field(default_factory=list)
-
-    def final(self) -> SimState:
-        return self.states[-1]
-
-
 def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: float = 0.4,
-              cadence: int = 1,
-              accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None) -> Trajectory:
-    """Advance to t_end, storing every ``cadence``-th state (and always the
-    last).  Every step reuses one :class:`StepOperators`."""
+              cadence: int = 1, accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None,
+              symbols: Optional[SymbolTable] = None) -> Iterator[Tuple[SimState, Dict[str, float]]]:
+    """Advance to t_end, yielding the start and every ``cadence``-th state
+    (and always the last), each with a copy of the accumulated totals at
+    its time.  Every step reuses one :class:`StepOperators`, on ``symbols``
+    if the caller shares its table; only the current state is kept."""
     if dt is None:
         dt = cfl_limit(state, cfl_c)
         if not np.isfinite(dt) or dt <= 0:
@@ -422,16 +432,13 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
     n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
     dt = (t_end - state.time) / n_steps
     totals: Dict[str, float] = {name: 0.0 for name in (accumulators or {})}
-    traj = Trajectory(states=[state], integrals=[dict(totals)])
-    current = state
-    operators = step_operators(state, dt)
+    operators = step_operators(state, dt, symbols)
+    yield state, dict(totals)
     for i in range(n_steps):
-        current = step(current, dt, cfl_c=cfl_c, accumulators=accumulators, totals=totals,
-                       operators=operators)
+        state = step(state, dt, cfl_c=cfl_c, accumulators=accumulators, totals=totals,
+                     operators=operators)
         if (i + 1) % cadence == 0 or i == n_steps - 1:
-            traj.states.append(current)
-            traj.integrals.append(dict(totals))
-    return traj
+            yield state, dict(totals)
 
 
 # -- initial data -------------------------------------------------------------

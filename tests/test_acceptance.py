@@ -109,16 +109,16 @@ def test_c04_theta_maximum_principle_and_balance():
     params = ModelParams(alpha=0.75)
     st0 = initial_state(g, params, "omega", kind="bumps", seed=0,
                         amplitude_theta=0.8, amplitude_primary=0.8)
-    traj = integrate(st0, 2.0, dt=dt, cadence=20,
-                     accumulators={"theta_diss": theta_dissipation_rate})
-    sups = [refined_sup(s.theta) for s in traj.states]
+    states, integrals = zip(*integrate(st0, 2.0, dt=dt, cadence=20,
+                                       accumulators={"theta_diss": theta_dissipation_rate}))
+    sups = [refined_sup(s.theta) for s in states]
     tol = 1e-8 + 50.0 * dt**4 * sups[0]
     worst_increase = max((b - a) for a, b in zip(sups, sups[1:]))
     assert worst_increase <= tol, f"sup increased by {worst_increase:.3e} (tol {tol:.3e})"
 
-    e0 = lp_norm(traj.states[0].theta, 2) ** 2
+    e0 = lp_norm(states[0].theta, 2) ** 2
     worst_balance = 0.0
-    for state, integ in zip(traj.states, traj.integrals):
+    for state, integ in zip(states, integrals):
         bal = lp_norm(state.theta, 2) ** 2 + 2.0 * integ["theta_diss"]
         worst_balance = max(worst_balance, abs(bal - e0) / e0)
     assert worst_balance <= 1e-6
@@ -135,10 +135,10 @@ def test_c05_cross_formulation_consistency():
     params = ModelParams(alpha=0.75)
     st_w = initial_state(g, params, "omega", seed=5, amplitude_theta=0.3, amplitude_primary=0.3)
     st_f = convert_state(st_w, "f")
-    tw = integrate(st_w, 1.0, dt=None, cfl_c=0.4, cadence=1000)
-    tf = integrate(st_f, 1.0, dt=None, cfl_c=0.4, cadence=1000)
-    w_rec = vorticity_from_f(tf.final().primary, tf.final().theta, 0.75)
-    rel = rel_l2_diff(w_rec, tw.final().primary)
+    *_, (w_end, _) = integrate(st_w, 1.0, dt=None, cfl_c=0.4, cadence=1000)
+    *_, (f_end, _) = integrate(st_f, 1.0, dt=None, cfl_c=0.4, cadence=1000)
+    w_rec = vorticity_from_f(f_end.primary, f_end.theta, 0.75)
+    rel = rel_l2_diff(w_rec, w_end.primary)
     assert rel <= 1e-5
     report("C05 cross-formulation", f"rel L2 diff {rel:.2e} at T=1, n=128")
 
@@ -152,9 +152,9 @@ def test_c06_energy_ledger_directions():
         g = make_grid(64, TWO_PI)
         params = ModelParams(alpha=alpha)
         st = initial_state(g, params, "f", seed=seed, amplitude_theta=0.35, amplitude_primary=0.35)
-        traj = integrate(st, 0.4, dt=0.005, cadence=4)
+        states = [state for state, _ in integrate(st, 0.4, dt=0.005, cadence=4)]
         cids = ("l2", "l4", "l6")
-        runs = ledger_run(traj.states, [ledger_configs(alpha)[cid] for cid in cids])
+        runs = ledger_run(states, [ledger_configs(alpha)[cid] for cid in cids])
         for cid, (_, verdict) in zip(cids, runs):
             assert verdict.all_pass, (alpha, cid, verdict.rows_passed, verdict.rows_checked)
             results.append(f"a={alpha}/{cid}:{verdict.rows_passed}/{verdict.rows_checked}")

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,8 @@ from fblab.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, 
 from fblab.config import ConfigError, load_config
 from fblab.grid import make_grid
 from fblab.ensembles import random_scalar_field
+from fblab.model import integrate
+from fblab.multipliers import Multiplier
 from fblab.snapshot import SnapshotFormatError, read_snapshot, write_snapshot
 
 BASE_INI = """
@@ -525,13 +529,9 @@ class TestSelftestCli:
         assert "PASS" in out and "FAIL" not in out
 
 
-class TestNumericalFailure:
-    def test_blowup_yields_partial_csv_and_code_two(self, tmp_path):
-        # inviscid run with dt far beyond the step-size guard: the run ends
-        # at its first step in StabilityError ("dt=2 exceeds the
-        # advective/dissipative guard 0.234005"), not in a blowup; either
-        # numerical failure leaves the header and the DIAGNOSTIC row
-        ini = """
+# an inviscid n = 32 run with amplitudes 30 and its step-size guard
+# loosened by cfl: the state grows by orders of magnitude a step
+BOOM_INI = """
 [model]
 n = 32
 alpha = 0.55
@@ -539,24 +539,93 @@ nu = 0.0
 kappa = 0.0
 formulation = omega
 t_end = 40.0
-dt = 2.0
+dt = {dt}
 cadence = 1
 seed = 2
 amplitude_theta = 30.0
 amplitude_primary = 30.0
-cfl = 1000000.0
+cfl = {cfl}
 
 [output]
 directory = {out}
 """
-        out = str(tmp_path / "boom")
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("dt, cfl, rows, cause", [
+        # the guard of the initial state is 2.99e4, so the first step is
+        # taken; the second exceeds the guard of the grown state, 0.234
+        pytest.param(2.0, 1e6, 2, "state outgrew the step-size guard,dt=2 exceeds the "
+                     "advective/dissipative guard 0.234005,", id="guard_dt2"),
+        pytest.param(0.5, 1e6, 3, "state outgrew the step-size guard,dt=0.5 exceeds the "
+                     "advective/dissipative guard 2.71443e-08,", id="guard_dt05"),
+        # the guard never binds: a stage state of the third step is no
+        # longer mean-free (its temperature's zero mode reaches 3.8e183)
+        pytest.param(0.5, 1e300, 3, "blowup at t=1.5,temperature must be mean-free "
+                     "(zero mode 3.777e+183", id="blowup"),
+    ])
+    def test_blowup_yields_partial_csv_and_code_two(self, tmp_path, dt, cfl, rows, cause):
+        # a failed run keeps the rows and snapshots of the states it
+        # completed, then the DIAGNOSTIC row; main returns, never raises
+        out = tmp_path / "boom"
         path = tmp_path / "boom.ini"
-        path.write_text(ini.format(out=out))
-        code = main(["--config", str(path), "simulate"])
-        assert code == EXIT_NUMERICAL
-        text = Path(os.path.join(out, "series.csv")).read_text()
-        assert "DIAGNOSTIC" in text
-        assert text.startswith("t,theta_l2")
+        path.write_text(BOOM_INI.format(dt=dt, cfl=cfl, out=out))
+        assert main(["--config", str(path), "simulate"]) == EXIT_NUMERICAL
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == ",".join(cli.SERIES_HEADER)
+        assert [float(line.split(",")[0]) for line in lines[1:-1]] == [i * dt for i in range(rows)]
+        assert lines[-1].startswith(f"DIAGNOSTIC,{cause}")
+        index = (out / "snapshots.csv").read_text().splitlines()
+        written = sorted(name for name in os.listdir(out) if name.endswith(".fbl"))
+        assert [line.split(",")[0] for line in index[1:]] == written == [
+            cli._snapshot_name(i) for i in range(rows)]
+        assert not (out / "criteria.json").exists()
+
+
+class TestStreaming:
+    def test_live_states_do_not_grow_with_outputs(self, tmp_path, monkeypatch):
+        # every SimState is counted from its construction to its release:
+        # the most alive at once must not depend on how many are stored
+        import fblab.model
+        live = {"now": 0, "peak": 0}
+        init = fblab.model.SimState.__post_init__
+
+        def released():
+            live["now"] -= 1
+
+        def counted(state):
+            init(state)
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            weakref.finalize(state, released)
+
+        monkeypatch.setattr(fblab.model.SimState, "__post_init__", counted)
+        peaks = []
+        for t_end in ("0.04", "0.4"):  # 5 and 41 stored states
+            ini = BASE_INI.format(out=str(tmp_path / t_end)).replace("t_end = 0.12", f"t_end = {t_end}") \
+                                                            .replace("cadence = 3", "cadence = 1")
+            path = tmp_path / f"{t_end}.ini"
+            path.write_text(ini)
+            live["peak"] = live["now"]
+            assert main(["--config", str(path), "simulate"]) == EXIT_OK
+            peaks.append(live["peak"])
+            assert len(read_series(tmp_path / t_end)) == 1 + round(float(t_end) / 0.01)
+        assert peaks[1] == peaks[0] <= 8, peaks
+
+    def test_monitor_reads_the_integrator_table(self, tmp_path, monkeypatch):
+        # of an f run's symbols, only Lambda^(alpha/2) is the monitor's own
+        builds = []
+        symbol = Multiplier.symbol
+        monkeypatch.setattr(Multiplier, "symbol",
+                            lambda spec, grid: builds.append(spec) or symbol(spec, grid))
+        path, _ = write_ini(tmp_path)
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        run_builds = Counter(builds)
+        builds.clear()
+        cfg = load_config(path)
+        list(integrate(cli._build_initial(cfg, make_grid(cfg.n, cfg.length)), cfg.t_end,
+                       dt=cfg.dt, cadence=cfg.cadence))
+        assert run_builds - Counter(builds) == Counter([Multiplier.lambda_pow(cfg.alpha / 2)])
 
 
 class TestReplayGuard:

@@ -17,14 +17,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fblab.diagnostics import (ExponentSuite, LedgerConfig, criteria_monitor, energy_terms,
-                               ledger_configs, ledger_run, state_norms)
+from fblab.diagnostics import (CriteriaReport, ExponentSuite, LedgerConfig, criteria_monitor,
+                               energy_terms, ledger_configs, ledger_run)
 from fblab import diagnostics, dyadic, fields, operators
 from fblab.fields import SpectralField, nice_fft_size
 from fblab.grid import make_grid
-from fblab.model import (ModelParams, SimState, Trajectory, convert_state, hybrid_terms,
-                         initial_state, integrate, scaled_velocity_split)
-from fblab.multipliers import Multiplier, apply_multiplier
+from fblab.model import (ModelParams, SimState, convert_state, hybrid_terms, initial_state,
+                         integrate, scaled_velocity_split)
+from fblab.multipliers import Multiplier, SymbolTable, apply_multiplier
 from fblab.norms import inner, l2_norm_sq, lp_norm
 from fblab.operators import advect, commutator_apply
 
@@ -346,7 +346,7 @@ class TestOnePass:
 @pytest.fixture(scope="module")
 def trajectory():
     st = hybrid_state(seed=7, amp=0.3)
-    return integrate(st, 0.3, dt=0.01, cadence=1)
+    return [state for state, _ in integrate(st, 0.3, dt=0.01, cadence=1)]
 
 
 class TestLedgerRun:
@@ -360,16 +360,16 @@ class TestLedgerRun:
         assert all(all(v == 0.0 for v in r.terms.values()) for r in rows)
 
     def test_rows_pass_all_configs(self, trajectory):
-        for rows, verdict in ledger_run(trajectory.states, list(ledger_configs(ALPHA).values())):
+        for rows, verdict in ledger_run(trajectory, list(ledger_configs(ALPHA).values())):
             assert verdict.all_pass, (verdict.config_id, verdict.rows_passed, verdict.rows_checked)
 
     def test_dissipation_integral_richardson(self, trajectory):
-        _, verdict = ledger_run(trajectory.states, [ledger_configs(ALPHA)["l2"]])[0]
+        _, verdict = ledger_run(trajectory, [ledger_configs(ALPHA)["l2"]])[0]
         assert verdict.dissipation_integrals["s"] > 0
         assert verdict.richardson_rel["s"] < 0.01
 
     def test_gronwall_self_consistency(self, trajectory):
-        rows, verdict = ledger_run(trajectory.states, [ledger_configs(ALPHA)["l2"]])[0]
+        rows, verdict = ledger_run(trajectory, [ledger_configs(ALPHA)["l2"]])[0]
         j0 = rows[0].functionals["s"] + rows[0].functionals["kappa"]
         fitted = 0.0
         for row in rows[1:]:
@@ -416,9 +416,9 @@ class TestLedgerRun:
         g = make_grid(64, TWO_PI)
         p = ModelParams(alpha=ALPHA, eps0=0.5)
         st = initial_state(g, p, "scaled", seed=9, amplitude_theta=0.3, amplitude_primary=0.3)
-        traj = integrate(st, 0.2, dt=0.01, cadence=1)
+        states = [state for state, _ in integrate(st, 0.2, dt=0.01, cadence=1)]
         for cid in ("l2", "l4"):
-            rows, verdict = ledger_run(traj.states, [ledger_configs(ALPHA)[cid]])[0]
+            rows, verdict = ledger_run(states, [ledger_configs(ALPHA)[cid]])[0]
             assert verdict.all_pass, (cid, verdict.rows_passed, verdict.rows_checked)
 
     @pytest.mark.parametrize("eps0", [1.0, 0.5])
@@ -457,18 +457,19 @@ class TestCriteria:
         g = make_grid(32, TWO_PI)
         p = ModelParams(alpha=ALPHA)
         z = SpectralField.zero(g)
-        traj = Trajectory(states=[SimState(0.0, z, z, "f", p)])
-        rep = criteria_monitor(traj)
+        _, norms = criteria_monitor(SimState(0.0, z, z, "f", p))
+        rep = CriteriaReport.of([norms], ALPHA)
         assert rep.sup_f_l6 == 0.0 and rep.sup_besov == 0.0 and rep.sup_uf_linf == 0.0
 
     def test_finite_and_consistent_on_run(self):
         st = hybrid_state(seed=8, amp=0.3)
-        traj = integrate(st, 0.1, dt=0.01, cadence=5)
-        rep = criteria_monitor(traj)
-        assert rep.is_finite()
-        f6_first = lp_norm(convert_state(traj.states[0], "f").primary, 6.0)
+        symbols, partition = SymbolTable(st.grid), dyadic.build_partition(st.grid)
+        rep = CriteriaReport.of([criteria_monitor(s, symbols, partition)[1]
+                                 for s, _ in integrate(st, 0.1, dt=0.01, cadence=5)], ALPHA)
+        assert rep.finite
+        f6_first = lp_norm(convert_state(st, "f").primary, 6.0)
         assert rep.sup_f_l6 >= f6_first - 1e-14
-        assert rep.embedding_ratio > 0
+        assert rep.embedding_ratio_torus > 0
 
     def test_symbols_and_rings_built_once_per_run(self, monkeypatch):
         builds = Counter()
@@ -479,11 +480,12 @@ class TestCriteria:
         st = hybrid_state(n=32, seed=3)
         per_run = []
         for n_states in (1, 4):
-            traj = Trajectory(states=[SimState(0.01 * i, st.theta, st.primary, "f", st.params)
-                                      for i in range(n_states)])
+            states = [SimState(0.01 * i, st.theta, st.primary, "f", st.params)
+                      for i in range(n_states)]
             builds.clear()
-            rep = criteria_monitor(traj)
+            symbols, partition = SymbolTable(st.grid), dyadic.build_partition(st.grid)
+            norms = [criteria_monitor(s, symbols, partition)[1] for s in states]
             per_run.append(dict(builds))
         assert per_run[0]["symbol"] > 0 and per_run[0]["ring"] > 0 and per_run[1] == per_run[0]
         # the shared table and rings give every state its lone call's norms, bit for bit
-        assert rep.norms == [state_norms(s) for s in traj.states]
+        assert norms == [criteria_monitor(s)[1] for s in states]

@@ -4,8 +4,11 @@ under tests/golden/.
 Each case of ``CASES`` runs at seeds 0 and 7: one ``estimate`` over every
 registered spec (2 trials on grids 64 and 128), n = 32 ``simulate`` runs
 in the ``f``, ``omega`` and ``scaled`` forms and in the ``f`` form at
-alpha = 0.7, and one inline ``ledger`` over l2, l4 and l6.  Every number must match within 1e-12 of the largest
-number of its file; every flag, count and string exactly.  Binary
+alpha = 0.7, one n = 32 ``simulate`` that fails (exit code 2) after its
+first steps, and one inline ``ledger`` over l2, l4 and l6.  Every run
+must end with its case's exit code.  Every number must match within
+1e-12 of the largest number of its file; every flag, count and string
+exactly.  Binary
 snapshots are not committed: the ledger case reads its own back, and
 ``snapshots.csv`` names them.  After an intended change of output,
 regenerate with
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from fblab.cli import EXIT_OK, main
+from fblab.cli import EXIT_NUMERICAL, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 7)
@@ -61,28 +64,50 @@ configs = l2,l4,l6
 """
 
 
+# an inviscid run whose state grows by orders of magnitude a step, under
+# a guard loosened by cfl: after two steps (t = 1.0) dt = 0.5 exceeds the
+# guard, so the run keeps three rows and snapshots, then its DIAGNOSTIC
+# row, and writes no criteria.json
+FAILED_INI = """\
+[model]
+n = 32
+alpha = 0.55
+nu = 0.0
+kappa = 0.0
+formulation = omega
+t_end = 40.0
+dt = 0.5
+cadence = 1
+seed = {seed}
+amplitude_theta = 30.0
+amplitude_primary = 30.0
+cfl = 1000000.0
+"""
+
+
 def run_ini(form: str, alpha: float = 0.75, eps0: float = 1.0) -> str:
     """RUN_INI with its model filled in and the seed left open."""
     return RUN_INI.format(form=form, alpha=alpha, eps0=eps0, seed="{seed}")
 
 
-# case name: (mode, config text with a {seed} field)
+# case name: (mode, config text with a {seed} field, exit code)
 CASES = {
-    "estimate": ("estimate", ESTIMATE_INI),
-    "simulate_f": ("simulate", run_ini("f")),
-    "simulate_omega": ("simulate", run_ini("omega")),
-    "simulate_scaled": ("simulate", run_ini("scaled", eps0=0.5)),
+    "estimate": ("estimate", ESTIMATE_INI, EXIT_OK),
+    "simulate_f": ("simulate", run_ini("f"), EXIT_OK),
+    "simulate_omega": ("simulate", run_ini("omega"), EXIT_OK),
+    "simulate_scaled": ("simulate", run_ini("scaled", eps0=0.5), EXIT_OK),
     # Besov index r = 60: block norms of about 1e-20 need the scale-safe L^p
-    "simulate_alpha07": ("simulate", run_ini("f", alpha=0.7)),
-    "ledger": ("ledger", run_ini("f")),
+    "simulate_alpha07": ("simulate", run_ini("f", alpha=0.7), EXIT_OK),
+    "simulate_failed": ("simulate", FAILED_INI, EXIT_NUMERICAL),
+    "ledger": ("ledger", run_ini("f"), EXIT_OK),
 }
 
 
 def run_case(case: str, seed: int, out: Path):
-    mode, text = CASES[case]
+    mode, text, code = CASES[case]
     ini = out.parent / f"{case}_seed{seed}.ini"
     ini.write_text(text.format(seed=seed))
-    assert main(["--config", str(ini), "--out", str(out), mode]) == EXIT_OK
+    assert main(["--config", str(ini), "--out", str(out), mode]) == code
 
 
 def committed(out: Path):

@@ -20,8 +20,8 @@ from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField
 from fblab.grid import make_grid
 from fblab.model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
-                         Trajectory, cfl_limit, convert_state, hybrid_terms, initial_state,
-                         integrate, nonlinear, rhs, scaled_velocity_split, state_velocity, step,
+                         cfl_limit, convert_state, hybrid_terms, initial_state, integrate,
+                         nonlinear, rhs, scaled_velocity_split, state_velocity, step,
                          step_operators, transform_to_f, transform_to_g, vorticity_from_f)
 from fblab.multipliers import Multiplier, SymbolTable, apply_multiplier
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm
@@ -170,6 +170,19 @@ class TestHybridTable:
         params = ModelParams(alpha=ALPHA, nu=0.0, kappa=0.5, eps0=0.5)
         h = hybrid_terms(params)
         assert h.v.parts[1] == h.smooth_comm[1] and h.w_f == 2.0
+
+    @pytest.mark.parametrize("tag", ["f", "omega"])
+    def test_one_table_per_run(self, monkeypatch, tag):
+        # the stages read the table of the run's StepOperators
+        import fblab.model
+        calls = []
+        monkeypatch.setattr(fblab.model, "hybrid_terms",
+                            lambda params: calls.append(params) or hybrid_terms(params))
+        for n_steps in (1, 5):
+            st_ = make_state(n=32, formulation=tag, seed=6)
+            calls.clear()
+            list(integrate(st_, 0.01 * n_steps, dt=0.01))
+            assert calls == [st_.params]
 
     @pytest.mark.parametrize("eps0", [1.0, 0.5])
     def test_velocity_applies(self, monkeypatch, eps0):
@@ -384,7 +397,7 @@ class TestTwoAdvectionStage:
         step(st_, dt)  # the guard's two transforms are among the step's
         assert counts == per_step
         counts.clear()
-        integrate(make_state(n=32, formulation=tag, seed=5), 3 * dt, dt=dt)
+        list(integrate(make_state(n=32, formulation=tag, seed=5), 3 * dt, dt=dt))
         assert counts == {name: 3 * k for name, k in per_step.items()}
 
     @pytest.mark.parametrize("tag", ["f", "omega"])
@@ -401,7 +414,7 @@ class TestTwoAdvectionStage:
         for n_steps in (1, 2, 5):
             st_ = make_state(n=32, formulation=tag, seed=6)
             builds.clear()
-            integrate(st_, 0.01 * n_steps, dt=0.01)
+            list(integrate(st_, 0.01 * n_steps, dt=0.01))
             per_run.append(len(builds))
         assert per_run[0] > 0 and per_run == [per_run[0]] * 3
         st_ = make_state(n=32, formulation=tag, seed=6)
@@ -429,7 +442,7 @@ class TestTwoAdvectionStage:
                   initial_state(g, ModelParams(alpha=0.8), "omega", seed=2)]
 
         def run(st_):
-            return integrate(st_, 0.04, dt=0.005, cadence=2).states
+            return [state for state, _ in integrate(st_, 0.04, dt=0.005, cadence=2)]
 
         want = [run(st_) for st_ in starts]
         results = {}
@@ -528,10 +541,10 @@ class TestStepper:
     def test_fourth_order_self_convergence(self):
         st_ = make_state(seed=15)
         T = 0.08
-        ref = integrate(st_, T, dt=T / 64, cadence=64).final()
+        *_, (ref, _) = integrate(st_, T, dt=T / 64, cadence=64)
         errs = {}
         for m in (8, 16):
-            got = integrate(st_, T, dt=T / m, cadence=m).final()
+            *_, (got, _) = integrate(st_, T, dt=T / m, cadence=m)
             errs[m] = rel_l2_diff(got.primary, ref.primary)
         ratio = errs[8] / errs[16]
         assert 11.0 < ratio < 22.0
@@ -597,19 +610,19 @@ class TestConservation:
         p = ModelParams(alpha=ALPHA)
         st0 = initial_state(g, p, "omega", kind="bumps", seed=0,
                             amplitude_theta=0.8, amplitude_primary=0.8)
-        traj = integrate(st0, 0.5, dt=0.005, cadence=10,
-                         accumulators={"theta_diss": theta_dissipation_rate})
+        states, integrals = zip(*integrate(st0, 0.5, dt=0.005, cadence=10,
+                                           accumulators={"theta_diss": theta_dissipation_rate}))
         dt = 0.005
-        sups = [refined_sup(s.theta) for s in traj.states]
-        l2s = [lp_norm(s.theta, 2) for s in traj.states]
-        l4s = [lp_norm(s.theta, 4, pad=2 * g.n) for s in traj.states]
+        sups = [refined_sup(s.theta) for s in states]
+        l2s = [lp_norm(s.theta, 2) for s in states]
+        l4s = [lp_norm(s.theta, 4, pad=2 * g.n) for s in states]
         tol = 1e-8 + 50 * dt**4 * sups[0]
         for seq in (sups, l2s, l4s):
             for a, b in zip(seq, seq[1:]):
                 assert b <= a + tol
         # energy balance: ||theta(t)||^2 + 2 int ||Lambda^(b/2) theta||^2 = const
         e0 = l2s[0] ** 2
-        for state_, integ in zip(traj.states, traj.integrals):
+        for state_, integ in zip(states, integrals):
             bal = lp_norm(state_.theta, 2) ** 2 + 2 * integ["theta_diss"]
             assert abs(bal - e0) <= 1e-6 * e0
 
@@ -617,12 +630,12 @@ class TestConservation:
         g = make_grid(64, TWO_PI)
         p = ModelParams(alpha=ALPHA)
         st0 = initial_state(g, p, "omega", seed=18, amplitude_theta=0.5, amplitude_primary=0.5)
-        traj = integrate(st0, 0.5, dt=0.005, cadence=20,
-                         accumulators={"u_diss": velocity_dissipation_rate})
-        u0 = biot_savart(traj.states[0].primary)
+        stored = list(integrate(st0, 0.5, dt=0.005, cadence=20,
+                                accumulators={"u_diss": velocity_dissipation_rate}))
+        u0 = biot_savart(st0.primary)
         u0_sq = l2_norm_sq(u0[0]) + l2_norm_sq(u0[1])
-        th0_sq = lp_norm(traj.states[0].theta, 2) ** 2
-        for state_, integ in zip(traj.states, traj.integrals):
+        th0_sq = lp_norm(st0.theta, 2) ** 2
+        for state_, integ in stored:
             u = biot_savart(state_.primary)
             u_sq = l2_norm_sq(u[0]) + l2_norm_sq(u[1])
             rhs = u0_sq + state_.time * th0_sq
@@ -656,10 +669,10 @@ class TestConservation:
         st_w = make_state(n=64, seed=20, amp=0.3)
         st_f = convert_state(st_w, "f")
         T = 0.4
-        tw = integrate(st_w, T, dt=0.01, cadence=10)
-        tf = integrate(st_f, T, dt=0.01, cadence=10)
-        w_rec = vorticity_from_f(tf.final().primary, tf.final().theta, ALPHA)
-        assert rel_l2_diff(w_rec, tw.final().primary) <= 1e-5
+        *_, (w_end, _) = integrate(st_w, T, dt=0.01, cadence=10)
+        *_, (f_end, _) = integrate(st_f, T, dt=0.01, cadence=10)
+        w_rec = vorticity_from_f(f_end.primary, f_end.theta, ALPHA)
+        assert rel_l2_diff(w_rec, w_end.primary) <= 1e-5
 
 
 class TestPrimitiveForm:
