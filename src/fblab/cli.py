@@ -29,11 +29,12 @@ import ctypes
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields as dc_fields
 from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import _ROW_TERMS, CriteriaReport, criteria_monitor, ledger_configs, ledger_run
+from .diagnostics import (_ROW_TERMS, CriteriaReport, StateNorms, criteria_monitor,
+                          ledger_configs, ledger_run)
 from .commutators import estimate_constants
 from .dyadic import build_partition
 from .fields import SpectralField
@@ -73,9 +74,9 @@ def _keep_freed_arrays():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-# field names of diagnostics.StateNorms, in column order
-SERIES_HEADER = ("t", "theta_l2", "theta_linf", "f_l2", "f_l4", "f_l6",
-                 "f_halfalpha_l2", "uf_linf", "grad_uf_linf", "f_besov")
+# the fields of diagnostics.StateNorms, in order, but for the one only
+# criteria.json reads
+SERIES_HEADER = tuple(f.name for f in dc_fields(StateNorms) if f.name != "grad_theta_linf")
 
 
 def _build_initial(cfg: RunConfig, grid: Grid) -> SimState:
@@ -192,15 +193,18 @@ LEDGER_HEADER = ("t", "config_id", "row_kind", "functional", "lhs_rate", "dissip
 
 
 def run_ledger(cfg: RunConfig, out_dir: str) -> int:
-    params = cfg.params()
-    grid = make_grid(cfg.n, cfg.length)
-    if cfg.snapshots_dir:
-        states = _load_trajectory(cfg.snapshots_dir, params, grid)
-    else:
+    """Replay ``[ledger] snapshots_dir``, or the snapshots of a simulate
+    run into ``out_dir`` first; a set of fewer than 3 states is refused,
+    since the rates are centered differences."""
+    if not cfg.snapshots_dir:
         sim_status = run_simulate(cfg, out_dir)
         if sim_status != EXIT_OK:
             return sim_status
-        states = _load_trajectory(out_dir, params, grid)
+    snap_dir = cfg.snapshots_dir or out_dir
+    states = _load_trajectory(snap_dir, cfg.params(), make_grid(cfg.n, cfg.length))
+    if len(states) < 3:
+        raise ConfigError(f"snapshot index {os.path.join(snap_dir, 'snapshots.csv')} lists "
+                          f"{len(states)} stored states; the ledger's centered rates need at least 3")
 
     configs = ledger_configs(cfg.alpha, cfg.rho)
     summary = {"domain": "torus", "alpha": cfg.alpha, "configs": {}}

@@ -43,15 +43,17 @@ from .registry import InequalitySpec, TrialDraw, norm_plan
 # block kernel then reaches the box edge and periodization may touch the
 # quadrature (the tail itself is RepresentationResult.kernel_tail)
 KERNEL_TAIL_WARN = 1e-10
+KERNEL_SKIP = 1e-20  # kernel weights below this fraction of the max add under roundoff
+MAX_RESAMPLE = 4  # attempts of a trial before its ensemble is called degenerate
 
 
-def commutator_field(op, v: Velocity, phi: SpectralField, div_tol: float = 1e-12,
-                     transported=None) -> SpectralField:
-    """Exact discrete commutator with a divergence-free velocity;
-    ``transported`` is ``advect(v, phi)`` if the caller already has it."""
+def commutator_field(op, v: Velocity, phi: SpectralField, transported=None) -> SpectralField:
+    """Exact discrete commutator with a divergence-free velocity (|div v|
+    at most 1e-12 of its largest coefficient); ``transported`` is
+    ``advect(v, phi)`` if the caller already has it."""
     div = divergence(v)
     vnorm = max(np.max(np.abs(v[0].coef)), np.max(np.abs(v[1].coef)), 1e-300)
-    if np.max(np.abs(div.coef)) > div_tol * vnorm:
+    if np.max(np.abs(div.coef)) > 1e-12 * vnorm:
         raise ValueError("commutator_field requires a divergence-free velocity")
     return commutator_apply(op, v, phi, transported=transported)
 
@@ -80,10 +82,10 @@ def kernel_tail_fraction(kernel: np.ndarray) -> float:
     return float(tail / max(np.max(np.abs(kernel)), 1e-300))
 
 
-def _direct_convolution(kernel: np.ndarray, values: np.ndarray, skip_below: float = 1e-20) -> np.ndarray:
+def _direct_convolution(kernel: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Circular convolution as an explicit sum over displacements.
 
-    Displacements whose kernel weight is below ``skip_below`` times the
+    Displacements whose kernel weight is below ``KERNEL_SKIP`` times the
     kernel max contribute less than roundoff and are skipped.  The sum
     over the column displacements d2 of one row displacement d1 is one
     matrix product, roll(values, d1, axis=0) @ circulant(kernel[d1]), with
@@ -91,7 +93,7 @@ def _direct_convolution(kernel: np.ndarray, values: np.ndarray, skip_below: floa
     """
     n = kernel.shape[0]
     out = np.zeros_like(values)
-    keep = np.abs(kernel) > skip_below * np.max(np.abs(kernel))
+    keep = np.abs(kernel) > KERNEL_SKIP * np.max(np.abs(kernel))
     shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     for d1 in np.flatnonzero(keep.any(axis=1)):
         row = np.where(keep[d1], kernel[d1], 0.0)
@@ -111,8 +113,7 @@ class RepresentationResult:
         return self.residual / max(self.scale, 1e-300)
 
 
-def representation_check(k: int, g: Velocity, f: SpectralField,
-                         skip_below: float = 1e-20) -> RepresentationResult:
+def representation_check(k: int, g: Velocity, f: SpectralField) -> RepresentationResult:
     """Compare the spectral commutator of the scale-2^k block with the
     direct kernel quadrature; the residual scale is ||f||_inf ||grad g||_inf."""
     grid = f.grid
@@ -126,8 +127,8 @@ def representation_check(k: int, g: Velocity, f: SpectralField,
     gv = (g[0].physical(), g[1].physical())
     quad = np.zeros_like(fv)
     for gk, gcomp in ((g1, gv[0]), (g2, gv[1])):
-        quad += _direct_convolution(gk, gcomp * fv, skip_below)
-        quad -= gcomp * _direct_convolution(gk, fv, skip_below)
+        quad += _direct_convolution(gk, gcomp * fv)
+        quad -= gcomp * _direct_convolution(gk, fv)
 
     residual = float(np.max(np.abs(spectral.physical() - quad)))
     from .operators import gradient
@@ -170,102 +171,90 @@ class EstimateReport:
         return self.c_hat_per_grid[ns[-1]] / self.c_hat_per_grid[ns[0]]
 
 
-def estimate_constants(problems: Sequence, trials: int, grid_sizes: Sequence[int],
-                       seed: int = 0, length: float = 2 * np.pi,
-                       max_resample: int = 4) -> List[EstimateReport]:
-    """Sample LHS/RHS ratios of several registered inequalities across grids.
+def estimate_constants(specs: Sequence[InequalitySpec], trials: int, grid_sizes: Sequence[int],
+                       seed: int = 0) -> List[EstimateReport]:
+    """Sample LHS/RHS ratios of several registered inequalities across
+    grids of period 2 pi.
 
     Fields for trial t are drawn from the same banded coefficients on
     every grid, so the per-grid max ratios are directly comparable.  The
-    loop runs grid -> trial -> spec, and every registry spec of one
-    (grid, trial, attempt) reads one shared :class:`TrialDraw`: the
-    fields, v.grad(phi) and the norms of the fields are computed once
-    however many specs use them, each field a norm reads is built once
-    for every p the specs read of it (:func:`registry.norm_plan`), and
-    each report is the one the spec gets alone.  Non-canary registry
-    specs are validated first: a violated hypothesis raises
-    ConstraintError before any draw.  Within a trial the specs run in
-    the order of :func:`_work_order`, so specs that share a commutator
-    or a smoothed velocity run back to back and reuse it from the draw's
-    one slot; reports stay in input order.  A trial whose RHS
-    degenerates is redrawn a few times (attempt 1, 2, ...) for that spec
-    only and counted.  Give at least two grid sizes for a meaningful
-    scaling table (with one the stability verdict is vacuous).
+    loop runs grid -> trial -> spec, and every spec of one (grid, trial,
+    attempt) reads one shared :class:`TrialDraw`: the fields, v.grad(phi)
+    and the norms of the fields are computed once however many specs use
+    them, each field a norm reads is built once for every p the specs
+    read of it (:func:`registry.norm_plan`), and each report is the one
+    the spec gets alone.  Non-canary specs are validated first: a
+    violated hypothesis raises ConstraintError before any draw.  Within a
+    trial the specs run in the order of :func:`_work_order`, so specs
+    that share a commutator or a smoothed velocity run back to back and
+    reuse it from the draw's one slot; reports stay in input order.  A
+    trial whose RHS degenerates is redrawn (attempt 1, 2, ..., up to
+    ``MAX_RESAMPLE`` attempts) for that spec only and counted.  Give at
+    least two grid sizes for a meaningful scaling table (with one the
+    stability verdict is vacuous).
     """
     from .grid import make_grid
 
-    problems = list(problems)
-    specs = [p for p in problems if isinstance(p, InequalitySpec)]
+    specs = list(specs)
     for spec in specs:
         if not spec.canary:
             spec.validate()
     plan = norm_plan(specs)
-    order = _work_order(problems)
-    ratios: List[Dict[int, List[float]]] = [{} for _ in problems]
-    degenerate = [0] * len(problems)
+    order = _work_order(specs)
+    ratios: List[Dict[int, List[float]]] = [{} for _ in specs]
+    degenerate = [0] * len(specs)
     for n in grid_sizes:
-        grid = make_grid(n, length)
+        grid = make_grid(n, 2 * np.pi)
         for per_grid in ratios:
             per_grid[n] = []
         for t in range(trials):
             draws: Dict[int, TrialDraw] = {}  # attempt -> the draw every spec shares
             for i in order:
-                ratio, redraws = _sample_ratio(problems[i], grid, draws, plan, seed, t,
-                                               max_resample)
+                ratio, redraws = _sample_ratio(specs[i], grid, draws, plan, seed, t)
                 ratios[i][n].append(ratio)
                 degenerate[i] += redraws
     reports = []
-    for problem, per_grid, redraws in zip(problems, ratios, degenerate):
+    for spec, per_grid, redraws in zip(specs, ratios, degenerate):
         c_per = {n: max(vals) for n, vals in per_grid.items()}
-        reports.append(EstimateReport(problem.spec_id, trials, seed, per_grid,
+        reports.append(EstimateReport(spec.spec_id, trials, seed, per_grid,
                                       max(c_per.values()), c_per, redraws,
-                                      getattr(problem, "canary", False),
-                                      getattr(problem, "near_boundary", False)))
+                                      spec.canary, spec.near_boundary))
     return reports
 
 
-def _work_order(problems: Sequence) -> List[int]:
-    """Indices of ``problems`` with registry specs of one velocity form
-    back to back and, within it, those of one commutator (the declared
-    ``work``); each group stands where its first member does.  Any other
-    problem sorts by its own index."""
+def _work_order(specs: Sequence[InequalitySpec]) -> List[int]:
+    """Indices of ``specs`` with those of one velocity form back to back
+    and, within it, those of one commutator (the declared ``work``); each
+    group stands where its first member does."""
     first: Dict[object, int] = {}
     keys = []
-    for i, problem in enumerate(problems):
-        if isinstance(problem, InequalitySpec):
-            form, op = problem.work
-            keys.append((first.setdefault(form, i), first.setdefault((form, op), i)))
-        else:
-            keys.append((i, i))
-    return sorted(range(len(problems)), key=keys.__getitem__)
+    for i, spec in enumerate(specs):
+        form, op = spec.work
+        keys.append((first.setdefault(form, i), first.setdefault((form, op), i)))
+    return sorted(range(len(specs)), key=keys.__getitem__)
 
 
-def _sample_ratio(problem, grid: Grid, draws: Dict[int, TrialDraw], plan, seed: int, t: int,
-                  max_resample: int) -> Tuple[float, int]:
-    """LHS/RHS of one trial and the number of redraws it took.  Registry
-    specs draw through ``draws``, each made with ``plan``; any other
-    problem draws alone."""
-    shared = isinstance(problem, InequalitySpec)
-    for attempt in range(max_resample):
+def _sample_ratio(spec: InequalitySpec, grid: Grid, draws: Dict[int, TrialDraw], plan,
+                  seed: int, t: int) -> Tuple[float, int]:
+    """LHS/RHS of one trial and the number of redraws it took; every spec
+    draws through ``draws``, each made with ``plan``."""
+    for attempt in range(MAX_RESAMPLE):
         key = (seed, t, attempt)
-        if shared:
-            if attempt not in draws:
-                draws[attempt] = TrialDraw(grid, key, plan)
-            fields = problem.draw(grid, key, draws[attempt])
-        else:
-            fields = problem.draw(grid, key)
-        lhs = problem.lhs(grid, fields)
-        rhs = problem.rhs(grid, fields)
+        if attempt not in draws:
+            draws[attempt] = TrialDraw(grid, key, plan)
+        fields = spec.draw(grid, key, draws[attempt])
+        lhs = spec.lhs(grid, fields)
+        rhs = spec.rhs(grid, fields)
         if rhs > 1e-14 * max(lhs, 1.0):
             return lhs / rhs, attempt
-    raise RuntimeError(f"degenerate ensemble for {problem.spec_id}: "
+    raise RuntimeError(f"degenerate ensemble for {spec.spec_id}: "
                        "RHS vanished on every redraw")
 
 
-def estimate_constant(problem, trials: int, grid_sizes: Sequence[int], seed: int = 0,
-                      length: float = 2 * np.pi, max_resample: int = 4) -> EstimateReport:
+def estimate_constant(spec: InequalitySpec, trials: int, grid_sizes: Sequence[int],
+                      seed: int = 0) -> EstimateReport:
     """One-spec call of :func:`estimate_constants`."""
-    (report,) = estimate_constants([problem], trials, grid_sizes, seed, length, max_resample)
+    (report,) = estimate_constants([spec], trials, grid_sizes, seed)
     return report
 
 

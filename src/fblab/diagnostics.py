@@ -60,6 +60,8 @@ from .dyadic import DyadicPartition, besov_norm
 from .ranges import BESOV
 
 DEFAULT_RHO = 0.01
+RATE_TOL_SCALE, QUAD_TOL = 5.0, 1e-9  # a ledger row's tolerance, see ledger_run
+MIN_CADENCE_WARNING = 0.25  # stored-state spacing above which rates draw a warning
 
 
 # -- exponent arithmetic ----------------------------------------------------
@@ -80,11 +82,6 @@ class ExponentSuite:
     def gamma(self) -> float:
         """beta/2 - 2 rho, the low-level temperature regularity."""
         return self.beta / 2.0 - 2.0 * self.rho
-
-    @property
-    def interpolation_a(self) -> float:
-        """(3 - 4 alpha) / (2 beta)."""
-        return (3.0 - 4.0 * self.alpha) / (2.0 * self.beta)
 
     @property
     def q0(self) -> float:
@@ -222,7 +219,7 @@ def energy_terms(state: SimState, configs: Sequence[LedgerConfig],
     # I2 first: the power bands of F it leaves on F are the largest
     # arrays of the state, built before any velocity keeps padded samples
     pair("I2", w_lin, apply_multiplier(Th, lin, symbols), "s", "K1")
-    split = scaled_velocity_split(F, Th, params, symbols)
+    split = scaled_velocity_split(F, Th, h, symbols)
     pair_split("I1", h.advect, advect(split, F, symbols), "s")
     transported = advect(split, Th, symbols)
     pair_split("I5", h.advect, transported, "kappa")
@@ -277,15 +274,14 @@ class LedgerVerdict:
         return self.rows_checked == self.rows_passed
 
 
-def ledger_run(states: Sequence[SimState], configs: Sequence[LedgerConfig],
-               rate_tol_scale: float = 5.0, quad_tol: float = 1e-9,
-               min_cadence_warning: float = 0.25
+def ledger_run(states: Sequence[SimState], configs: Sequence[LedgerConfig]
                ) -> List[Tuple[List[EnergyLedgerRow], LedgerVerdict]]:
     """Evaluate the ledgers of all configs along stored states and check,
     row by row, that the finite-difference rate of each tracked
     functional plus its coercive term stays below the sum of the measured
     right-hand terms, up to a scale-aware tolerance
-    5*max(dt^2, quad_tol)*scale.
+    RATE_TOL_SCALE * max((dt/2)^2, QUAD_TOL) * scale, dt the span of the
+    row's centered difference.
 
     Each state is evaluated once for every config, with one symbol table
     for the run; the result holds one (rows, verdict) pair per config, in
@@ -299,18 +295,17 @@ def ledger_run(states: Sequence[SimState], configs: Sequence[LedgerConfig],
                          + " and ".join(f"n = {n}, L = {length:g}" for n, length in grids))
     times = np.array([s.time for s in states])
     dts = np.diff(times)
-    if np.max(dts) > min_cadence_warning:
+    if np.max(dts) > MIN_CADENCE_WARNING:
         import warnings
         warnings.warn("output cadence is coarse; finite-difference rates may be inaccurate")
 
     symbols = SymbolTable(states[0].grid)
     per_state = [energy_terms(s, configs, symbols) for s in states]
-    return [_check_rows([rows[i] for rows in per_state], times, config, rate_tol_scale, quad_tol)
+    return [_check_rows([rows[i] for rows in per_state], times, config)
             for i, config in enumerate(configs)]
 
 
-def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerConfig,
-                rate_tol_scale: float, quad_tol: float
+def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerConfig
                 ) -> Tuple[List[EnergyLedgerRow], LedgerVerdict]:
     sup_fun = {k: 0.0 for k in ("s", "kappa", "p")}
     integrals = {k: 0.0 for k in ("s", "kappa", "p")}
@@ -332,7 +327,7 @@ def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerCo
             rhs = sum(row.terms[name] for name in term_names)
             diss = row.dissipation[kind]
             scale = max(abs(rate), abs(diss), rhs, 1e-30)
-            tol = rate_tol_scale * max((0.5 * dt_local) ** 2, quad_tol) * scale
+            tol = RATE_TOL_SCALE * max((0.5 * dt_local) ** 2, QUAD_TOL) * scale
             ok = rate + diss <= rhs + tol
             row.lhs_rate[kind] = rate
             row.verdicts[kind] = bool(ok)

@@ -28,6 +28,7 @@ from .norms import lp_norm
 from .operators import require_mean_free
 
 DEFAULT_BLOCK_OFFSET = 10
+FEFFERMAN_STEIN_PS = (1.5, 2.0, 4.0)  # the p of the reported Fefferman-Stein ratios
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,11 @@ class BlockSet:
         return SpectralField(self.f.grid, coef)
 
 
-def square_function(f: SpectralField, weight_s: float = 0.0,
-                    partition: DyadicPartition | None = None) -> np.ndarray:
-    """S(x) = (sum_j 2^(2 j s) |Delta_j f(x)|^2)^(1/2), pointwise."""
+def square_function(f: SpectralField, weight_s: float = 0.0) -> np.ndarray:
+    """S(x) = (sum_j 2^(2 j s) |Delta_j f(x)|^2)^(1/2), pointwise, over
+    the default partition."""
     require_mean_free(f, "square-function input")
-    part = partition or build_partition(f.grid)
+    part = build_partition(f.grid)
     acc = np.zeros((f.grid.n, f.grid.n))
     for j in part.levels:
         vals = dyadic_block(f, j, part).physical()
@@ -236,9 +237,9 @@ def maximal_function(values) -> np.ndarray:
     return out
 
 
-def measure_block_domination(f: SpectralField | BlockSet, include_lowpass: bool = True) -> float:
-    """Largest pointwise ratio |Delta_j f|(x) / M[f](x) over blocks (and
-    low-pass aggregates); the constant is measured, never assumed.  Given
+def measure_block_domination(f: SpectralField | BlockSet) -> float:
+    """Largest pointwise ratio |Delta_j f|(x) / M[f](x) over blocks and
+    low-pass aggregates; the constant is measured, never assumed.  Given
     a :class:`BlockSet`, its blocks and their samples are the ones read,
     and stay with the caller; given a field, the default partition's."""
     bs = f if isinstance(f, BlockSet) else BlockSet(f, build_partition(f.grid))
@@ -248,15 +249,15 @@ def measure_block_domination(f: SpectralField | BlockSet, include_lowpass: bool 
     worst = 0.0
     for j in bs.levels:
         worst = max(worst, float(np.max(np.abs(bs.block(j).physical()) / safe)))
-        if include_lowpass:
-            worst = max(worst, float(np.max(np.abs(bs.below(j).physical()) / safe)))
+        worst = max(worst, float(np.max(np.abs(bs.below(j).physical()) / safe)))
     return worst
 
 
-def measure_fefferman_stein(blocks: Sequence[np.ndarray], ps: Sequence[float], grid: Grid,
-                            r: float = 2.0) -> List[float]:
-    """Ratios ||(sum_k (M g_k)^r)^(1/r)||_p / ||(sum_k |g_k|^r)^(1/r)||_p,
-    one per p in ``ps``; the sums over the blocks are formed once."""
+def measure_fefferman_stein(blocks: Sequence[np.ndarray], ps: Sequence[float],
+                            grid: Grid) -> List[float]:
+    """Ratios ||(sum_k (M g_k)^r)^(1/r)||_p / ||(sum_k |g_k|^r)^(1/r)||_p
+    with r = 2, one per p in ``ps``; the sums over the blocks are formed once."""
+    r = 2.0
     num = np.zeros_like(blocks[0])
     den = np.zeros_like(blocks[0])
     for g in blocks:
@@ -271,10 +272,10 @@ def measure_fefferman_stein(blocks: Sequence[np.ndarray], ps: Sequence[float], g
     return ratios
 
 
-def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0,
-                     ps: Sequence[float] = (1.5, 2.0, 4.0)):
+def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0):
     """Measured decomposition constants as report rows
-    (quantity, parameter, value, grid_n, seed); all torus-specific."""
+    (quantity, parameter, value, grid_n, seed), the Fefferman-Stein ratio
+    at each p of ``FEFFERMAN_STEIN_PS``; all torus-specific."""
     from .ensembles import random_scalar_field
 
     rows = []
@@ -285,6 +286,7 @@ def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0,
         bs = BlockSet(f, part)  # both measurements read the same block samples
         rows.append(("block_domination", "", measure_block_domination(bs), n, seed))
         blocks = [block.physical() for _, block in bs.blocks()]
-        for p, ratio in zip(ps, measure_fefferman_stein(blocks, ps, grid)):
+        ratios = measure_fefferman_stein(blocks, FEFFERMAN_STEIN_PS, grid)
+        for p, ratio in zip(FEFFERMAN_STEIN_PS, ratios):
             rows.append(("fefferman_stein", f"p={p}", ratio, n, seed))
     return rows

@@ -72,17 +72,17 @@ def random_scalar_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
 
 
 def random_divfree_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
-                         decay: float = 0.0, amplitude: float = 1.0,
-                         dealias_safe: bool = True) -> Velocity:
-    """Divergence-free velocity grad_perp(Lambda^{-1} psi) for a random psi."""
-    psi = random_scalar_field(grid, seed, band, decay, amplitude, dealias_safe)
+                         decay: float = 0.0) -> Velocity:
+    """Divergence-free velocity grad_perp(Lambda^{-1} psi) for a random
+    dealias-safe psi, L^2-normalized to 1."""
+    psi = random_scalar_field(grid, seed, band, decay)
     op1 = Multiplier.compose(Multiplier.inv_lap_perp_grad(0), Multiplier.lambda_pow(1.0))
     op2 = Multiplier.compose(Multiplier.inv_lap_perp_grad(1), Multiplier.lambda_pow(1.0))
     v = (apply_multiplier(psi, op1), apply_multiplier(psi, op2))
     norm = np.sqrt(l2_norm_sq(v[0]) + l2_norm_sq(v[1]))
     if norm == 0:
         raise ValueError("degenerate draw for divergence-free field")
-    scale = amplitude / norm
+    scale = 1.0 / norm
     return v[0] * scale, v[1] * scale
 
 

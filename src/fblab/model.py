@@ -209,11 +209,11 @@ def convert_state(state: SimState, tag: str, symbols: Optional[SymbolTable] = No
 # -- velocity reconstruction ----------------------------------------------
 
 
-def scaled_velocity_split(f: SpectralField, theta: SpectralField, params: ModelParams,
+def scaled_velocity_split(f: SpectralField, theta: SpectralField, h: HybridTerms,
                           symbols: Optional[SymbolTable] = None) -> Tuple[Velocity, Velocity]:
     """Velocity split (U_F, U_Theta) of the hybrid formulation, the rows of
-    :class:`HybridTerms`: four applies.  Symbols come from ``symbols`` if given."""
-    h = hybrid_terms(params)
+    the caller's :class:`HybridTerms` ``h``: four applies.  Symbols come
+    from ``symbols`` if given."""
     return u_f(f, h, symbols), tuple(apply_multiplier(theta, op, symbols) for op in h.u_theta)
 
 
@@ -338,7 +338,7 @@ def step_operators(state: SimState, dt: float,
     return StepOperators(key, symbols or SymbolTable(grid), terms, half, full)
 
 
-def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = True,
+def step(state: SimState, dt: float, cfl_c: float = 0.4,
          accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None,
          totals: Optional[Dict[str, float]] = None,
          operators: Optional[StepOperators] = None) -> SimState:
@@ -349,7 +349,9 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
     Optional accumulators integrate scalar functionals of the four stage
     states alongside (RK4-consistent quadrature), adding into ``totals``.
     ``operators`` are the :func:`step_operators` of (state, dt) that the
-    caller reuses across steps; a call without them builds its own.
+    caller reuses across steps; a call without them builds its own.  A dt
+    above :func:`cfl_limit` raises StabilityError; the velocity the guard
+    measures is stage 1's.
 
     Negative dt is allowed only when both dissipation coefficients are
     zero (the inviscid substep is time-reversible; the dissipative
@@ -365,12 +367,10 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4, enforce_cfl: bool = Tru
         raise ValueError("step operators were built for another grid, model, formulation or dt")
     symbols, terms = operators.symbols, operators.terms
     _check_finite(state.time, state.theta.coef, state.primary.coef)
-    u0 = None
-    if enforce_cfl:
-        u0 = state_velocity(state, symbols, terms)  # shared with stage 1
-        limit = cfl_limit(state, cfl_c, u0)
-        if abs(dt) > limit * (1 + 1e-9):
-            raise StabilityError(f"dt={dt:g} exceeds the advective/dissipative guard {limit:g}")
+    u0 = state_velocity(state, symbols, terms)  # shared with stage 1
+    limit = cfl_limit(state, cfl_c, u0)
+    if abs(dt) > limit * (1 + 1e-9):
+        raise StabilityError(f"dt={dt:g} exceeds the advective/dissipative guard {limit:g}")
 
     grid = state.grid
 
@@ -446,16 +446,14 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
 
 def initial_state(grid: Grid, params: ModelParams, formulation: str = "omega",
                   kind: str = "random", seed: int = 0, amplitude_theta: float = 0.5,
-                  amplitude_primary: float = 0.5, decay: float = 4.0,
-                  band: Tuple[int, int] | None = None) -> SimState:
+                  amplitude_primary: float = 0.5, decay: float = 4.0) -> SimState:
     """Seeded random data with prescribed spectral decay, or deterministic
     Gaussian bump pairs; always dealias-safe and mean-free."""
     from .ensembles import gaussian_bump_field, gaussian_dipole_field, random_scalar_field
 
     check({"init": kind})
     if kind == "random":
-        if band is None:
-            band = (0, max(2, int(math.log2(grid.n // 6))))
+        band = (0, max(2, int(math.log2(grid.n // 6))))
         theta = random_scalar_field(grid, _seed_int(seed, "theta"), band, decay, amplitude_theta)
         omega = random_scalar_field(grid, _seed_int(seed, "omega"), band, decay, amplitude_primary)
     else:

@@ -228,16 +228,15 @@ CHECKS: List[Tuple[str, Callable[[], bool]]] = [
 ]
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
+    """Run every check of ``CHECKS``, printing PASS or FAIL for each."""
     all_ok = True
     for name, func in CHECKS:
         try:
             ok = bool(func())
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
-            if verbose:
-                print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         all_ok &= ok
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
     return all_ok

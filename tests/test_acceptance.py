@@ -262,7 +262,6 @@ def test_c11_exponent_arithmetic():
         ex = ExponentSuite(alpha, rho=0.01)
         beta = 1.0 - alpha
         assert ex.gamma == beta / 2.0 - 2.0 * 0.01
-        assert ex.interpolation_a == (3.0 - 4.0 * alpha) / (2.0 * beta)
         assert ex.q0 == 4.0 * (2.0 * alpha - 1.0) / (3.0 * alpha * beta + 6.0 * alpha - 4.0)
         assert ex.delta == (3.0 - 4.0 * alpha) / (alpha / 2.0)
         assert ex.besov_smoothness == 3.0 * alpha - 2.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,13 +14,14 @@ import numpy as np
 import pytest
 
 import fblab
-from fblab import cli
+from fblab import cli, config
 from fblab.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from fblab.config import ConfigError, load_config
 from fblab.grid import make_grid
 from fblab.ensembles import random_scalar_field
 from fblab.model import integrate
 from fblab.multipliers import Multiplier
+from fblab.ranges import RANGES, RUNS
 from fblab.snapshot import SnapshotFormatError, read_snapshot, write_snapshot
 
 BASE_INI = """
@@ -131,6 +133,23 @@ class TestConfig:
         assert main(["--config", str(cfg_path), "simulate"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and word in err
+
+    def test_readme_lists_every_binding_range(self):
+        # every RANGES row that refuses something has a line of README's
+        # parameter table under its INI key, naming each mode it binds
+        ini_key = {attr: key for keys in config._KEYS.values() for key, attr in keys.items()}
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {}
+        for line in readme.splitlines():
+            cells = line.split("|")
+            if line.startswith("| `") and len(cells) == 6:
+                for key in re.findall(r"`(\w+)`", cells[1]):
+                    table[key] = cells[3]
+        for row in RANGES:
+            if row.modes:
+                modes = table[ini_key[row.key]]
+                assert "all" in modes if row.modes == RUNS else \
+                    all(f"`{mode}`" in modes for mode in row.modes), (row.key, modes)
 
 
     @pytest.mark.parametrize("text,word", [
@@ -438,6 +457,44 @@ class TestLedgerCli:
     def test_bad_configs_list_refused(self, tmp_path, capsys, configs, word):
         path, out = write_ini(tmp_path, extra=f"\n[diagnostics]\nconfigs = {configs}\n")
         assert_refused(capsys, ["--config", path, "ledger"], out, "configs", word)
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["replay", "inline"])
+    def test_fewer_than_three_states_refused(self, tmp_path, capsys, inline):
+        # centered rates need an interior state: a 2-row index (replay) or
+        # a run that stores 2 states (inline: t = 0 and t = 0.01) is a
+        # validation error naming the index, not a traceback
+        path, out = write_ini(tmp_path)
+        if inline:
+            Path(path).write_text(Path(path).read_text().replace("t_end = 0.12", "t_end = 0.01")
+                                  .replace("dt = 0.01", "dt = 0.005").replace("cadence = 3", "cadence = 2"))
+            snaps, ledger_out = out, out
+        else:
+            assert main(["--config", path, "simulate"]) == EXIT_OK
+            index = Path(out, "snapshots.csv").read_text().splitlines()
+            Path(out, "snapshots.csv").write_text("\n".join(index[:3]) + "\n")
+            snaps, ledger_out = out, str(tmp_path / "replay")
+            Path(path).write_text(BASE_INI.format(out=ledger_out)
+                                  + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
+        assert main(["--config", path, "ledger"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err, err
+        assert f"snapshot index {os.path.join(snaps, 'snapshots.csv')} lists 2 stored states" in err
+        assert len(Path(snaps, "snapshots.csv").read_text().splitlines()) == 3
+        assert not os.path.exists(os.path.join(ledger_out, "ledger_verdicts.json"))
+
+    def test_inline_without_snapshots_refused(self, tmp_path, capsys):
+        # an inline ledger replays what it writes: snapshots = false is
+        # refused before any compute; a replay does not read the key
+        path, out = write_ini(tmp_path, extra="snapshots = false\n")
+        assert_refused(capsys, ["--config", path, "ledger"], out,
+                       "write_snapshots must be true ([output] snapshots) unless [ledger] "
+                       "snapshots_dir is set", "got False")
+        stored, _ = write_ini(tmp_path, name="stored.ini", out=str(tmp_path / "stored"))
+        assert main(["--config", stored, "simulate"]) == EXIT_OK
+        Path(path).write_text(Path(path).read_text()
+                              + f"\n[ledger]\nsnapshots_dir = {tmp_path / 'stored'}\n")
+        assert main(["--config", path, "ledger"]) == EXIT_OK
+        assert not os.path.exists(os.path.join(out, "snapshots.csv"))
 
     def test_verdict_summary_written(self, tmp_path):
         path, out = write_ini(tmp_path)

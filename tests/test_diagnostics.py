@@ -147,7 +147,7 @@ def per_config_terms(state, s, kappa, p):
     def pair_l2(term, target, order):
         return inner(lam(term, order), lam(target, order))
 
-    uf, ut = scaled_velocity_split(F, Th, params)
+    uf, ut = scaled_velocity_split(F, Th, h)
     u_full = (uf[0] + ut[0], uf[1] + ut[1])
     velocities = {"": u_full, "_f": uf, "_t": ut}
     linear_term = apply_multiplier(Th, lin)
@@ -200,7 +200,6 @@ class TestExponents:
         ex = ExponentSuite(alpha, rho=0.01)
         beta = 1.0 - alpha
         assert ex.gamma == beta / 2.0 - 2.0 * 0.01
-        assert ex.interpolation_a == (3.0 - 4.0 * alpha) / (2.0 * beta)
         assert ex.q0 == 4.0 * (2.0 * alpha - 1.0) / (3.0 * alpha * beta + 6.0 * alpha - 4.0)
         assert ex.delta == (3.0 - 4.0 * alpha) / (alpha / 2.0)
         assert ex.besov_smoothness == 3.0 * alpha - 2.0
@@ -335,6 +334,20 @@ class TestOnePass:
             rows = energy_terms(state, chosen)
             assert len(rows) == len(chosen)
             assert counts == {"gradient": 4, "multiply": 8, "padded": 12}
+
+    def test_one_hybrid_table_per_state(self, monkeypatch):
+        # the velocity split reads energy_terms' own HybridTerms table
+        import fblab.model
+        calls = []
+        for module in (diagnostics, fblab.model):
+            monkeypatch.setattr(module, "hybrid_terms",
+                                lambda params, build=module.hybrid_terms:
+                                calls.append(params) or build(params))
+        configs = list(ledger_configs(ALPHA).values())
+        for state in (hybrid_state(n=32), hybrid_state(n=32, seed=5)):
+            calls.clear()
+            energy_terms(state, configs)
+            assert calls == [state.params]
 
     def test_rejects_any_bad_config(self):
         good = ledger_configs(ALPHA)["l2"]

@@ -191,11 +191,12 @@ class TestHybridTable:
         import fblab.operators
         st_ = initial_state(make_grid(64, TWO_PI), ModelParams(alpha=ALPHA, eps0=eps0), "f",
                             seed=3, amplitude_theta=1.0, amplitude_primary=1.0)
+        h = hybrid_terms(st_.params)
         calls = []
         for module in (fblab.model, fblab.operators):
             monkeypatch.setattr(module, "apply_multiplier",
                                 lambda *a, **k: calls.append(a[1]) or apply_multiplier(*a, **k))
-        uf, ut = scaled_velocity_split(st_.primary, st_.theta, st_.params)
+        uf, ut = scaled_velocity_split(st_.primary, st_.theta, h)
         assert len(calls) == 4
         u = state_velocity(st_)
         assert len(calls) == 7
@@ -576,8 +577,6 @@ class TestStepper:
         step(st_, limit)
         with pytest.raises(StabilityError):
             step(st_, limit * (1 + 1e-8))
-        out = step(st_, limit, enforce_cfl=False)
-        assert np.array_equal(step(st_, limit).primary.coef, out.primary.coef)
 
     def test_cfl_uses_the_rescaled_velocity(self):
         # a scaled run advects with the eps0-rescaled split; the guard must
@@ -585,7 +584,7 @@ class TestStepper:
         g = make_grid(64, TWO_PI)
         st_ = initial_state(g, ModelParams(alpha=ALPHA, eps0=0.5), "scaled", seed=1,
                             amplitude_theta=2.0, amplitude_primary=2.0)
-        uf, ut = scaled_velocity_split(st_.primary, st_.theta, st_.params)
+        uf, ut = scaled_velocity_split(st_.primary, st_.theta, hybrid_terms(st_.params))
         umax = max(lp_norm(uf[0] + ut[0], np.inf), lp_norm(uf[1] + ut[1], np.inf))
         want = 0.4 * min(g.dx / umax, g.dx ** ALPHA)
         assert cfl_limit(st_, 0.4) == pytest.approx(want, rel=1e-12)

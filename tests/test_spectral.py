@@ -12,7 +12,7 @@ from fblab.ensembles import gaussian_bump_field, gaussian_dipole_field, random_d
 from fblab.fields import SpectralField, multiply, nice_fft_size, pad_size, power_band
 from fblab.grid import make_grid
 from fblab.multipliers import Multiplier, apply_multiplier, upsilon, zeta
-from fblab.model import ModelParams, scaled_velocity_split
+from fblab.model import ModelParams, hybrid_terms, scaled_velocity_split
 from fblab.norms import inner, integral_product, l2_norm_sq, lp_norm, sobolev_norm
 from fblab.operators import MeanFreeError, advect, biot_savart, curl, divergence
 
@@ -26,7 +26,7 @@ NUMPY_FFTS = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2"
 
 def unscaled_split(f, theta, alpha):
     """The unscaled split (eps0 = 1)."""
-    return scaled_velocity_split(f, theta, ModelParams(alpha=alpha))
+    return scaled_velocity_split(f, theta, hybrid_terms(ModelParams(alpha=alpha)))
 
 TWO_PI = 2 * np.pi
 
