@@ -19,8 +19,7 @@ from .model import (ModelParams, SimState, initial_state, integrate, rhs, scaled
                     step, transform_to_f, transform_to_g, vorticity_from_f)
 from .diagnostics import (CriteriaReport, EnergyLedgerRow, ExponentSuite, LedgerConfig,
                           criteria_monitor, energy_terms, ledger_configs, ledger_run)
-from .commutators import (EstimateReport, commutator_field, estimate_constant,
-                          estimate_constants, representation_check)
+from .commutators import EstimateReport, commutator_field, estimate_constants, representation_check
 from .registry import ConstraintError, InequalitySpec, build_registry
 
 __version__ = "0.1.0"

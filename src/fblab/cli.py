@@ -308,7 +308,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"validation error: cannot make output directory {cfg.out_dir!r} "
+              f"({exc.strerror})", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         if args.mode == "simulate":
             return run_simulate(cfg, cfg.out_dir)

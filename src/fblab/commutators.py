@@ -243,19 +243,12 @@ def _sample_ratio(spec: InequalitySpec, grid: Grid, draws: Dict[int, TrialDraw],
         if attempt not in draws:
             draws[attempt] = TrialDraw(grid, key, plan)
         fields = spec.draw(grid, key, draws[attempt])
-        lhs = spec.lhs(grid, fields)
-        rhs = spec.rhs(grid, fields)
+        lhs = spec.lhs(fields)
+        rhs = spec.rhs(fields)
         if rhs > 1e-14 * max(lhs, 1.0):
             return lhs / rhs, attempt
     raise RuntimeError(f"degenerate ensemble for {spec.spec_id}: "
                        "RHS vanished on every redraw")
-
-
-def estimate_constant(spec: InequalitySpec, trials: int, grid_sizes: Sequence[int],
-                      seed: int = 0) -> EstimateReport:
-    """One-spec call of :func:`estimate_constants`."""
-    (report,) = estimate_constants([spec], trials, grid_sizes, seed)
-    return report
 
 
 def smoothing_comparison(alpha: float, trials: int, n: int, seed: int = 0) -> Dict[str, float]:

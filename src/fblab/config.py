@@ -1,9 +1,10 @@
 """Run configuration: INI-style key/value files, validated before any compute.
 
 ``_KEYS`` names the sections and keys and the :class:`RunConfig` field
-each sets; an absent key keeps the field's default.  Each key's range,
-the modes it binds and the reason for it are rows of
-:data:`fblab.ranges.RANGES`, which :meth:`RunConfig.validate` reads.
+each sets; an absent key keeps the field's default, and a section or key
+it does not name is refused.  Each key's range, the modes it binds and
+the reason for it are rows of :data:`fblab.ranges.RANGES`, which
+:meth:`RunConfig.validate` reads, keyed by INI name.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from typing import List, Optional
 
 from .diagnostics import ledger_configs
-from .model import ModelParams
+from .model import ModelParams, step_count
 from .ranges import check
 from .registry import ConstraintError, InequalitySpec, build_registry
 
@@ -77,7 +78,8 @@ class RunConfig:
         (None: every mode) and the lists the run names; returns the
         requested estimate specs, built once, if ``mode`` is estimate or None."""
         try:
-            check(vars(self), mode)
+            check({key: getattr(self, attr) for keys in _KEYS.values()
+                   for key, attr in keys.items()}, mode)
             # the ledger replays its run in the hybrid formulation
             if self.formulation != "omega" or mode == "ledger":
                 self.params().require_unit_dissipation("the hybrid formulation")
@@ -89,6 +91,13 @@ class RunConfig:
             for cid in self.ledger_ids:
                 if cid not in known:
                     raise ConfigError(f"unknown ledger config {cid!r}; known: {sorted(known)}")
+            if not self.snapshots_dir and self.dt is not None:
+                # integrate stores the start, every cadence-th state and the last
+                stored = 1 + math.ceil(step_count(self.t_end, self.dt) / self.cadence)
+                if stored < 3:
+                    raise ConfigError(f"an inline ledger at t_end = {self.t_end:g}, dt = {self.dt:g}, "
+                                      f"cadence = {self.cadence} stores {stored} states; the "
+                                      "ledger's centered rates need at least 3")
         if mode in (None, "estimate"):
             _require_distinct("estimate grids", "grid size", self.grids)
             return self.estimate_specs()
@@ -133,6 +142,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"could not parse {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
+    if parser.defaults():
+        raise ConfigError(f"{path!r} sets {', '.join(parser.defaults())} in [DEFAULT]; "
+                          "set each key in its own section")
+    unknown = []
+    for name in parser.sections():
+        if name not in _KEYS:
+            unknown.append(f"[{name}]")
+        else:
+            unknown += [f"[{name}] {key}" for key in parser[name] if key not in _KEYS[name]]
+    if unknown:
+        raise ConfigError(f"{path!r} sets unknown {', '.join(unknown)}; known: "
+                          + "; ".join(f"[{name}] {', '.join(keys)}" for name, keys in _KEYS.items()))
     cfg = RunConfig()
     try:
         for name, keys in _KEYS.items():

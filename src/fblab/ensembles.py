@@ -87,9 +87,10 @@ def random_divfree_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
 
 
 def gaussian_bump_field(grid: Grid, center: Tuple[float, float], width: float,
-                        amplitude: float = 1.0, mean_free: bool = True) -> SpectralField:
+                        amplitude: float = 1.0) -> SpectralField:
     """Periodized Gaussian built directly in Fourier space, so its
-    spectrum is exactly Gaussian and truncation tails are negligible."""
+    spectrum is exactly Gaussian and truncation tails are negligible;
+    scaled to peak ``amplitude``, then its mean removed."""
     x0, y0 = center
     phase = np.exp(-1j * (grid.kx * x0 + grid.ky * y0))
     envelope = np.exp(-0.5 * width**2 * grid.ksq)
@@ -97,21 +98,14 @@ def gaussian_bump_field(grid: Grid, center: Tuple[float, float], width: float,
     coef[~band_mask(grid.n)] = 0.0
     f = SpectralField(grid, coef)
     peak = float(np.max(np.abs(f.physical())))
-    f = f * (amplitude / peak)
-    if mean_free:
-        c = f.coef.copy()
-        c[0, 0] = 0.0
-        f = SpectralField(grid, c)
-    return f
+    c = (f * (amplitude / peak)).coef.copy()
+    c[0, 0] = 0.0
+    return SpectralField(grid, c)
 
 
 def gaussian_dipole_field(grid: Grid, center: Tuple[float, float], separation: float,
                           width: float, amplitude: float = 1.0) -> SpectralField:
-    """Opposite-signed bump pair (mean-free by symmetry)."""
+    """Opposite-signed pair of mean-free bumps."""
     x0, y0 = center
-    plus = gaussian_bump_field(grid, (x0, y0 + separation / 2), width, amplitude, mean_free=False)
-    minus = gaussian_bump_field(grid, (x0, y0 - separation / 2), width, amplitude, mean_free=False)
-    out = plus - minus
-    c = out.coef.copy()
-    c[0, 0] = 0.0
-    return SpectralField(grid, c)
+    plus = gaussian_bump_field(grid, (x0, y0 + separation / 2), width, amplitude)
+    return plus - gaussian_bump_field(grid, (x0, y0 - separation / 2), width, amplitude)

@@ -418,6 +418,12 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4,
     return out
 
 
+def step_count(t_span: float, dt: float) -> int:
+    """Steps :func:`integrate` takes over ``t_span`` for a requested ``dt``,
+    which it then shrinks to ``t_span / steps``."""
+    return max(1, int(math.ceil(t_span / dt - 1e-12)))
+
+
 def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: float = 0.4,
               cadence: int = 1, accumulators: Optional[Dict[str, Callable[[SimState], float]]] = None,
               symbols: Optional[SymbolTable] = None) -> Iterator[Tuple[SimState, Dict[str, float]]]:
@@ -429,7 +435,7 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
         dt = cfl_limit(state, cfl_c)
         if not np.isfinite(dt) or dt <= 0:
             raise StabilityError("could not derive a time step from the CFL guard")
-    n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
+    n_steps = step_count(t_end - state.time, dt)
     dt = (t_end - state.time) / n_steps
     totals: Dict[str, float] = {name: 0.0 for name in (accumulators or {})}
     operators = step_operators(state, dt, symbols)

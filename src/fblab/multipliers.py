@@ -1,9 +1,10 @@
 """Fourier multipliers: fractional powers, Riesz-type operators, dyadic bumps.
 
 The fractional Laplacian power acts as |xi|^s on coefficients; the
-Riesz-type operator of order 1-alpha acts as i*xi_1*|xi|^(-alpha).  Any
-symbol that is singular (or vanishes) at xi = 0 annihilates the zero
-mode, which is the right convention for mean-free data on the torus.
+Riesz-type operator of order 1-alpha acts as i*xi_1*|xi|^(-alpha).  The
+value at xi = 0 follows from the symbol: Lambda^0 keeps the mean and
+every other atom drops it, the convention for mean-free data on the
+torus; composites and sums combine their parts' values.
 
 Symbols built here all satisfy m(-xi) = conj(m(xi)), so real fields map
 to real fields.  Odd symbols (plain derivatives and Riesz factors) zero
@@ -13,6 +14,7 @@ lattice, and dropping it keeps discrete summation by parts exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Tuple
 
@@ -20,10 +22,6 @@ import numpy as np
 
 from .fields import SpectralField
 from .grid import Grid
-
-ANNIHILATE = "annihilate"
-IDENTITY = "identity"
-
 
 # -- radial cutoffs ------------------------------------------------------
 
@@ -68,17 +66,14 @@ def smooth_zeta(r):
 
 # -- multiplier spec ------------------------------------------------------
 
-_KINDS = ("lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "smooth_bump",
-          "composite", "sum")
-
 
 @dataclass(frozen=True)
 class Multiplier:
-    """A radial or directional Fourier symbol with a zero-mode rule."""
+    """A radial or directional Fourier symbol; its value at xi = 0 is
+    :meth:`at_zero`, fixed by what the symbol is."""
 
     kind: str
     params: Tuple = ()
-    zero_mode: str = ANNIHILATE
     parts: Tuple["Multiplier", ...] = dc_field(default=tuple())
 
     # -- factories --
@@ -86,89 +81,66 @@ class Multiplier:
     @staticmethod
     def lambda_pow(s: float) -> "Multiplier":
         """|xi|^s.  Identity at the zero mode only for s = 0."""
-        rule = IDENTITY if s == 0 else ANNIHILATE
-        return Multiplier("lambda_pow", (float(s),), rule)
+        return Multiplier("lambda_pow", (float(s),))
 
     @staticmethod
     def riesz(alpha: float) -> "Multiplier":
         """i*xi_1*|xi|^(-alpha), a derivative of order 1 - alpha."""
-        return Multiplier("riesz", (float(alpha),), ANNIHILATE)
+        return Multiplier("riesz", (float(alpha),))
 
     @staticmethod
     def partial(axis: int) -> "Multiplier":
         if axis not in (0, 1):
             raise ValueError("axis must be 0 or 1")
-        return Multiplier("partial", (axis,), ANNIHILATE)
+        return Multiplier("partial", (axis,))
 
     @staticmethod
     def inv_lap_perp_grad(component: int) -> "Multiplier":
         """Component of grad-perp of the inverse Laplacian (stream-function velocity)."""
         if component not in (0, 1):
             raise ValueError("component must be 0 or 1")
-        return Multiplier("inv_lap_perp_grad", (component,), ANNIHILATE)
+        return Multiplier("inv_lap_perp_grad", (component,))
 
     @staticmethod
     def smooth_bump(j: int) -> "Multiplier":
         """C-infinity ring symbol at scale 2^j (fast-decaying physical kernel)."""
-        return Multiplier("smooth_bump", (int(j),), ANNIHILATE)
+        return Multiplier("smooth_bump", (int(j),))
 
     @staticmethod
     def compose(*parts: "Multiplier") -> "Multiplier":
-        rule = ANNIHILATE if any(p.zero_mode == ANNIHILATE for p in parts) else IDENTITY
-        return Multiplier("composite", (), rule, tuple(parts))
+        return Multiplier("composite", (), tuple(parts))
 
     @staticmethod
     def sum(*parts: "Multiplier", weights: Tuple[float, ...] | None = None) -> "Multiplier":
-        """Weighted sum of symbols, the weights (all 1 by default) held in
-        ``params``.  Its zero mode is the sum of the parts' zero modes, so
-        at most one part may be the identity there, with weight 1."""
+        """Weighted sum of symbols, the weights (all 1 by default) held in ``params``."""
         weights = (1.0,) * len(parts) if weights is None else tuple(float(w) for w in weights)
         if len(weights) != len(parts):
             raise ValueError("a weighted sum needs one weight per part")
-        identity = [w for p, w in zip(parts, weights) if p.zero_mode == IDENTITY]
-        if len(identity) > 1:
-            raise ValueError("a sum with several identity zero modes has no zero-mode rule")
-        if identity and identity[0] != 1.0:
-            raise ValueError("an identity zero mode must carry weight 1 in a sum")
-        return Multiplier("sum", weights, IDENTITY if identity else ANNIHILATE, tuple(parts))
-
-    def with_zero_mode(self, rule: str) -> "Multiplier":
-        return Multiplier(self.kind, self.params, rule, self.parts)
+        return Multiplier("sum", weights, tuple(parts))
 
     # -- symbol construction --
 
-    def singular_at_zero(self) -> bool:
-        if self.kind == "lambda_pow":
-            return self.params[0] < 0
-        if self.kind == "riesz":
-            return self.params[0] >= 1
-        if self.kind == "inv_lap_perp_grad":
-            return True
-        if self.kind in ("composite", "sum"):
-            return any(p.singular_at_zero() for p in self.parts)
-        return False
+    def at_zero(self) -> float:
+        """The symbol's value at xi = 0: 1 for Lambda^0, 0 for every other
+        atom, the product of the parts' for a composite and their weighted
+        sum for a sum."""
+        if self.kind == "composite":
+            return math.prod(p.at_zero() for p in self.parts)
+        if self.kind == "sum":
+            return sum(w * p.at_zero() for p, w in zip(self.parts, self.params))
+        return 1.0 if self.kind == "lambda_pow" and self.params[0] == 0 else 0.0
 
     def symbol(self, grid: Grid) -> np.ndarray:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        if self.zero_mode == IDENTITY and self.singular_at_zero():
-            raise ValueError(f"singular symbol {self.kind}{self.params} cannot use the identity zero-mode rule")
-
-        if self.kind == "composite":
-            sym = np.ones(grid.kmag.shape, dtype=np.complex128)
-            for p in self.parts:
-                sym = sym * p.with_zero_mode(ANNIHILATE).symbol(grid)
-            sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
-            return sym
-        if self.kind == "sum":
-            sym = np.zeros(grid.kmag.shape, dtype=np.complex128)
-            for p, w in zip(self.parts, self.params):
-                sym += w * p.with_zero_mode(ANNIHILATE).symbol(grid)
-            sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else 0.0
-            return sym
-
         kmag = grid.kmag
-        if self.kind == "lambda_pow":
+        if self.kind == "composite":
+            sym = np.ones(kmag.shape, dtype=np.complex128)
+            for p in self.parts:
+                sym = sym * p.symbol(grid)
+        elif self.kind == "sum":
+            sym = np.zeros(kmag.shape, dtype=np.complex128)
+            for p, w in zip(self.parts, self.params):
+                sym += w * p.symbol(grid)
+        elif self.kind == "lambda_pow":
             (s,) = self.params
             with np.errstate(divide="ignore"):
                 sym = np.where(kmag > 0, kmag, 1.0) ** s
@@ -190,11 +162,11 @@ class Multiplier:
         elif self.kind == "smooth_bump":
             (j,) = self.params
             sym = smooth_zeta(kmag * 2.0 ** (-j)).astype(np.complex128)
+        else:
+            raise ValueError(f"unknown multiplier kind {self.kind!r}")
 
         sym = np.asarray(sym, dtype=np.complex128)
-        sym[0, 0] = 1.0 if self.zero_mode == IDENTITY else sym[0, 0]
-        if self.zero_mode == ANNIHILATE:
-            sym[0, 0] = 0.0
+        sym[0, 0] = self.at_zero()
         if self.kind in ("riesz", "partial", "inv_lap_perp_grad"):
             ny = sym.shape[0] // 2  # the Nyquist row k_1 = -n/2 and column k_2 = n/2
             sym[ny, :] = 0.0

@@ -53,8 +53,8 @@ RANGES = (
           "at most beta/4 = (1 - alpha)/4", "the l2 weight gamma = beta/2 - 2 rho is nonnegative"),
     Range("grids", ("estimate",), lambda v: all(_power_of_two(g, 64) for g in v["grids"]),
           "powers of two >= 64", "every registered ensemble band is representable"),
-    Range("write_snapshots", ("ledger",), lambda v: v["write_snapshots"] or bool(v["snapshots_dir"]),
-          "true ([output] snapshots) unless [ledger] snapshots_dir is set",
+    Range("snapshots", ("ledger",), lambda v: v["snapshots"] or bool(v["snapshots_dir"]),
+          "true unless [ledger] snapshots_dir is set",
           "an inline ledger replays the snapshots it writes"),
 )
 

@@ -109,7 +109,7 @@ class InequalitySpec:
             out["psi"] = trial.field("psi")
         return out
 
-    def lhs(self, grid: Grid, fields) -> float:
+    def lhs(self, fields) -> float:
         if self.kind == "norm":
             return _norm(fields, self.work, *self.outer)
         if self.kind == "pairing":
@@ -118,7 +118,7 @@ class InequalitySpec:
                 key: abs(inner(_commutator(self.work, fields), fields["psi"]))})
         return _pointwise_ratio(self, fields)
 
-    def rhs(self, grid: Grid, fields) -> float:
+    def rhs(self, fields) -> float:
         if self.kind == "pointwise":
             return 1.0  # the ratio is formed pointwise in the LHS
         return math.prod(_norm(fields, *factor) for factor in self.factors)

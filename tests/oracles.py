@@ -8,7 +8,8 @@ full n-by-n spectrum layout, the full-width padded transforms), or a plain measu
 specs whose hypotheses hold, the change of variables' operator as the
 paper writes it), or a slower route the package replaced
 (the Leray projection, the per-radius window means of the maximal
-function, the hybrid source terms with f advected on its own), or an integrand
+function, the hybrid source terms with f advected on its own, the
+zero-mode rule symbols once stored), or an integrand
 the package has no caller of (the dissipation rates).
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 from fblab.dyadic import BlockSet, maximal_function, maximal_radii
 from fblab.fields import SpectralField, nice_fft_size, pad_size
 from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
-from fblab.multipliers import Multiplier, apply_multiplier
+from fblab.multipliers import Multiplier, apply_multiplier, smooth_zeta
 from fblab.norms import l2_norm_sq
 from fblab.operators import Velocity, advect, commutator_apply, divergence, gradient
 from fblab.ranges import check
@@ -133,6 +134,62 @@ def temperature_vorticity_operator(alpha: float) -> Multiplier:
     beta = 1.0 - alpha
     riesz = Multiplier.riesz(alpha)
     return Multiplier.sum(riesz, Multiplier.compose(riesz, Multiplier.lambda_pow(beta - alpha)))
+
+
+def reference_zero_rule(spec: Multiplier) -> str:
+    """The zero-mode rule the ``Multiplier`` factories once stored on each
+    symbol: "identity" for Lambda^0, for a composite of identities and for
+    a sum with one identity part, of weight 1; "annihilate" otherwise."""
+    if spec.kind == "lambda_pow":
+        return "identity" if spec.params[0] == 0 else "annihilate"
+    rules = [reference_zero_rule(p) for p in spec.parts]
+    if spec.kind == "composite":
+        return "identity" if all(r == "identity" for r in rules) else "annihilate"
+    if spec.kind == "sum":
+        identity = [w for r, w in zip(rules, spec.params) if r == "identity"]
+        if len(identity) > 1 or (identity and identity[0] != 1.0):
+            raise ValueError("the stored rule had no zero mode for this sum")
+        return "identity" if identity else "annihilate"
+    return "annihilate"
+
+
+def reference_symbol(spec: Multiplier, grid, rule: str | None = None) -> np.ndarray:
+    """The symbol as built when the zero mode was a stored rule: the parts
+    of a composite or sum built under "annihilate", then the whole's
+    [0, 0] set by its rule; a leaf from its formula, its [0, 0] set by the
+    rule, then an odd leaf's Nyquist lines zeroed."""
+    identity = (rule or reference_zero_rule(spec)) == "identity"
+    if spec.kind in ("composite", "sum"):
+        if spec.kind == "composite":
+            sym = np.ones(grid.kmag.shape, dtype=np.complex128)
+            for p in spec.parts:
+                sym = sym * reference_symbol(p, grid, "annihilate")
+        else:
+            sym = np.zeros(grid.kmag.shape, dtype=np.complex128)
+            for p, w in zip(spec.parts, spec.params):
+                sym += w * reference_symbol(p, grid, "annihilate")
+        sym[0, 0] = 1.0 if identity else 0.0
+        return sym
+    kmag = grid.kmag
+    with np.errstate(divide="ignore"):
+        if spec.kind == "lambda_pow":
+            sym = (np.where(kmag > 0, kmag, 1.0) ** spec.params[0]).astype(np.complex128)
+        elif spec.kind == "riesz":
+            sym = 1j * grid.kx * np.where(kmag > 0, kmag, 1.0) ** (-spec.params[0])
+        elif spec.kind == "partial":
+            sym = 1j * (grid.kx if spec.params[0] == 0 else grid.ky)
+        elif spec.kind == "inv_lap_perp_grad":
+            inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, grid.ksq, 1.0), 0.0)
+            sym = (1j * grid.ky * inv) if spec.params[0] == 0 else (-1j * grid.kx * inv)
+        else:  # smooth_bump
+            sym = smooth_zeta(kmag * 2.0 ** (-spec.params[0])).astype(np.complex128)
+    sym = np.asarray(sym, dtype=np.complex128)
+    sym[0, 0] = 1.0 if identity else 0.0
+    if spec.kind in ("riesz", "partial", "inv_lap_perp_grad"):
+        ny = sym.shape[0] // 2
+        sym[ny, :] = 0.0
+        sym[:, ny] = 0.0
+    return sym
 
 
 def nonlinear_three_advections(state: SimState):

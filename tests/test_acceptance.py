@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fblab.commutators import (commutator_field, estimate_constant, estimate_constants,
-                               representation_check)
+from fblab.commutators import commutator_field, estimate_constants, representation_check
 from fblab.diagnostics import ExponentSuite, ledger_configs, ledger_run
 from fblab.dyadic import build_partition, dyadic_block, paraproduct_split
 from fblab.ensembles import random_divfree_field, random_scalar_field
@@ -230,7 +229,7 @@ def test_c09_estimate_resolution_stability():
         assert growth <= 2.0, (sid, growth)
         lines.append(f"{sid}:{growth:.2f}")
     # canaries run and are reported, but never gate
-    canary = estimate_constant(registry["eq20_canary_q2"], trials=50, grid_sizes=(64, 128), seed=7)
+    canary = estimate_constants([registry["eq20_canary_q2"]], trials=50, grid_sizes=(64, 128), seed=7)[0]
     elapsed = time.monotonic() - t0
     assert elapsed < 1800.0
     report("C09 estimate-stability",

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config validation, artifacts, determinism, replay."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 
 import fblab
-from fblab import cli, config
+from fblab import cli
 from fblab.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from fblab.config import ConfigError, load_config
+from fblab.config import ConfigError, RunConfig, load_config
 from fblab.grid import make_grid
 from fblab.ensembles import random_scalar_field
-from fblab.model import integrate
+from fblab.model import ModelParams, initial_state, integrate, step_count
 from fblab.multipliers import Multiplier
 from fblab.ranges import RANGES, RUNS
 from fblab.snapshot import SnapshotFormatError, read_snapshot, write_snapshot
@@ -137,7 +138,6 @@ class TestConfig:
     def test_readme_lists_every_binding_range(self):
         # every RANGES row that refuses something has a line of README's
         # parameter table under its INI key, naming each mode it binds
-        ini_key = {attr: key for keys in config._KEYS.values() for key, attr in keys.items()}
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = {}
         for line in readme.splitlines():
@@ -147,10 +147,45 @@ class TestConfig:
                     table[key] = cells[3]
         for row in RANGES:
             if row.modes:
-                modes = table[ini_key[row.key]]
+                modes = table[row.key]
                 assert "all" in modes if row.modes == RUNS else \
                     all(f"`{mode}`" in modes for mode in row.modes), (row.key, modes)
 
+    def test_readme_minimal_config_loads(self, tmp_path):
+        # README's minimal config loads and validates in every run mode
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.S | re.M)
+        path = tmp_path / "minimal.ini"
+        path.write_text(block)
+        cfg = load_config(str(path))
+        assert cfg.formulation == "f" and cfg.dt == 0.01 and cfg.ledger_ids == ["l2", "l4", "l6"]
+        for mode in RUNS:
+            cfg.validate(mode)
+
+    @pytest.mark.parametrize("edit,words", [
+        (lambda text: text.replace("alpha = 0.75", "alpah = 0.9"), ["[model] alpah"]),
+        (lambda text: text + "\n[modle]\nn = 64\n", ["[modle]"]),
+        (lambda text: text.replace("trials = 3", "trials = 3\ngrid = 64"), ["[estimates] grid"]),
+        (lambda text: "[DEFAULT]\nseed = 3\n" + text, ["seed in [DEFAULT]"]),
+    ], ids=["key", "section", "near_key", "default_section"])
+    def test_unknown_section_or_key_refused(self, tmp_path, capsys, edit, words):
+        path, out = write_ini(tmp_path)
+        Path(path).write_text(edit(Path(path).read_text()))
+        with pytest.raises(ConfigError, match="run.ini"):
+            load_config(path)
+        assert_refused(capsys, ["--config", path, "simulate"], out, *words)
+
+    @pytest.mark.parametrize("target", ["empty", "file", "under_file"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, target):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = {"empty": "", "file": str(taken), "under_file": str(taken / "sub")}[target]
+        path = tmp_path / "run.ini"
+        path.write_text(BASE_INI.format(out=out))
+        assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: cannot make output directory {out!r}"), err
+        assert "Traceback" not in err and taken.read_text() == ""
 
     @pytest.mark.parametrize("text,word", [
         ("n = 32\n", "no section headers"),
@@ -460,21 +495,22 @@ class TestLedgerCli:
 
     @pytest.mark.parametrize("inline", [False, True], ids=["replay", "inline"])
     def test_fewer_than_three_states_refused(self, tmp_path, capsys, inline):
-        # centered rates need an interior state: a 2-row index (replay) or
-        # a run that stores 2 states (inline: t = 0 and t = 0.01) is a
-        # validation error naming the index, not a traceback
+        # centered rates need an interior state: a run that stores 2 states
+        # (inline: t = 0 and t = 0.01) is refused before any compute, a
+        # 2-row index (replay) when it is read; each is a validation error
+        # naming the count, not a traceback
         path, out = write_ini(tmp_path)
         if inline:
             Path(path).write_text(Path(path).read_text().replace("t_end = 0.12", "t_end = 0.01")
                                   .replace("dt = 0.01", "dt = 0.005").replace("cadence = 3", "cadence = 2"))
-            snaps, ledger_out = out, out
-        else:
-            assert main(["--config", path, "simulate"]) == EXIT_OK
-            index = Path(out, "snapshots.csv").read_text().splitlines()
-            Path(out, "snapshots.csv").write_text("\n".join(index[:3]) + "\n")
-            snaps, ledger_out = out, str(tmp_path / "replay")
-            Path(path).write_text(BASE_INI.format(out=ledger_out)
-                                  + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
+            assert_refused(capsys, ["--config", path, "ledger"], out, "stores 2 states", "at least 3")
+            return
+        assert main(["--config", path, "simulate"]) == EXIT_OK
+        index = Path(out, "snapshots.csv").read_text().splitlines()
+        Path(out, "snapshots.csv").write_text("\n".join(index[:3]) + "\n")
+        snaps, ledger_out = out, str(tmp_path / "replay")
+        Path(path).write_text(BASE_INI.format(out=ledger_out)
+                              + f"\n[ledger]\nsnapshots_dir = {snaps}\n")
         assert main(["--config", path, "ledger"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "Traceback" not in err, err
@@ -482,13 +518,27 @@ class TestLedgerCli:
         assert len(Path(snaps, "snapshots.csv").read_text().splitlines()) == 3
         assert not os.path.exists(os.path.join(ledger_out, "ledger_verdicts.json"))
 
+    @pytest.mark.parametrize("t_end,dt,cadence", [(0.01, 0.005, 2), (0.01, 0.005, 1),
+                                                  (0.03, 0.01, 5), (0.05, 0.02, 2), (0.12, 0.01, 3)])
+    def test_inline_state_count_is_the_integrators(self, t_end, dt, cadence):
+        # the states validate counts for an inline ledger are the ones
+        # integrate yields, and fewer than 3 are refused
+        stored = 1 + math.ceil(step_count(t_end, dt) / cadence)
+        state = initial_state(make_grid(16, 2 * np.pi), ModelParams(0.75), "f")
+        assert stored == len(list(integrate(state, t_end, dt=dt, cadence=cadence)))
+        cfg = RunConfig(n=16, formulation="f", t_end=t_end, dt=dt, cadence=cadence)
+        if stored < 3:
+            with pytest.raises(ConfigError, match=f"stores {stored} states"):
+                cfg.validate("ledger")
+        else:
+            cfg.validate("ledger")
+
     def test_inline_without_snapshots_refused(self, tmp_path, capsys):
         # an inline ledger replays what it writes: snapshots = false is
         # refused before any compute; a replay does not read the key
         path, out = write_ini(tmp_path, extra="snapshots = false\n")
         assert_refused(capsys, ["--config", path, "ledger"], out,
-                       "write_snapshots must be true ([output] snapshots) unless [ledger] "
-                       "snapshots_dir is set", "got False")
+                       "snapshots must be true unless [ledger] snapshots_dir is set", "got False")
         stored, _ = write_ini(tmp_path, name="stored.ini", out=str(tmp_path / "stored"))
         assert main(["--config", stored, "simulate"]) == EXIT_OK
         Path(path).write_text(Path(path).read_text()

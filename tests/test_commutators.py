@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fblab.commutators import (KERNEL_TAIL_WARN, _direct_convolution, block_kernels,
-                               commutator_field, estimate_constant, estimate_constants,
+                               commutator_field, estimate_constants,
                                kernel_tail_fraction, representation_check, smoothing_comparison)
 from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField
@@ -201,13 +201,13 @@ class TestSampling:
     def test_all_registered_specs_sample(self):
         reg = build_registry(0.75)
         for sid in hypothesis_satisfying_ids(reg):
-            rep = estimate_constant(reg[sid], trials=2, grid_sizes=(64,), seed=0)
+            rep = estimate_constants([reg[sid]], trials=2, grid_sizes=(64,), seed=0)[0]
             assert rep.c_hat > 0 and np.isfinite(rep.c_hat), sid
 
     def test_reports_are_deterministic(self):
         reg = build_registry(0.75)
-        a = estimate_constant(reg["eq20"], trials=3, grid_sizes=(64,), seed=5)
-        b = estimate_constant(reg["eq20"], trials=3, grid_sizes=(64,), seed=5)
+        a = estimate_constants([reg["eq20"]], trials=3, grid_sizes=(64,), seed=5)[0]
+        b = estimate_constants([reg["eq20"]], trials=3, grid_sizes=(64,), seed=5)[0]
         assert a.ratios == b.ratios
 
     def test_constant_velocity_ensemble_gives_zero_ratios(self):
@@ -221,19 +221,19 @@ class TestSampling:
              SpectralField.from_physical(grid, -0.6 * ones))
         for t in range(3):
             phi = random_scalar_field(grid, (0, t, 0), band=(1, 3))
-            assert spec.lhs(grid, {"v": v, "phi": phi}) < 1e-11
+            assert spec.lhs({"v": v, "phi": phi}) < 1e-11
 
     def test_canary_flagged_and_non_gating(self):
         reg = build_registry(0.75)
         canary = reg["eq20_canary_q2"]
         assert canary.canary
-        rep = estimate_constant(canary, trials=2, grid_sizes=(64,), seed=1)
+        rep = estimate_constants([canary], trials=2, grid_sizes=(64,), seed=1)[0]
         assert rep.canary  # reported separately, never gates
 
     def test_near_boundary_flag(self):
         reg = build_registry(0.75)
         assert reg["eq25_boundary"].near_boundary
-        rep = estimate_constant(reg["eq25_boundary"], trials=2, grid_sizes=(64,), seed=2)
+        rep = estimate_constants([reg["eq25_boundary"]], trials=2, grid_sizes=(64,), seed=2)[0]
         assert np.isfinite(rep.c_hat)
 
     def test_smoothing_comparison_reports(self):
@@ -243,7 +243,7 @@ class TestSampling:
 
     def test_g50_pointwise_constant(self):
         reg = build_registry(0.75)
-        rep = estimate_constant(reg["g50"], trials=4, grid_sizes=(64, 128), seed=3)
+        rep = estimate_constants([reg["g50"]], trials=4, grid_sizes=(64, 128), seed=3)[0]
         assert rep.c_hat > 0
         assert rep.resolution_stable
 
@@ -264,7 +264,7 @@ class TestSharedDraws:
                 for attempt in range(4):
                     fields = {k: f for k, f in spec.draw(grid, (seed, t, attempt)).items()
                               if k != "trial"}
-                    lhs, rhs = spec.lhs(grid, fields), spec.rhs(grid, fields)
+                    lhs, rhs = spec.lhs(fields), spec.rhs(fields)
                     if rhs > 1e-14 * max(lhs, 1.0):
                         out[n].append(lhs / rhs)
                         break
@@ -278,7 +278,7 @@ class TestSharedDraws:
         assert [r.spec_id for r in shared] == [s.spec_id for s in specs]
         for spec, got in zip(specs, shared):
             # every field: ratios, c_hat, c_hat_per_grid, degenerate, flags
-            assert got == estimate_constant(spec, trials=6, grid_sizes=(64, 128), seed=seed)
+            assert got == estimate_constants([spec], trials=6, grid_sizes=(64, 128), seed=seed)[0]
             assert got.ratios == self.unshared_ratios(spec, 6, (64, 128), seed), spec.spec_id
 
     @pytest.mark.parametrize("ids", [["eq20"], ["aaa"], None], ids=["eq20", "aaa", "all"])
@@ -404,7 +404,7 @@ class TestSharedDraws:
             return commutator(op, v, phi, *rest, **kwargs)
 
         monkeypatch.setattr(registry, "commutator_apply", recorded)
-        estimate_constant(spec, trials=1, grid_sizes=(64,), seed=1)
+        estimate_constants([spec], trials=1, grid_sizes=(64,), seed=1)
         order, op = spec.work
         ((got_op, w),) = calls
         assert got_op == op
@@ -442,10 +442,10 @@ class TestSharedDraws:
 
         rhs = InequalitySpec.rhs
 
-        def rhs_vanishing_on_attempt_0(spec, grid, fields):
+        def rhs_vanishing_on_attempt_0(spec, fields):
             if spec.spec_id == "eq201_flaky" and fields["trial"].seed[2] == 0:
                 return 0.0
-            return rhs(spec, grid, fields)
+            return rhs(spec, fields)
 
         monkeypatch.setattr(InequalitySpec, "rhs", rhs_vanishing_on_attempt_0)
         flaky = dataclasses.replace(base, spec_id="eq201_flaky")
@@ -463,7 +463,7 @@ class TestSharedDraws:
         assert sorted(redraws) == sorted(("eq201_flaky", n, (2, t, 1))
                                          for n in (64, 128) for t in range(3))
         for spec, got in zip(specs, shared):
-            alone = estimate_constant(spec, trials=3, grid_sizes=(64, 128), seed=2)
+            alone = estimate_constants([spec], trials=3, grid_sizes=(64, 128), seed=2)[0]
             assert got.ratios == alone.ratios and got.degenerate == alone.degenerate
         assert shared[2].degenerate == 6 and all(r.degenerate == 0 for r in shared[:2] + shared[3:])
         # the redraw is the attempt-1 draw, and only the flaky spec reads it
@@ -471,5 +471,5 @@ class TestSharedDraws:
             for t in range(3):
                 grid = make_grid(n, TWO_PI)
                 fields = base.draw(grid, (2, t, 1))
-                want = base.lhs(grid, fields) / base.rhs(grid, fields)
+                want = base.lhs(fields) / base.rhs(fields)
                 assert shared[2].ratios[n][t] == want

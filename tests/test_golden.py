@@ -10,7 +10,9 @@ must end with its case's exit code.  Every number must match within
 1e-12 of the largest number of its file; every flag, count and string
 exactly.  Binary
 snapshots are not committed: the ledger case reads its own back, and
-``snapshots.csv`` names them.  After an intended change of output,
+``snapshots.csv`` names them.  The same runs also check every symbol
+they build, bit for bit, against the zero-mode rule symbols once
+stored (``oracles.reference_symbol``).  After an intended change of output,
 regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +30,8 @@ from pathlib import Path
 import pytest
 
 from fblab.cli import EXIT_NUMERICAL, EXIT_OK, main
+from fblab.multipliers import Multiplier
+from oracles import reference_symbol
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 7)
@@ -204,6 +208,28 @@ def test_estimate_matches_golden(tmp_path, seed):
 @pytest.mark.parametrize("case", [case for case in CASES if case != "estimate"])
 def test_run_matches_golden(tmp_path, case, seed):
     check_case(tmp_path, case, seed)
+
+
+def test_symbols_match_stored_zero_mode_rule(tmp_path, monkeypatch):
+    """Every symbol the golden runs build, parts included, is bit for bit
+    the one of the zero-mode rule the factories once stored."""
+    build, reference, bad = Multiplier.symbol, {}, []
+
+    def checked(spec, grid):
+        sym = build(spec, grid)
+        if (spec, grid) not in reference:
+            reference[spec, grid] = reference_symbol(spec, grid)
+        want = reference[spec, grid]
+        if sym.dtype != want.dtype or sym.tobytes() != want.tobytes():
+            bad.append(spec)
+        return sym
+
+    monkeypatch.setattr(Multiplier, "symbol", checked)
+    for case in ("simulate_f", "simulate_omega", "simulate_scaled", "ledger", "estimate"):
+        run_case(case, 0, tmp_path / case)
+    assert not bad, bad[:5]
+    kinds = {spec.kind for spec, _ in reference}
+    assert kinds >= {"lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "composite", "sum"}
 
 
 def regenerate():

@@ -4,6 +4,8 @@ Derived expectations come from independent oracles written here: direct
 DFT sums over the (few) active modes, analytic integrals, and Parseval.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,12 +150,17 @@ class TestMultipliers:
         expected = dft_oracle(f10, lambda kx, ky: np.hypot(kx, ky) ** 0.63 if (kx, ky) != (0, 0) else 0.0)
         assert np.max(np.abs(out.physical() - expected)) < 1e-13 * max(1.0, np.max(np.abs(expected)))
 
-    def test_singular_symbol_identity_rule_rejected(self):
+    def test_zero_mode_follows_from_symbol(self):
+        # Lambda^0 keeps the mean, every other atom drops it, singular or not
         g = make_grid(32, TWO_PI)
-        f = SpectralField.zero(g)
-        bad = Multiplier.lambda_pow(-1.0).with_zero_mode("identity")
-        with pytest.raises(ValueError):
-            apply_multiplier(f, bad)
+        assert [f.name for f in dataclasses.fields(Multiplier)] == ["kind", "params", "parts"]
+        for spec, want in ((Multiplier.lambda_pow(0.0), 1.0), (Multiplier.lambda_pow(-1.0), 0.0),
+                           (Multiplier.lambda_pow(0.5), 0.0), (Multiplier.riesz(1.2), 0.0),
+                           (Multiplier.partial(0), 0.0), (Multiplier.inv_lap_perp_grad(1), 0.0),
+                           (Multiplier.smooth_bump(0), 0.0)):
+            assert spec.at_zero() == want and spec.symbol(g)[0, 0] == want
+        with pytest.raises(ValueError, match="unknown multiplier kind"):
+            Multiplier("bessel").symbol(g)
 
     @settings(max_examples=15, deadline=None)
     @given(a=st.floats(-1.0, 1.5), b=st.floats(-1.0, 1.5))
@@ -176,22 +183,23 @@ class TestMultipliers:
             assert np.max(np.abs(raw.imag)) < 1e-13 * max(1.0, np.max(np.abs(raw.real)))
 
     def test_sum_symbol(self):
-        # the sum kind adds the parts' symbols; its zero mode is the sum of
-        # theirs, and it obeys its own rule like a composite
+        # the sum kind adds the parts' symbols; its value at xi = 0 is the
+        # sum of theirs, as a composite's is their product
         g = make_grid(32, TWO_PI)
         f = random_scalar_field(g, 6, band=(0, 3))
         parts = (Multiplier.riesz(0.75), Multiplier.lambda_pow(0.0), Multiplier.partial(1))
         total = Multiplier.sum(*parts)
-        assert total.zero_mode == "identity"
+        assert total.at_zero() == 1.0
         assert np.array_equal(total.symbol(g), sum(p.symbol(g) for p in parts))
         want = sum((apply_multiplier(f, p) for p in parts[1:]), apply_multiplier(f, parts[0]))
         assert np.max(np.abs(apply_multiplier(f, total).coef - want.coef)) < 1e-15
-        assert Multiplier.sum(*parts[::2]).zero_mode == "annihilate"
-        assert total.with_zero_mode("annihilate").symbol(g)[0, 0] == 0.0
-        with pytest.raises(ValueError, match="zero-mode rule"):
-            Multiplier.sum(Multiplier.lambda_pow(0.0), Multiplier.lambda_pow(0.0))
-        with pytest.raises(ValueError, match="singular"):
-            Multiplier.sum(Multiplier.inv_lap_perp_grad(0)).with_zero_mode("identity").symbol(g)
+        assert Multiplier.sum(*parts[::2]).at_zero() == 0.0
+        assert Multiplier.compose(*parts).at_zero() == 0.0
+        identity = Multiplier.lambda_pow(0.0)
+        assert Multiplier.compose(identity, identity).at_zero() == 1.0
+        twice = Multiplier.sum(identity, identity)
+        assert twice.at_zero() == 2.0 and twice.symbol(g)[0, 0] == 2.0
+        assert Multiplier.sum(Multiplier.inv_lap_perp_grad(0)).symbol(g)[0, 0] == 0.0
 
     def test_weighted_sum_symbol(self):
         # weights live in params, default to 1, and scale each part's symbol
@@ -204,8 +212,8 @@ class TestMultipliers:
         assert np.max(np.abs(weighted.symbol(g) - want)) <= 1e-15 * np.max(np.abs(want))
         with pytest.raises(ValueError, match="one weight per part"):
             Multiplier.sum(*parts, weights=(1.0,))
-        with pytest.raises(ValueError, match="weight 1"):
-            Multiplier.sum(Multiplier.lambda_pow(0.0), parts[0], weights=(2.0, 1.0))
+        doubled = Multiplier.sum(Multiplier.lambda_pow(0.0), parts[0], weights=(2.0, 1.0))
+        assert doubled.at_zero() == 2.0 and doubled.symbol(g)[0, 0] == 2.0
 
     def test_cutoff_shapes(self):
         assert upsilon(0.3) == 1.0 and upsilon(1.0) == 1.0
