@@ -12,8 +12,8 @@ from .fields import SpectralField, multiply
 from .multipliers import Multiplier, apply_multiplier
 from .operators import biot_savart, commutator_apply
 from .norms import inner, lp_norm, sobolev_norm
-from .dyadic import (BlockSet, DyadicPartition, besov_norm, build_partition, dyadic_block,
-                     maximal_function, paraproduct_split, square_function)
+from .dyadic import (BlockSet, besov_norm, dyadic_block, levels, maximal_function,
+                     paraproduct_split, square_function)
 from .ensembles import gaussian_bump_field, random_divfree_field, random_scalar_field
 from .model import (ModelParams, SimState, initial_state, integrate, rhs, scaled_velocity_split,
                     step, transform_to_f, transform_to_g, vorticity_from_f)

@@ -33,10 +33,8 @@ from dataclasses import asdict, fields as dc_fields
 from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config
-from .diagnostics import (_ROW_TERMS, CriteriaReport, StateNorms, criteria_monitor,
-                          ledger_configs, ledger_run)
+from .diagnostics import CriteriaReport, StateNorms, criteria_monitor, ledger_configs, ledger_run
 from .commutators import estimate_constants
-from .dyadic import build_partition
 from .fields import SpectralField
 from .grid import Grid, make_grid
 from .model import (IntegrationBlowupError, ModelParams, SimState, StabilityError,
@@ -158,12 +156,12 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> int:
     integrator's symbol table), measured and written before the next step;
     a failed run still writes its completed rows, snapshots and DIAGNOSTIC row."""
     grid = make_grid(cfg.n, cfg.length)
-    symbols, partition = SymbolTable(grid), build_partition(grid)
+    symbols = SymbolTable(grid)
     norms, index_rows, diagnostic = [], [], None
     try:
         for state, _ in integrate(_build_initial(cfg, grid), cfg.t_end, dt=cfg.dt, cfl_c=cfg.cfl,
                                   cadence=cfg.cadence, symbols=symbols):
-            fs, record = criteria_monitor(state, symbols, partition)
+            fs, record = criteria_monitor(state, symbols)
             norms.append(record)
             if cfg.write_snapshots:
                 name = _snapshot_name(len(index_rows))
@@ -216,9 +214,8 @@ def run_ledger(cfg: RunConfig, out_dir: str) -> int:
             for kind in ("s", "kappa", "p"):
                 if kind not in row.lhs_rate:
                     continue
-                rhs_sum = sum(row.terms[t] for t in _ROW_TERMS[kind])
                 csv_rows.append((row.t, cid, kind, row.functionals[kind], row.lhs_rate[kind],
-                                 row.dissipation[kind], rhs_sum, row.tolerance[kind],
+                                 row.dissipation[kind], row.rhs_sum[kind], row.tolerance[kind],
                                  int(row.verdicts[kind]), *(row.terms[t] for t in _TERMS),
                                  *(row.signed[t] for t in _SPLITS), row.coercivity_ratio))
         write_csv(os.path.join(out_dir, f"ledger_{cid}.csv"), LEDGER_HEADER, csv_rows)

@@ -56,7 +56,7 @@ from .model import SimState, convert_state, hybrid_terms, scaled_velocity_split,
 from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import inner, integral_product, lp_norm
 from .operators import advect, commutator_apply, gradient
-from .dyadic import DyadicPartition, besov_norm
+from .dyadic import besov_norm
 from .ranges import BESOV
 
 DEFAULT_RHO = 0.01
@@ -166,6 +166,7 @@ class EnergyLedgerRow:
     terms: Dict[str, float]          # absolute values, I1..I5, K1..K3
     signed: Dict[str, float]         # signed pairings, including the splits
     lhs_rate: Dict[str, float] = dc_field(default_factory=dict)
+    rhs_sum: Dict[str, float] = dc_field(default_factory=dict)
     verdicts: Dict[str, bool] = dc_field(default_factory=dict)
     tolerance: Dict[str, float] = dc_field(default_factory=dict)
     coercivity_ratio: float = float("nan")
@@ -330,6 +331,7 @@ def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerCo
             tol = RATE_TOL_SCALE * max((0.5 * dt_local) ** 2, QUAD_TOL) * scale
             ok = rate + diss <= rhs + tol
             row.lhs_rate[kind] = rate
+            row.rhs_sum[kind] = rhs
             row.verdicts[kind] = bool(ok)
             row.tolerance[kind] = tol
             checked += 1
@@ -372,12 +374,12 @@ def _grad_linf(field: SpectralField, symbols: Optional[SymbolTable] = None) -> f
     return max(lp_norm(gx, np.inf), lp_norm(gy, np.inf))
 
 
-def criteria_monitor(state: SimState, symbols: Optional[SymbolTable] = None,
-                     partition: Optional[DyadicPartition] = None) -> Tuple[SimState, StateNorms]:
+def criteria_monitor(state: SimState, symbols: Optional[SymbolTable] = None
+                     ) -> Tuple[SimState, StateNorms]:
     """The ``f`` form of one stored state, its one conversion, and the norms
-    that control blowup.  A run passes every state the same ``symbols``
-    and dyadic ``partition``; without them they are built afresh.  The
-    Besov norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
+    that control blowup.  A run passes every state the same ``symbols``,
+    dyadic rings included; without it they are built afresh.  The Besov
+    norm is NaN outside the ``BESOV`` row of :mod:`fblab.ranges`."""
     ex = ExponentSuite(state.params.alpha)
     fs = convert_state(state, "f", symbols)
     f = fs.primary
@@ -390,7 +392,7 @@ def criteria_monitor(state: SimState, symbols: Optional[SymbolTable] = None,
         f_halfalpha_l2=lp_norm(half_alpha, 2),
         uf_linf=max(lp_norm(uf[0], np.inf), lp_norm(uf[1], np.inf)),
         grad_uf_linf=max(_grad_linf(uf[0], symbols), _grad_linf(uf[1], symbols)),
-        f_besov=(besov_norm(f, ex.besov_smoothness, ex.besov_integrability, partition)
+        f_besov=(besov_norm(f, ex.besov_smoothness, ex.besov_integrability, symbols)
                  if BESOV.holds(vars(ex)) else math.nan),
         grad_theta_linf=_grad_linf(state.theta, symbols))
 

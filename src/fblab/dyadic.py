@@ -1,7 +1,9 @@
 """Dyadic frequency decomposition, Besov norms, paraproducts, maximal function.
 
-The partition is built from the concrete radial cutoff of
-:mod:`fblab.multipliers`: zeta(xi) = upsilon(|xi|) - upsilon(2|xi|) is
+Every dyadic piece is a Fourier multiplier of :mod:`fblab.multipliers`:
+the block Delta_j is ``Multiplier.ring(j)``, symbol zeta(2^-j |xi|), and
+the low-pass f_{<j} is ``Multiplier.lowpass(j)``, symbol
+upsilon(2^(1-j) |xi|).  zeta(xi) = upsilon(|xi|) - upsilon(2|xi|) is
 supported in the ring 1/2 < |xi| < 2 and the scaled copies telescope,
 
     sum_{j=a}^{b} zeta(2^-j r) = upsilon(2^-b r) - upsilon(2^(1-a) r),
@@ -17,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import SpectralField, multiply
 from .grid import Grid
-from .multipliers import upsilon, zeta
+from .multipliers import Multiplier, SymbolTable, apply_multiplier
 from .norms import lp_norm
 from .operators import require_mean_free
 
@@ -31,89 +33,41 @@ DEFAULT_BLOCK_OFFSET = 10
 FEFFERMAN_STEIN_PS = (1.5, 2.0, 4.0)  # the p of the reported Fefferman-Stein ratios
 
 
-@dataclass(frozen=True)
-class DyadicPartition:
-    """Dyadic ring symbols zeta(2^-j xi) for j in [jmin, jmax]."""
-
-    grid: Grid
-    jmin: int
-    jmax: int
-
-    def __post_init__(self):
-        smallest = self.grid.dk
-        if 2.0 ** self.jmin > smallest * (1 + 1e-12):
-            raise ValueError(f"jmin={self.jmin} too large: 2^jmin must not exceed the "
-                             f"smallest nonzero wavenumber {smallest:g}")
-        if 2.0 ** self.jmax < self.grid.kmax * (1 - 1e-12):
-            raise ValueError(f"jmax={self.jmax} too small for the grid: need 2^jmax >= {self.grid.kmax:g}")
-        object.__setattr__(self, "_sym_cache", {})
-
-    @property
-    def levels(self) -> range:
-        return range(self.jmin, self.jmax + 1)
-
-    def ring_symbol(self, j: int) -> np.ndarray:
-        key = ("ring", j)
-        cache = self._sym_cache
-        if key not in cache:
-            cache[key] = zeta(self.grid.kmag * 2.0 ** (-j))
-        return cache[key]
-
-    def lowpass_symbol(self, j: int) -> np.ndarray:
-        """Symbol of f_{<j}: upsilon(2^(1-j)|xi|), includes the mean."""
-        key = ("low", j)
-        cache = self._sym_cache
-        if key not in cache:
-            cache[key] = upsilon(self.grid.kmag * 2.0 ** (1 - j))
-        return cache[key]
-
-    def partition_sum(self) -> np.ndarray:
-        out = np.zeros_like(self.grid.kmag)
-        for j in self.levels:
-            out += self.ring_symbol(j)
-        return out
-
-    def covered_mask(self) -> np.ndarray:
-        """Modes where the ring symbols must sum to one."""
-        r = self.grid.kmag
-        return (r >= 2.0 ** self.jmin) & (r <= 2.0 ** (self.jmax - 1))
-
-
-def default_levels(grid: Grid) -> Tuple[int, int]:
+def levels(grid: Grid) -> range:
+    """The block levels j of ``grid``, jmin to jmax: 2^jmin is at most its
+    smallest nonzero wavenumber and 2^jmax at least its largest."""
     jmin = int(math.floor(math.log2(grid.dk) + 1e-12))
     jmax = int(math.ceil(math.log2(grid.kmax) - 1e-12))
-    return jmin, jmax
+    return range(jmin, jmax + 1)
 
 
-def build_partition(grid: Grid, jmin: int | None = None, jmax: int | None = None) -> DyadicPartition:
-    auto_min, auto_max = default_levels(grid)
-    return DyadicPartition(grid, auto_min if jmin is None else jmin,
-                           auto_max if jmax is None else jmax)
+def _require_level(j: int, grid: Grid, what: str):
+    lv = levels(grid)
+    if j not in lv:
+        raise ValueError(f"{what} {j} outside the levels [{lv.start}, {lv[-1]}] of the grid")
 
 
-def dyadic_block(f: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
-    part = partition or build_partition(f.grid)
-    if not part.jmin <= j <= part.jmax:
-        raise ValueError(f"block index {j} outside partition range [{part.jmin}, {part.jmax}]")
-    return SpectralField(f.grid, f.coef * part.ring_symbol(j))
+def dyadic_block(f: SpectralField, j: int, symbols: Optional[SymbolTable] = None) -> SpectralField:
+    """Delta_j f, its symbol from ``symbols`` if given."""
+    _require_level(j, f.grid, "block index")
+    return apply_multiplier(f, Multiplier.ring(j), symbols)
 
 
 @dataclass
 class BlockSet:
-    """All dyadic blocks of one field, with cached aggregates."""
+    """The dyadic blocks of one field, each built once, and its aggregates."""
 
     f: SpectralField
-    partition: DyadicPartition
     offset: int = DEFAULT_BLOCK_OFFSET
     _blocks: Dict[int, SpectralField] = dc_field(default_factory=dict, repr=False)
 
     @property
     def levels(self) -> range:
-        return self.partition.levels
+        return levels(self.f.grid)
 
     def block(self, j: int) -> SpectralField:
         if j not in self._blocks:
-            self._blocks[j] = dyadic_block(self.f, j, self.partition)
+            self._blocks[j] = dyadic_block(self.f, j)
         return self._blocks[j]
 
     def blocks(self) -> List[Tuple[int, SpectralField]]:
@@ -121,48 +75,42 @@ class BlockSet:
 
     def below(self, k: int) -> SpectralField:
         """f_{<k}: every block strictly below level k plus the low remainder."""
-        sym = self.partition.lowpass_symbol(k)
-        return SpectralField(self.f.grid, self.f.coef * sym)
+        return apply_multiplier(self.f, Multiplier.lowpass(k))
 
     def near(self, k: int) -> SpectralField:
-        """f_{~k}: blocks within ``offset`` of k, clipped to the partition range."""
-        lo = max(self.partition.jmin, k - self.offset)
-        hi = min(self.partition.jmax, k + self.offset)
-        coef = np.zeros_like(self.f.coef)
-        for j in range(lo, hi + 1):
-            coef += self.block(j).coef
-        return SpectralField(self.f.grid, coef)
+        """f_{~k}: blocks within ``offset`` of k, clipped to the levels."""
+        lv = self.levels
+        window = range(max(lv.start, k - self.offset), min(lv.stop, k + self.offset + 1))
+        return apply_multiplier(self.f, Multiplier.sum(*map(Multiplier.ring, window)))
 
 
 def square_function(f: SpectralField, weight_s: float = 0.0) -> np.ndarray:
     """S(x) = (sum_j 2^(2 j s) |Delta_j f(x)|^2)^(1/2), pointwise, over
-    the default partition."""
+    the grid's levels."""
     require_mean_free(f, "square-function input")
-    part = build_partition(f.grid)
     acc = np.zeros((f.grid.n, f.grid.n))
-    for j in part.levels:
-        vals = dyadic_block(f, j, part).physical()
+    for j in levels(f.grid):
+        vals = dyadic_block(f, j).physical()
         acc += (2.0 ** (2 * j * weight_s)) * vals**2
     return np.sqrt(acc)
 
 
 def besov_norm(f: SpectralField, s: float, r: float,
-               partition: DyadicPartition | None = None) -> float:
-    """sup_j 2^(j s) ||Delta_j f||_{L^r} over the partition range."""
+               symbols: Optional[SymbolTable] = None) -> float:
+    """sup_j 2^(j s) ||Delta_j f||_{L^r} over the grid's levels, the ring
+    symbols from ``symbols`` if given."""
     if r != np.inf and r < 1:
         raise ValueError(f"integrability index must be >= 1, got {r}")
     require_mean_free(f, "Besov-norm input")
-    part = partition or build_partition(f.grid)
     best = 0.0
-    for j in part.levels:
-        block = dyadic_block(f, j, part)
+    for j in levels(f.grid):
+        block = dyadic_block(f, j, symbols)
         best = max(best, 2.0 ** (j * s) * lp_norm(block, r))
     return best
 
 
 def paraproduct_split(f: SpectralField, g: SpectralField, k: int,
-                      offset: int = DEFAULT_BLOCK_OFFSET,
-                      partition: DyadicPartition | None = None):
+                      offset: int = DEFAULT_BLOCK_OFFSET):
     """Three-piece frequency split of Delta_k(f g).
 
     Returns (lowhigh, highlow, highhigh):
@@ -171,24 +119,21 @@ def paraproduct_split(f: SpectralField, g: SpectralField, k: int,
         highlow  = Delta_k( f_{~k} * g_{<k+offset} )
         highhigh = Delta_k( sum_{l >= k+offset} f_l * g_{~l} )
 
-    Block sums are truncated at the partition bounds.  Whenever the
-    partition spans fewer than ``offset`` levels (every grid this
-    package targets), the three pieces add up to Delta_k(f g) exactly,
-    because the clipped aggregates collapse onto exact low/high splits
-    of f and g and Delta_k kills the constant f_low * g_low leftover.
+    Block sums are truncated at the grid's levels.  Whenever those span
+    fewer than ``offset`` levels (every grid this package targets), the
+    three pieces add up to Delta_k(f g) exactly, because the clipped
+    aggregates collapse onto exact low/high splits of f and g and
+    Delta_k kills the constant f_low * g_low leftover.
     """
-    part = partition or build_partition(f.grid)
-    if not part.jmin <= k <= part.jmax:
-        raise ValueError(f"paraproduct level {k} outside partition range [{part.jmin}, {part.jmax}]")
-    fb = BlockSet(f, part, offset)
-    gb = BlockSet(g, part, offset)
+    _require_level(k, f.grid, "paraproduct level")
+    fb, gb = BlockSet(f, offset), BlockSet(g, offset)
 
-    lowhigh = dyadic_block(multiply(fb.below(k - offset), gb.near(k)), k, part)
-    highlow = dyadic_block(multiply(fb.near(k), gb.below(k + offset)), k, part)
-    high = range(k + offset, part.jmax + 1)
+    lowhigh = dyadic_block(multiply(fb.below(k - offset), gb.near(k)), k)
+    highlow = dyadic_block(multiply(fb.near(k), gb.below(k + offset)), k)
+    high = range(k + offset, fb.levels.stop)
     hh = (multiply(tuple(fb.block(l) for l in high), tuple(gb.near(l) for l in high))
           if high else SpectralField.zero(f.grid))
-    highhigh = dyadic_block(hh, k, part)
+    highhigh = dyadic_block(hh, k)
     return lowhigh, highlow, highhigh
 
 
@@ -241,8 +186,8 @@ def measure_block_domination(f: SpectralField | BlockSet) -> float:
     """Largest pointwise ratio |Delta_j f|(x) / M[f](x) over blocks and
     low-pass aggregates; the constant is measured, never assumed.  Given
     a :class:`BlockSet`, its blocks and their samples are the ones read,
-    and stay with the caller; given a field, the default partition's."""
-    bs = f if isinstance(f, BlockSet) else BlockSet(f, build_partition(f.grid))
+    and stay with the caller; given a field, a fresh set's."""
+    bs = f if isinstance(f, BlockSet) else BlockSet(f)
     m = maximal_function(bs.f)
     floor = 1e-14 * max(np.max(m), 1e-300)
     safe = np.where(m > floor, m, np.inf)
@@ -281,9 +226,8 @@ def measurement_rows(grid_sizes: Sequence[int] = (64, 128), seed: int = 0):
     rows = []
     for n in grid_sizes:
         grid = Grid(n, 2 * np.pi)
-        part = build_partition(grid)
         f = random_scalar_field(grid, (seed, n), band=(0, 4), decay=1.0)
-        bs = BlockSet(f, part)  # both measurements read the same block samples
+        bs = BlockSet(f)  # both measurements read the same block samples
         rows.append(("block_domination", "", measure_block_domination(bs), n, seed))
         blocks = [block.physical() for _, block in bs.blocks()]
         ratios = measure_fefferman_stein(blocks, FEFFERMAN_STEIN_PS, grid)

@@ -1,10 +1,12 @@
 """Fourier multipliers: fractional powers, Riesz-type operators, dyadic bumps.
 
 The fractional Laplacian power acts as |xi|^s on coefficients; the
-Riesz-type operator of order 1-alpha acts as i*xi_1*|xi|^(-alpha).  The
-value at xi = 0 follows from the symbol: Lambda^0 keeps the mean and
-every other atom drops it, the convention for mean-free data on the
-torus; composites and sums combine their parts' values.
+Riesz-type operator of order 1-alpha acts as i*xi_1*|xi|^(-alpha); the
+Littlewood-Paley ring Delta_j and low-pass f_{<j} act as zeta(2^-j |xi|)
+and upsilon(2^(1-j) |xi|).  The value at xi = 0 follows from the symbol:
+Lambda^0 and a low-pass keep the mean and every other atom drops it, the
+convention for mean-free data on the torus; composites and sums combine
+their parts' values.
 
 Symbols built here all satisfy m(-xi) = conj(m(xi)), so real fields map
 to real fields.  Odd symbols (plain derivatives and Riesz factors) zero
@@ -102,6 +104,16 @@ class Multiplier:
         return Multiplier("inv_lap_perp_grad", (component,))
 
     @staticmethod
+    def ring(j: int) -> "Multiplier":
+        """The dyadic block Delta_j: zeta(2^-j |xi|), supported in 2^(j-1) < |xi| < 2^(j+1)."""
+        return Multiplier("ring", (int(j),))
+
+    @staticmethod
+    def lowpass(j: int) -> "Multiplier":
+        """The low-pass f_{<j}: upsilon(2^(1-j) |xi|), the mean included."""
+        return Multiplier("lowpass", (int(j),))
+
+    @staticmethod
     def smooth_bump(j: int) -> "Multiplier":
         """C-infinity ring symbol at scale 2^j (fast-decaying physical kernel)."""
         return Multiplier("smooth_bump", (int(j),))
@@ -121,14 +133,15 @@ class Multiplier:
     # -- symbol construction --
 
     def at_zero(self) -> float:
-        """The symbol's value at xi = 0: 1 for Lambda^0, 0 for every other
-        atom, the product of the parts' for a composite and their weighted
-        sum for a sum."""
+        """The symbol's value at xi = 0: 1 for Lambda^0 and a low-pass, 0
+        for every other atom, the product of the parts' for a composite and
+        their weighted sum for a sum."""
         if self.kind == "composite":
             return math.prod(p.at_zero() for p in self.parts)
         if self.kind == "sum":
             return sum(w * p.at_zero() for p, w in zip(self.parts, self.params))
-        return 1.0 if self.kind == "lambda_pow" and self.params[0] == 0 else 0.0
+        keeps_mean = self.kind == "lowpass" or (self.kind == "lambda_pow" and self.params[0] == 0)
+        return 1.0 if keeps_mean else 0.0
 
     def symbol(self, grid: Grid) -> np.ndarray:
         kmag = grid.kmag
@@ -159,6 +172,10 @@ class Multiplier:
                 inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, grid.ksq, 1.0), 0.0)
             # grad-perp of Delta^{-1}: (i ky, -i kx) / |k|^2
             sym = (1j * grid.ky * inv) if comp == 0 else (-1j * grid.kx * inv)
+        elif self.kind == "ring":
+            sym = zeta(kmag * 2.0 ** (-self.params[0])).astype(np.complex128)
+        elif self.kind == "lowpass":
+            sym = upsilon(kmag * 2.0 ** (1 - self.params[0])).astype(np.complex128)
         elif self.kind == "smooth_bump":
             (j,) = self.params
             sym = smooth_zeta(kmag * 2.0 ** (-j)).astype(np.complex128)

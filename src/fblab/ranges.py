@@ -32,6 +32,8 @@ RANGES = (
             "a dissipation coefficient; 0 is inviscid") for k in ("nu", "kappa")),
     Range("formulation", RUNS, lambda v: v["formulation"] in ("omega", "f", "scaled"),
           "omega, f or scaled", "the integrated form"),
+    Range("formulation", RUNS, lambda v: v["formulation"] != "omega" or v["eps0"] == 1.0,
+          "f or scaled when eps0 < 1", "the omega form integrates the unscaled system"),
     Range("n", RUNS, lambda v: _power_of_two(v["n"], 8), "a power of two >= 8",
           "the size of the radix-2 grid"),
     Range("length", RUNS, lambda v: 0 < v["length"] < math.inf, "positive and finite",

@@ -14,7 +14,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .diagnostics import ExponentSuite, LedgerConfig, energy_terms
-from .dyadic import build_partition, dyadic_block, maximal_function, paraproduct_split
+from .dyadic import dyadic_block, levels, maximal_function, paraproduct_split
 from .ensembles import random_divfree_field, random_scalar_field
 from .fields import SpectralField, multiply
 from .grid import make_grid
@@ -84,15 +84,16 @@ def check_biot_savart_modes() -> bool:
     return ok
 
 
-def check_partition_identities() -> bool:
+def check_ring_identities() -> bool:
     g = _grid()
-    part = build_partition(g)
-    s = part.partition_sum()
-    if float(np.max(np.abs(s[part.covered_mask()] - 1.0))) > 1e-12:
+    lv = levels(g)
+    s = Multiplier.sum(*map(Multiplier.ring, lv)).symbol(g)
+    covered = (g.kmag >= 2.0 ** lv.start) & (g.kmag <= 2.0 ** (lv[-1] - 1))
+    if float(np.max(np.abs(s[covered] - 1.0))) > 1e-12:
         return False
     X, _ = g.meshgrid()
     c2 = SpectralField.from_physical(g, np.cos(2 * X))
-    blk = dyadic_block(c2, 1, part)
+    blk = dyadic_block(c2, 1)
     return float(np.max(np.abs(blk.physical() - np.cos(2 * X)))) < _TOL
 
 
@@ -100,9 +101,8 @@ def check_paraproduct_constant() -> bool:
     g = _grid()
     f = random_scalar_field(g, 4, band=(0, 3))
     c = SpectralField.from_physical(g, 3.0 * np.ones((g.n, g.n)))
-    part = build_partition(g)
-    lh, hl, hh = paraproduct_split(f, c, 2, partition=part)
-    target = dyadic_block(multiply(f, c), 2, part)
+    lh, hl, hh = paraproduct_split(f, c, 2)
+    target = dyadic_block(multiply(f, c), 2)
     total = lh + hl + hh
     scale = max(float(np.max(np.abs(target.coef))), 1e-300)
     return (float(np.max(np.abs(hh.coef))) < _TOL
@@ -214,7 +214,7 @@ CHECKS: List[Tuple[str, Callable[[], bool]]] = [
     ("multiplier_composition", check_composition_law),
     ("parseval", check_parseval),
     ("biot_savart_modes", check_biot_savart_modes),
-    ("partition_identities", check_partition_identities),
+    ("ring_identities", check_ring_identities),
     ("paraproduct_constant_factor", check_paraproduct_constant),
     ("maximal_of_constant", check_maximal_constant),
     ("transform_closed_forms", check_transform_closed_forms),

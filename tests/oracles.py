@@ -9,7 +9,8 @@ specs whose hypotheses hold, the change of variables' operator as the
 paper writes it), or a slower route the package replaced
 (the Leray projection, the per-radius window means of the maximal
 function, the hybrid source terms with f advected on its own, the
-zero-mode rule symbols once stored), or an integrand
+zero-mode rule symbols once stored, the dyadic partition's own ring and
+low-pass formulas), or an integrand
 the package has no caller of (the dissipation rates).
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from fblab.dyadic import BlockSet, maximal_function, maximal_radii
 from fblab.fields import SpectralField, nice_fft_size, pad_size
 from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
-from fblab.multipliers import Multiplier, apply_multiplier, smooth_zeta
+from fblab.multipliers import Multiplier, apply_multiplier, smooth_zeta, upsilon, zeta
 from fblab.norms import l2_norm_sq
 from fblab.operators import Velocity, advect, commutator_apply, divergence, gradient
 from fblab.ranges import check
@@ -93,9 +94,9 @@ def hermitian_defect(field: SpectralField) -> float:
 
 
 def reconstruct(blocks: BlockSet) -> SpectralField:
-    """The low remainder (the content below the partition range, mean
-    included) plus every block of the partition: f again."""
-    coef = blocks.f.coef * blocks.partition.lowpass_symbol(blocks.partition.jmin)
+    """The low remainder (the content below the lowest level, mean
+    included, from upsilon directly) plus every block: f again."""
+    coef = blocks.f.coef * upsilon(blocks.f.grid.kmag * 2.0 ** (1 - blocks.levels.start))
     for j in blocks.levels:
         coef = coef + blocks.block(j).coef
     return SpectralField(blocks.f.grid, coef)
@@ -138,10 +139,13 @@ def temperature_vorticity_operator(alpha: float) -> Multiplier:
 
 def reference_zero_rule(spec: Multiplier) -> str:
     """The zero-mode rule the ``Multiplier`` factories once stored on each
-    symbol: "identity" for Lambda^0, for a composite of identities and for
-    a sum with one identity part, of weight 1; "annihilate" otherwise."""
+    symbol: "identity" for Lambda^0, for a low-pass (which keeps the mean),
+    for a composite of identities and for a sum with one identity part, of
+    weight 1; "annihilate" otherwise."""
     if spec.kind == "lambda_pow":
         return "identity" if spec.params[0] == 0 else "annihilate"
+    if spec.kind == "lowpass":
+        return "identity"
     rules = [reference_zero_rule(p) for p in spec.parts]
     if spec.kind == "composite":
         return "identity" if all(r == "identity" for r in rules) else "annihilate"
@@ -181,6 +185,10 @@ def reference_symbol(spec: Multiplier, grid, rule: str | None = None) -> np.ndar
         elif spec.kind == "inv_lap_perp_grad":
             inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, grid.ksq, 1.0), 0.0)
             sym = (1j * grid.ky * inv) if spec.params[0] == 0 else (-1j * grid.kx * inv)
+        elif spec.kind == "ring":  # the retired dyadic partition's formulas
+            sym = zeta(kmag * 2.0 ** (-spec.params[0])).astype(np.complex128)
+        elif spec.kind == "lowpass":
+            sym = upsilon(kmag * 2.0 ** (1 - spec.params[0])).astype(np.complex128)
         else:  # smooth_bump
             sym = smooth_zeta(kmag * 2.0 ** (-spec.params[0])).astype(np.complex128)
     sym = np.asarray(sym, dtype=np.complex128)

@@ -14,7 +14,7 @@ import pytest
 
 from fblab.commutators import commutator_field, estimate_constants, representation_check
 from fblab.diagnostics import ExponentSuite, ledger_configs, ledger_run
-from fblab.dyadic import build_partition, dyadic_block, paraproduct_split
+from fblab.dyadic import dyadic_block, levels, paraproduct_split
 from fblab.ensembles import random_divfree_field, random_scalar_field
 from fblab.fields import SpectralField, multiply
 from fblab.grid import make_grid
@@ -70,9 +70,10 @@ def test_c01_spectral_identities():
 
 def test_c02_partition_of_unity():
     g = make_grid(256, TWO_PI)
-    part = build_partition(g)
-    dev = np.abs(part.partition_sum() - 1.0)
-    worst = float(np.max(dev[part.covered_mask()]))
+    lv = levels(g)
+    dev = np.abs(Multiplier.sum(*map(Multiplier.ring, lv)).symbol(g) - 1.0)
+    covered = (g.kmag >= 2.0 ** lv.start) & (g.kmag <= 2.0 ** (lv[-1] - 1))
+    worst = float(np.max(dev[covered]))
     assert worst <= 1e-12
     report("C02 partition-of-unity", f"max dev {worst:.2e} at n=256")
 
@@ -82,15 +83,15 @@ def test_c02_partition_of_unity():
 
 def test_c03_paraproduct_identity():
     g = make_grid(128, TWO_PI)
-    part = build_partition(g)
+    lv = levels(g)
     worst = 0.0
     for trial in range(20):
         f = random_scalar_field(g, (200, trial, 0), band=(0, 5), decay=0.5)
         h = random_scalar_field(g, (200, trial, 1), band=(0, 5), decay=0.5)
-        k = part.jmin + trial % (part.jmax - part.jmin + 1)
-        lh, hl, hh = paraproduct_split(f, h, k, partition=part)
+        k = lv.start + trial % len(lv)
+        lh, hl, hh = paraproduct_split(f, h, k)
         product = multiply(f, h)
-        target = dyadic_block(product, k, part)
+        target = dyadic_block(product, k)
         total = lh + hl + hh
         scale = max(float(np.max(np.abs(product.coef))), 1e-300)
         worst = max(worst, float(np.max(np.abs(total.coef - target.coef))) / scale)

@@ -18,6 +18,7 @@ import fblab
 from fblab import cli
 from fblab.cli import EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from fblab.config import ConfigError, RunConfig, load_config
+from fblab.dyadic import levels
 from fblab.grid import make_grid
 from fblab.ensembles import random_scalar_field
 from fblab.model import ModelParams, initial_state, integrate, step_count
@@ -244,6 +245,19 @@ class TestNumericValues:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", RUNS)
+    def test_omega_run_with_eps0_refused(self, tmp_path, capsys, mode):
+        # the omega form has no eps0: below 1 it is refused by name, not ignored
+        path, out = write_ini(tmp_path)
+        text = Path(path).read_text()
+        Path(path).write_text(text.replace("formulation = f", "formulation = omega\neps0 = 0.5"))
+        assert_refused(capsys, ["--config", path, mode], out,
+                       "formulation must be f or scaled when eps0 < 1", "got 'omega'")
+        for form, eps0 in (("omega", "1"), ("scaled", "0.5"), ("f", "0.5")):
+            Path(path).write_text(text.replace("formulation = f",
+                                               f"formulation = {form}\neps0 = {eps0}"))
+            load_config(path).validate(mode)
 
     @pytest.mark.parametrize("mode", ["simulate", "ledger", "estimate"])
     def test_negative_seed_flag_refused(self, tmp_path, capsys, mode):
@@ -720,7 +734,8 @@ class TestStreaming:
         assert peaks[1] == peaks[0] <= 8, peaks
 
     def test_monitor_reads_the_integrator_table(self, tmp_path, monkeypatch):
-        # of an f run's symbols, only Lambda^(alpha/2) is the monitor's own
+        # of an f run's symbols, only Lambda^(alpha/2) and the Besov norm's
+        # rings are the monitor's own
         builds = []
         symbol = Multiplier.symbol
         monkeypatch.setattr(Multiplier, "symbol",
@@ -730,9 +745,10 @@ class TestStreaming:
         run_builds = Counter(builds)
         builds.clear()
         cfg = load_config(path)
-        list(integrate(cli._build_initial(cfg, make_grid(cfg.n, cfg.length)), cfg.t_end,
-                       dt=cfg.dt, cadence=cfg.cadence))
-        assert run_builds - Counter(builds) == Counter([Multiplier.lambda_pow(cfg.alpha / 2)])
+        grid = make_grid(cfg.n, cfg.length)
+        list(integrate(cli._build_initial(cfg, grid), cfg.t_end, dt=cfg.dt, cadence=cfg.cadence))
+        own = [Multiplier.lambda_pow(cfg.alpha / 2), *map(Multiplier.ring, levels(grid))]
+        assert run_builds - Counter(builds) == Counter(own)
 
 
 class TestReplayGuard:

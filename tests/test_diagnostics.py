@@ -19,7 +19,7 @@ import pytest
 
 from fblab.diagnostics import (CriteriaReport, ExponentSuite, LedgerConfig, criteria_monitor,
                                energy_terms, ledger_configs, ledger_run)
-from fblab import diagnostics, dyadic, fields, operators
+from fblab import diagnostics, fields, operators
 from fblab.fields import SpectralField, nice_fft_size
 from fblab.grid import make_grid
 from fblab.model import (ModelParams, SimState, convert_state, hybrid_terms, initial_state,
@@ -476,8 +476,8 @@ class TestCriteria:
 
     def test_finite_and_consistent_on_run(self):
         st = hybrid_state(seed=8, amp=0.3)
-        symbols, partition = SymbolTable(st.grid), dyadic.build_partition(st.grid)
-        rep = CriteriaReport.of([criteria_monitor(s, symbols, partition)[1]
+        symbols = SymbolTable(st.grid)
+        rep = CriteriaReport.of([criteria_monitor(s, symbols)[1]
                                  for s, _ in integrate(st, 0.1, dt=0.01, cadence=5)], ALPHA)
         assert rep.finite
         f6_first = lp_norm(convert_state(st, "f").primary, 6.0)
@@ -486,18 +486,17 @@ class TestCriteria:
 
     def test_symbols_and_rings_built_once_per_run(self, monkeypatch):
         builds = Counter()
-        symbol, ring = Multiplier.symbol, dyadic.zeta
-        monkeypatch.setattr(Multiplier, "symbol",
-                            lambda spec, grid: builds.update(["symbol"]) or symbol(spec, grid))
-        monkeypatch.setattr(dyadic, "zeta", lambda r: builds.update(["ring"]) or ring(r))
+        symbol = Multiplier.symbol
+        monkeypatch.setattr(Multiplier, "symbol", lambda spec, grid: builds.update(
+            ["ring" if spec.kind == "ring" else "symbol"]) or symbol(spec, grid))
         st = hybrid_state(n=32, seed=3)
         per_run = []
         for n_states in (1, 4):
             states = [SimState(0.01 * i, st.theta, st.primary, "f", st.params)
                       for i in range(n_states)]
             builds.clear()
-            symbols, partition = SymbolTable(st.grid), dyadic.build_partition(st.grid)
-            norms = [criteria_monitor(s, symbols, partition)[1] for s in states]
+            symbols = SymbolTable(st.grid)
+            norms = [criteria_monitor(s, symbols)[1] for s in states]
             per_run.append(dict(builds))
         assert per_run[0]["symbol"] > 0 and per_run[0]["ring"] > 0 and per_run[1] == per_run[0]
         # the shared table and rings give every state its lone call's norms, bit for bit

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fblab.dyadic import (BlockSet, build_partition, besov_norm, default_levels, dyadic_block,
-                          maximal_function, measure_block_domination, measure_fefferman_stein,
-                          measurement_rows, paraproduct_split, square_function)
+from fblab.dyadic import (BlockSet, besov_norm, dyadic_block, levels, maximal_function,
+                          measure_block_domination, measure_fefferman_stein, measurement_rows,
+                          paraproduct_split, square_function)
 from fblab.ensembles import random_scalar_field
 from fblab.fields import SpectralField, multiply
 from fblab.grid import make_grid
-from fblab.multipliers import upsilon, zeta
+from fblab.multipliers import Multiplier, upsilon, zeta
 from fblab.norms import inner, l2_norm_sq, lp_norm
 
 from oracles import (fefferman_stein_per_p, full_coef, full_lattice, maximal_function_per_radius,
@@ -24,20 +24,24 @@ from oracles import (fefferman_stein_per_p, full_coef, full_lattice, maximal_fun
 TWO_PI = 2 * np.pi
 
 
+def ring_sum(g):
+    """The symbol of the sum of every ring of ``g``."""
+    return Multiplier.sum(*map(Multiplier.ring, levels(g))).symbol(g)
+
+
 class TestPartition:
     def test_covered_annulus_sums_to_one(self):
         g = make_grid(256, TWO_PI)
-        part = build_partition(g)
-        dev = np.abs(part.partition_sum() - 1.0)
-        assert np.max(dev[part.covered_mask()]) <= 1e-12
+        lv = levels(g)
+        dev = np.abs(ring_sum(g) - 1.0)
+        assert np.max(dev[(g.kmag >= 2.0 ** lv.start) & (g.kmag <= 2.0 ** (lv[-1] - 1))]) <= 1e-12
 
     def test_telescoping_oracle(self):
         # oracle: the sum over levels is upsilon(2^-jmax r) - upsilon(2^(1-jmin) r)
         g = make_grid(64, TWO_PI)
-        part = build_partition(g)
-        direct = (upsilon(g.kmag * 2.0 ** (-part.jmax))
-                  - upsilon(g.kmag * 2.0 ** (1 - part.jmin)))
-        assert np.max(np.abs(part.partition_sum() - direct)) < 1e-14
+        lv = levels(g)
+        direct = upsilon(g.kmag * 2.0 ** (-lv[-1])) - upsilon(g.kmag * 2.0 ** (1 - lv.start))
+        assert np.max(np.abs(ring_sum(g) - direct)) < 1e-14
 
     def test_single_radius_values(self):
         # at |xi| = 1.5 the j = 0 term is upsilon(1.5) (the 2r factor is gone)
@@ -48,17 +52,16 @@ class TestPartition:
 
     def test_ring_support(self):
         g = make_grid(64, TWO_PI)
-        part = build_partition(g)
-        for j in part.levels:
-            sym = part.ring_symbol(j)
+        for j in levels(g):
+            sym = Multiplier.ring(j).symbol(g)
             outside = (g.kmag <= 2.0 ** (j - 1)) | (g.kmag >= 2.0 ** (j + 1))
             assert np.max(np.abs(sym[outside])) <= 1e-15
 
-    def test_jmax_too_small_rejected(self):
-        g = make_grid(64, TWO_PI)
-        auto_min, auto_max = default_levels(g)
-        with pytest.raises(ValueError):
-            build_partition(g, jmin=auto_min, jmax=auto_max - 2)
+    def test_levels_cover_the_lattice(self):
+        for n in (8, 64, 256):
+            g = make_grid(n, TWO_PI)
+            lv = levels(g)
+            assert 2.0 ** lv.start <= g.dk and 2.0 ** lv[-1] >= g.kmax, n
 
 
 class TestBlocks:
@@ -79,26 +82,39 @@ class TestBlocks:
     def test_out_of_range_rejected(self):
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 0, band=(0, 3))
-        part = build_partition(g)
         with pytest.raises(ValueError):
-            dyadic_block(f, part.jmax + 1, part)
+            dyadic_block(f, levels(g)[-1] + 1)
 
     def test_reconstruction(self):
         g = make_grid(64, TWO_PI)
         vals = np.random.default_rng(5).standard_normal((64, 64))
         f = SpectralField.from_physical(g, vals)
-        rec = reconstruct(BlockSet(f, build_partition(g)))
+        rec = reconstruct(BlockSet(f))
         assert np.max(np.abs(rec.coef - f.coef)) < 1e-12 * np.max(np.abs(f.coef))
 
     def test_far_blocks_orthogonal(self):
         g = make_grid(64, TWO_PI)
         f = SpectralField.from_physical(g, np.random.default_rng(6).standard_normal((64, 64)))
-        part = build_partition(g)
-        bs = BlockSet(f, part)
-        for j in part.levels:
-            for l in part.levels:
+        bs = BlockSet(f)
+        for j in bs.levels:
+            for l in bs.levels:
                 if abs(j - l) >= 2:
                     assert abs(inner(bs.block(j), bs.block(l))) < 1e-13 * l2_norm_sq(f)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_near_is_the_sum_of_its_blocks(self, n):
+        # oracle: the blocks of the window added one by one
+        g = make_grid(n, TWO_PI)
+        f = random_scalar_field(g, n, band=(0, 5), decay=0.5)
+        scale = np.max(np.abs(f.coef))
+        for offset in (0, 1, 2, 10):
+            bs = BlockSet(f, offset)
+            for k in bs.levels:
+                want = np.zeros_like(f.coef)
+                for j in bs.levels:
+                    if abs(j - k) <= offset:
+                        want += bs.block(j).coef
+                assert np.max(np.abs(bs.near(k).coef - want)) <= 1e-15 * scale, (offset, k)
 
 
 class TestSquareFunction:
@@ -144,11 +160,10 @@ class TestBesov:
     def test_matches_brute_force_blocks(self):
         # oracle: rebuild every block by direct symbol multiplication
         g = make_grid(64, TWO_PI)
-        part = build_partition(g)
         f = random_scalar_field(g, 9, band=(0, 4), decay=0.5)
         s, r = 0.6, 3.0
         best = 0.0
-        for j in part.levels:
+        for j in levels(g):
             sym = zeta(full_lattice(g).kmag / 2.0 ** j)
             block_vals = np.fft.ifft2(full_coef(f) * sym).real * g.n**2
             norm_r = (np.mean(np.abs(block_vals) ** r) * g.length**2) ** (1 / r)
@@ -164,24 +179,22 @@ class TestBesov:
 class TestParaproduct:
     def test_constant_factor(self):
         g = make_grid(128, TWO_PI)
-        part = build_partition(g)
         f = random_scalar_field(g, 10, band=(0, 5))
         c = SpectralField.from_physical(g, np.full((128, 128), 2.0))
-        lh, hl, hh = paraproduct_split(f, c, 3, partition=part)
-        target = dyadic_block(multiply(f, c), 3, part)
+        lh, hl, hh = paraproduct_split(f, c, 3)
+        target = dyadic_block(multiply(f, c), 3)
         assert np.max(np.abs(hh.coef)) == 0.0
         total = lh + hl + hh
         scale = max(np.max(np.abs(target.coef)), 1e-300)
         assert np.max(np.abs(total.coef - target.coef)) / scale < 1e-12
-        assert np.max(np.abs(target.coef - 2.0 * dyadic_block(f, 3, part).coef)) / scale < 1e-12
+        assert np.max(np.abs(target.coef - 2.0 * dyadic_block(f, 3).coef)) / scale < 1e-12
 
     def test_disjoint_single_modes_give_nothing(self):
         g = make_grid(128, TWO_PI)
         X, _ = g.meshgrid()
-        part = build_partition(g)
         f = SpectralField.from_physical(g, np.cos(16 * X))
-        lh, hl, hh = paraproduct_split(f, f, 0, partition=part)
-        target = dyadic_block(multiply(f, f), 0, part)
+        lh, hl, hh = paraproduct_split(f, f, 0)
+        target = dyadic_block(multiply(f, f), 0)
         # k = 0 ring sees neither 2^5-scale blocks nor the 32- and 0-mode products
         for piece in (lh, hl, hh, target):
             assert np.max(np.abs(piece.coef)) < 1e-14
@@ -190,11 +203,10 @@ class TestParaproduct:
     @given(k=st.integers(0, 6), seeds=st.tuples(st.integers(0, 999), st.integers(0, 999)))
     def test_identity_random(self, k, seeds):
         g = make_grid(64, TWO_PI)
-        part = build_partition(g)
         f = random_scalar_field(g, seeds[0], band=(0, 4), decay=0.5)
         h = random_scalar_field(g, seeds[1], band=(0, 4), decay=0.5)
-        lh, hl, hh = paraproduct_split(f, h, k, partition=part)
-        target = dyadic_block(multiply(f, h), k, part)
+        lh, hl, hh = paraproduct_split(f, h, k)
+        target = dyadic_block(multiply(f, h), k)
         total = lh + hl + hh
         scale = max(np.max(np.abs(multiply(f, h).coef)), 1e-300)
         assert np.max(np.abs(total.coef - target.coef)) / scale < 1e-11
@@ -204,17 +216,16 @@ class TestParaproduct:
         # offset 10 leaves the high-high range empty on these grids; small
         # offsets fill it, one sum-of-products call against one product a level
         g = make_grid(128, TWO_PI)
-        part = build_partition(g)
         f = random_scalar_field(g, 16, band=(0, 5), decay=0.5)
         h = random_scalar_field(g, 17, band=(0, 5), decay=0.5)
-        fb, hb = BlockSet(f, part, offset), BlockSet(h, part, offset)
+        fb, hb = BlockSet(f, offset), BlockSet(h, offset)
         scale = np.max(np.abs(multiply(f, h).coef))
-        for k in part.levels:
-            _, _, hh = paraproduct_split(f, h, k, offset=offset, partition=part)
+        for k in fb.levels:
+            _, _, hh = paraproduct_split(f, h, k, offset=offset)
             coef = np.zeros_like(f.coef)
-            for l in range(k + offset, part.jmax + 1):
+            for l in range(k + offset, fb.levels.stop):
                 coef += multiply(fb.block(l), hb.near(l)).coef
-            want = dyadic_block(SpectralField(g, coef), k, part)
+            want = dyadic_block(SpectralField(g, coef), k)
             assert np.max(np.abs(hh.coef - want.coef)) <= 1e-13 * scale, k
 
     def test_out_of_range_level(self):
@@ -285,9 +296,8 @@ class TestMaximalFunction:
         vals = {}
         for n in (64, 128):
             g = make_grid(n, TWO_PI)
-            part = build_partition(g)
             f = random_scalar_field(g, 15, band=(0, 4), decay=0.5)
-            blocks = [dyadic_block(f, j, part).physical() for j in part.levels]
+            blocks = [dyadic_block(f, j).physical() for j in levels(g)]
             vals[n] = dict(zip((1.5, 2.0, 4.0), measure_fefferman_stein(blocks, (1.5, 2.0, 4.0), g)))
         for p in (1.5, 2.0, 4.0):
             assert np.isfinite(vals[64][p]) and vals[64][p] > 0
@@ -297,9 +307,8 @@ class TestMaximalFunction:
         ps = (1.5, 2.0, 4.0, 6.0)
         for n in (64, 128):
             g = make_grid(n, TWO_PI)
-            part = build_partition(g)
             f = random_scalar_field(g, 18, band=(0, 4), decay=0.5)
-            blocks = [dyadic_block(f, j, part).physical() for j in part.levels]
+            blocks = [dyadic_block(f, j).physical() for j in levels(g)]
             assert measure_fefferman_stein(blocks, ps, g) == [fefferman_stein_per_p(blocks, p, g) for p in ps]
             assert measure_fefferman_stein(blocks, (), g) == []
 

@@ -229,7 +229,8 @@ def test_symbols_match_stored_zero_mode_rule(tmp_path, monkeypatch):
         run_case(case, 0, tmp_path / case)
     assert not bad, bad[:5]
     kinds = {spec.kind for spec, _ in reference}
-    assert kinds >= {"lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "composite", "sum"}
+    assert kinds >= {"lambda_pow", "riesz", "partial", "inv_lap_perp_grad", "composite", "sum",
+                     "ring", "lowpass"}
 
 
 def regenerate():

@@ -410,14 +410,13 @@ class TestProductsAndProjection:
 
     def test_single_shell_draw_concentrates_on_one_block(self):
         # oracle: block norms through the dyadic decomposition
-        from fblab.dyadic import BlockSet, build_partition
+        from fblab.dyadic import BlockSet
         g = make_grid(64, TWO_PI)
         v = random_divfree_field(g, 7, band=(3, 3), decay=0.0)
-        part = build_partition(g)
         for comp in v:
             total = l2_norm_sq(comp)
-            blocks = BlockSet(comp, part)
-            for j in part.levels:
+            blocks = BlockSet(comp)
+            for j in blocks.levels:
                 energy = l2_norm_sq(blocks.block(j))
                 if j == 3:
                     assert energy == pytest.approx(total, rel=1e-12)
