@@ -78,9 +78,13 @@ SERIES_HEADER = tuple(f.name for f in dc_fields(StateNorms) if f.name != "grad_t
 
 
 def _build_initial(cfg: RunConfig, grid: Grid) -> SimState:
-    return initial_state(grid, cfg.params(), cfg.formulation, kind=cfg.init, seed=cfg.seed,
-                         amplitude_theta=cfg.amplitude_theta,
-                         amplitude_primary=cfg.amplitude_primary, decay=cfg.decay)
+    try:
+        return initial_state(grid, cfg.params(), cfg.formulation, kind=cfg.init, seed=cfg.seed,
+                             amplitude_theta=cfg.amplitude_theta,
+                             amplitude_primary=cfg.amplitude_primary, decay=cfg.decay)
+    except ValueError as exc:
+        raise ConfigError(f"[model] n = {cfg.n}, length = {cfg.length:g} and decay = {cfg.decay:g} "
+                          f"give no initial data: {exc}") from exc
 
 
 def _snapshot_name(index: int) -> str:

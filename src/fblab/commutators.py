@@ -17,9 +17,10 @@ keep the max.  The harness never claims an inequality holds universally;
 it falsifies resolution instability and measures constants on the torus
 (constants here are torus-specific and may differ from whole-plane ones).
 Trial t's fields are shared across specs: every spec of a campaign
-reads the same draw of (grid, trial), and each spec's ratios reduce
-through the same max as when it runs alone, so a spec's report does not
-depend on which other specs run with it.  Specs that share a commutator
+reads the same :class:`registry.TrialDraw` of (grid, trial), the one
+thing a spec is evaluated on, and each spec's ratios reduce through the
+same max as when it runs alone, so a spec's report does not depend on
+which other specs run with it.  Specs that share a commutator
 or a smoothed velocity run back to back in each trial and reuse it, so
 each is built once a draw.
 """
@@ -242,9 +243,8 @@ def _sample_ratio(spec: InequalitySpec, grid: Grid, draws: Dict[int, TrialDraw],
         key = (seed, t, attempt)
         if attempt not in draws:
             draws[attempt] = TrialDraw(grid, key, plan)
-        fields = spec.draw(grid, key, draws[attempt])
-        lhs = spec.lhs(fields)
-        rhs = spec.rhs(fields)
+        trial = spec.draw(grid, key, draws[attempt])
+        lhs, rhs = spec.lhs(trial), spec.rhs(trial)
         if rhs > 1e-14 * max(lhs, 1.0):
             return lhs / rhs, attempt
     raise RuntimeError(f"degenerate ensemble for {spec.spec_id}: "

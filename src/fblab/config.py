@@ -83,6 +83,8 @@ class RunConfig:
             # the ledger replays its run in the hybrid formulation
             if self.formulation != "omega" or mode == "ledger":
                 self.params().require_unit_dissipation("the hybrid formulation")
+            if self.dt is not None:
+                step_count(self.t_end, self.dt)  # refuses a count that overflows
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if mode in (None, "ledger"):

@@ -338,8 +338,7 @@ def _check_rows(rows: List[EnergyLedgerRow], times: np.ndarray, config: LedgerCo
             passed += int(ok)
         j_val = row.functionals["s"] + row.functionals["kappa"]
         if j_val > 0:
-            rhs_sum = sum(row.terms[name] for name in _ROW_TERMS["s"] + _ROW_TERMS["kappa"])
-            max_rate_ratio = max(max_rate_ratio, rhs_sum / j_val)
+            max_rate_ratio = max(max_rate_ratio, (row.rhs_sum["s"] + row.rhs_sum["kappa"]) / j_val)
 
     richardson = {k: abs(integrals[k] - integrals_coarse[k]) / max(integrals[k], 1e-30)
                   for k in integrals}

@@ -149,7 +149,7 @@ def maximal_radii(n: int) -> List[int]:
     return radii
 
 
-def maximal_function(values) -> np.ndarray:
+def maximal_function(values: np.ndarray) -> np.ndarray:
     """Discrete maximal function: the largest window average of |f| over
     square windows of dyadic half-width (0, 1, 2, 4, ... up to half the
     box).  The half-width-0 window is the point itself, so M[f] >= |f|.
@@ -161,8 +161,6 @@ def maximal_function(values) -> np.ndarray:
     of half-width r around (i, j) is the four-corner difference of T at
     rows i + R - r, i + R + r + 1 and the same columns.
     """
-    if isinstance(values, SpectralField):
-        values = values.physical()
     out = np.abs(np.asarray(values, dtype=np.float64))  # the half-width-0 window
     n = out.shape[0]
     big = n // 2
@@ -182,13 +180,11 @@ def maximal_function(values) -> np.ndarray:
     return out
 
 
-def measure_block_domination(f: SpectralField | BlockSet) -> float:
-    """Largest pointwise ratio |Delta_j f|(x) / M[f](x) over blocks and
-    low-pass aggregates; the constant is measured, never assumed.  Given
-    a :class:`BlockSet`, its blocks and their samples are the ones read,
-    and stay with the caller; given a field, a fresh set's."""
-    bs = f if isinstance(f, BlockSet) else BlockSet(f)
-    m = maximal_function(bs.f)
+def measure_block_domination(bs: BlockSet) -> float:
+    """Largest pointwise ratio |Delta_j f|(x) / M[f](x) over the blocks
+    and low-pass aggregates of ``bs``, whose samples stay with the caller;
+    the constant is measured, never assumed."""
+    m = maximal_function(bs.f.physical())
     floor = 1e-14 * max(np.max(m), 1e-300)
     safe = np.where(m > floor, m, np.inf)
     worst = 0.0

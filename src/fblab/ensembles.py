@@ -54,7 +54,8 @@ def random_scalar_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal(2 * len(modes))
     kk = grid.dk * np.hypot(modes[:, 0], modes[:, 1])
-    c = (draws[0::2] + 1j * draws[1::2]) * kk ** (-decay)
+    with np.errstate(over="ignore"):  # a steep rising slope overflows; refused below
+        c = (draws[0::2] + 1j * draws[1::2]) * kk ** (-decay)
     # onto the rfft2 half lattice (m2 >= 0): a mode with m2 < 0 goes in
     # as its conjugate at -m, and one with m2 == 0 fills both m and -m
     coef = np.zeros(grid.kmag.shape, dtype=np.complex128)
@@ -66,8 +67,9 @@ def random_scalar_field(grid: Grid, seed, band: Tuple[int, int] = (0, 3),
         coef[~band_mask(grid.n)] = 0.0
     f = SpectralField(grid, coef)
     norm = np.sqrt(l2_norm_sq(f))
-    if norm == 0:
-        raise ValueError("degenerate draw: band emptied by the dealias restriction")
+    if not 0 < norm < np.inf:
+        raise ValueError(f"degenerate draw: its L2 norm is {norm:g} (a band emptied by the "
+                         "dealias restriction, or a spectral slope that overflows)")
     return f * (amplitude / norm)
 
 

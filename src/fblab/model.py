@@ -420,7 +420,10 @@ def step(state: SimState, dt: float, cfl_c: float = 0.4,
 
 def step_count(t_span: float, dt: float) -> int:
     """Steps :func:`integrate` takes over ``t_span`` for a requested ``dt``,
-    which it then shrinks to ``t_span / steps``."""
+    which it then shrinks to ``t_span / steps``; ValueError if there is
+    no finite count."""
+    if not math.isfinite(t_span / dt):
+        raise ValueError(f"t_end / dt = {t_span:g} / {dt:g} is no finite step count")
     return max(1, int(math.ceil(t_span / dt - 1e-12)))
 
 
@@ -433,7 +436,7 @@ def integrate(state: SimState, t_end: float, dt: float | None = None, cfl_c: flo
     if the caller shares its table; only the current state is kept."""
     if dt is None:
         dt = cfl_limit(state, cfl_c)
-        if not np.isfinite(dt) or dt <= 0:
+        if not (0 < dt < math.inf and math.isfinite((t_end - state.time) / dt)):
             raise StabilityError("could not derive a time step from the CFL guard")
     n_steps = step_count(t_end - state.time, dt)
     dt = (t_end - state.time) / n_steps

@@ -1,6 +1,7 @@
 """Registry of commutator-inequality specifications.
 
-Each spec is one declaration, evaluated by one generic path:
+Each spec is one declaration, evaluated by one generic path on the
+:class:`TrialDraw` its ``draw`` gives (a fresh one for a spec alone):
 
 - LHS: a kind and the commutator C = [op, (Lambda^order v).grad] phi,
   declared as ``work = (order, op)``: ``pairing`` |<C, psi>|, ``norm``
@@ -90,38 +91,30 @@ class InequalitySpec:
     canary: bool = False
     near_boundary: bool = False
 
-    @property
-    def reads_psi(self) -> bool:
-        return self.kind == "pairing" or any(role == "psi" for role, _, _ in self.factors)
-
     def validate(self):
         """Raise ConstraintError naming every violated hypothesis."""
         violations = [label for holds, label in self.hypotheses if not holds]
         if violations:
             raise ConstraintError(f"{self.spec_id} requires " + "; ".join(violations))
 
-    def draw(self, grid: Grid, seed, trial: Optional["TrialDraw"] = None) -> Dict[str, object]:
-        """Fields of one attempt; ``trial`` is the :class:`TrialDraw` of
-        (grid, seed) that other specs share, a fresh one if None."""
-        trial = trial or TrialDraw(grid, seed)
-        out = {"v": trial.field("v"), "phi": trial.field("phi"), "trial": trial}
-        if self.reads_psi:
-            out["psi"] = trial.field("psi")
-        return out
+    def draw(self, grid: Grid, seed, trial: Optional["TrialDraw"] = None) -> "TrialDraw":
+        """The :class:`TrialDraw` of one attempt: ``trial``, the draw of
+        (grid, seed) that other specs share, or a fresh one if None."""
+        return trial or TrialDraw(grid, seed)
 
-    def lhs(self, fields) -> float:
+    def lhs(self, trial: "TrialDraw") -> float:
         if self.kind == "norm":
-            return _norm(fields, self.work, *self.outer)
+            return _norm(trial, self.work, *self.outer)
         if self.kind == "pairing":
             key = ("pairing", self.work)
-            return _memo(fields, key, lambda: {
-                key: abs(inner(_commutator(self.work, fields), fields["psi"]))})
-        return _pointwise_ratio(self, fields)
+            return trial.scalar(key, lambda: {
+                key: abs(inner(_commutator(self.work, trial), trial.field("psi")))})
+        return _pointwise_ratio(self, trial)
 
-    def rhs(self, fields) -> float:
+    def rhs(self, trial: "TrialDraw") -> float:
         if self.kind == "pointwise":
             return 1.0  # the ratio is formed pointwise in the LHS
-        return math.prod(_norm(fields, *factor) for factor in self.factors)
+        return math.prod(_norm(trial, *factor) for factor in self.factors)
 
 
 def _draw_role(grid: Grid, seed, role: str):
@@ -154,13 +147,13 @@ def norm_plan(specs) -> Dict[tuple, set]:
 class TrialDraw:
     """The draw of one (grid, trial, attempt), shared by every spec.
 
-    ``field(role)`` makes v, phi, psi (with the seeds a spec drawing alone
-    would use), v.grad(phi) ("transported") and the |grad v| samples
-    ("grad_v") once each.  ``scalar`` memoises numbers under keys of role
-    and exponents, never object ids.  A norm of (role, order) builds its
-    field once for every p that ``plan`` (:func:`norm_plan`) lists, then
-    drops it.  A derived field (a commutator, or eq25's smoothed velocity
-    with its transport of phi) sits in the one slot of ``derived`` until
+    ``field(role)`` draws v, phi or psi when a spec first reads it and
+    makes v.grad(phi) ("transported") and the |grad v| samples ("grad_v"),
+    each once.  ``scalar`` memoises numbers under keys of role and
+    exponents, never object ids.  A norm of (role, order) builds its field
+    once for every p that ``plan`` (:func:`norm_plan`) lists, then drops
+    it.  A derived field (a commutator, or eq25's smoothed velocity with
+    its transport of phi) sits in the one slot of ``derived`` until
     another key replaces it; specs sharing one run back to back
     (``commutators._work_order``), so none is built twice and the peak
     memory stays that of one.
@@ -204,23 +197,14 @@ class TrialDraw:
         return self._derived
 
 
-def _memo(fields, key: tuple, compute: Callable[[], Dict[tuple, float]]) -> float:
-    """``compute()[key]``, through the memo of the fields' draw (see
-    TrialDraw); a fields dict without a "trial" entry is evaluated directly."""
-    trial = fields.get("trial")
-    return compute()[key] if trial is None else trial.scalar(key, compute)
-
-
-def _commutator(work, fields) -> SpectralField:
+def _commutator(work, trial: TrialDraw) -> SpectralField:
     """C = [op, w.grad] phi for ``work = (order, op)``, w = Lambda^order v.
-    In a draw, one on v goes in the draw's slot for the next spec with its
-    operator; for a smoothed velocity the slot holds that velocity and its
-    transport of phi instead, for the next spec of that velocity form."""
+    One on v goes in the draw's slot for the next spec with its operator;
+    for a smoothed velocity the slot holds that velocity and its transport
+    of phi instead, for the next spec of that velocity form."""
     order, op = work
-    v, phi, trial = fields["v"], fields["phi"], fields.get("trial")
+    v, phi = trial.field("v"), trial.field("phi")
     if order == 0.0:
-        if trial is None:
-            return commutator_apply(op, v, phi)
         return trial.derived(("commutator", op), lambda: commutator_apply(
             op, v, phi, transported=trial.field("transported")))
 
@@ -229,17 +213,16 @@ def _commutator(work, fields) -> SpectralField:
         w = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
         return w, advect(w, phi)
 
-    w, transported = smoothed() if trial is None else trial.derived(("velocity", order), smoothed)
+    w, transported = trial.derived(("velocity", order), smoothed)
     return commutator_apply(op, w, phi, transported=transported)
 
 
-def _samples(fields, role, order: float) -> np.ndarray:
+def _samples(trial: TrialDraw, role, order: float) -> np.ndarray:
     """Grid samples of Lambda^order of the field ``role`` names: "phi" or
     "psi", |.| of "v" or of "grad_v" (order 0), or a work key's C."""
     if role == "grad_v":
-        trial = fields.get("trial")
-        return _grad_magnitude(fields["v"]) if trial is None else trial.field("grad_v")
-    f = fields[role] if isinstance(role, str) else _commutator(role, fields)
+        return trial.field("grad_v")
+    f = trial.field(role) if isinstance(role, str) else _commutator(role, trial)
     if order != 0.0:
         lam = Multiplier.lambda_pow(order)
         f = (apply_multiplier(f[0], lam), apply_multiplier(f[1], lam)) if role == "v" \
@@ -247,23 +230,22 @@ def _samples(fields, role, order: float) -> np.ndarray:
     return np.hypot(f[0].physical(), f[1].physical()) if role == "v" else f.physical()
 
 
-def _norm(fields, role, order: float, p: float) -> float:
-    """||Lambda^order f||_p of the field ``role`` names (see :func:`_samples`)."""
-    trial = fields.get("trial")
-
+def _norm(trial: TrialDraw, role, order: float, p: float) -> float:
+    """||Lambda^order f||_p of the field ``role`` names (see :func:`_samples`),
+    memoised in the draw with every other p its plan lists."""
     def compute():
-        ps = {p} if trial is None else {p} | trial.plan.get((role, order), set())
-        samples, area = _samples(fields, role, order), fields["phi"].grid.length ** 2
-        return {(role, order, q): samples_lp(samples, q, area) for q in ps}
+        samples, area = _samples(trial, role, order), trial.grid.length ** 2
+        return {(role, order, q): samples_lp(samples, q, area)
+                for q in {p} | trial.plan.get((role, order), set())}
 
-    return _memo(fields, (role, order, p), compute)
+    return trial.scalar((role, order, p), compute)
 
 
-def _pointwise_ratio(spec: InequalitySpec, fields) -> float:
+def _pointwise_ratio(spec: InequalitySpec, trial: TrialDraw) -> float:
     """max_x |C(x)| / bound(x), bound the product of M(|f|^p)^(1/p) over
     the spec's factors, where the bound is above 1e-12 of its max."""
-    comm = np.abs(_commutator(spec.work, fields).physical())
-    bound = math.prod(maximal_function(np.abs(_samples(fields, role, order)) ** p) ** (1.0 / p)
+    comm = np.abs(_commutator(spec.work, trial).physical())
+    bound = math.prod(maximal_function(np.abs(_samples(trial, role, order)) ** p) ** (1.0 / p)
                       for role, order, p in spec.factors)
     mask = bound > 1e-12 * max(np.max(bound), 1e-300)
     if not np.any(mask):

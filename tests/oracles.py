@@ -10,7 +10,8 @@ paper writes it), or a slower route the package replaced
 (the Leray projection, the per-radius window means of the maximal
 function, the hybrid source terms with f advected on its own, the
 zero-mode rule symbols once stored, the dyadic partition's own ring and
-low-pass formulas), or an integrand
+low-pass formulas, a registered estimate's ratios evaluated with no
+shared draw and no memo), or an integrand
 the package has no caller of (the dissipation rates).
 """
 
@@ -20,13 +21,15 @@ from types import SimpleNamespace
 import numpy as np
 
 from fblab.dyadic import BlockSet, maximal_function, maximal_radii
+from fblab.commutators import MAX_RESAMPLE
 from fblab.fields import SpectralField, nice_fft_size, pad_size
+from fblab.grid import make_grid
 from fblab.model import ModelParams, SimState, hybrid_terms, state_velocity
 from fblab.multipliers import Multiplier, apply_multiplier, smooth_zeta, upsilon, zeta
-from fblab.norms import l2_norm_sq
+from fblab.norms import inner, l2_norm_sq, samples_lp
 from fblab.operators import Velocity, advect, commutator_apply, divergence, gradient
 from fblab.ranges import check
-from fblab.registry import SPEC_IDS
+from fblab.registry import SPEC_IDS, _draw_role
 
 
 def rel_l2_diff(a: SpectralField, b: SpectralField) -> float:
@@ -106,6 +109,81 @@ def hypothesis_satisfying_ids(registry) -> list:
     """The registered spec ids whose hypotheses hold (no canary), in
     registry order."""
     return [sid for sid in SPEC_IDS if sid in registry and not registry[sid].canary]
+
+
+# -- a registered estimate without its shared draw -------------------------------
+# How each spec was evaluated from a bare {"v", "phi", "psi"} dict before
+# every spec read its trial's TrialDraw: each attempt draws alone, and
+# every norm, commutator and v.grad(phi) is computed afresh.
+
+
+def unshared_ratios(spec, trials, grid_sizes, seed) -> dict:
+    """Grid n -> per-trial LHS/RHS of ``spec``, each trial's first attempt
+    whose RHS does not degenerate, its roles drawn through
+    ``registry._draw_role``."""
+    out = {}
+    for n in grid_sizes:
+        grid = make_grid(n, 2 * np.pi)
+        out[n] = []
+        for t in range(trials):
+            for attempt in range(MAX_RESAMPLE):
+                fields = {role: _draw_role(grid, (seed, t, attempt), role)
+                          for role in ("v", "phi", "psi")}
+                lhs, rhs = _unshared_lhs(spec, fields), _unshared_rhs(spec, fields)
+                if rhs > 1e-14 * max(lhs, 1.0):
+                    out[n].append(lhs / rhs)
+                    break
+    return out
+
+
+def _unshared_lhs(spec, fields) -> float:
+    if spec.kind == "norm":
+        return _unshared_norm(fields, spec.work, *spec.outer)
+    if spec.kind == "pairing":
+        return abs(inner(_unshared_commutator(spec.work, fields), fields["psi"]))
+    comm = np.abs(_unshared_commutator(spec.work, fields).physical())
+    bound = math.prod(maximal_function(np.abs(_unshared_samples(fields, role, order)) ** p)
+                      ** (1.0 / p) for role, order, p in spec.factors)
+    mask = bound > 1e-12 * max(np.max(bound), 1e-300)
+    if not np.any(mask):
+        return 0.0
+    return float(np.max(comm[mask] / bound[mask]))
+
+
+def _unshared_rhs(spec, fields) -> float:
+    if spec.kind == "pointwise":
+        return 1.0
+    return math.prod(_unshared_norm(fields, *factor) for factor in spec.factors)
+
+
+def _unshared_commutator(work, fields) -> SpectralField:
+    order, op = work
+    v, phi = fields["v"], fields["phi"]
+    if order == 0.0:
+        return commutator_apply(op, v, phi)
+    lam = Multiplier.lambda_pow(order)
+    w = (apply_multiplier(v[0], lam), apply_multiplier(v[1], lam))
+    return commutator_apply(op, w, phi, transported=advect(w, phi))
+
+
+def _unshared_samples(fields, role, order: float) -> np.ndarray:
+    if role == "grad_v":
+        acc = None
+        for comp in fields["v"]:
+            gx, gy = gradient(comp)
+            sq = gx.physical() ** 2 + gy.physical() ** 2
+            acc = sq if acc is None else acc + sq
+        return np.sqrt(acc)
+    f = fields[role] if isinstance(role, str) else _unshared_commutator(role, fields)
+    if order != 0.0:
+        lam = Multiplier.lambda_pow(order)
+        f = (apply_multiplier(f[0], lam), apply_multiplier(f[1], lam)) if role == "v" \
+            else apply_multiplier(f, lam)
+    return np.hypot(f[0].physical(), f[1].physical()) if role == "v" else f.physical()
+
+
+def _unshared_norm(fields, role, order: float, p: float) -> float:
+    return samples_lp(_unshared_samples(fields, role, order), p, fields["phi"].grid.length ** 2)
 
 
 def f_from_g(g: SpectralField, theta: SpectralField, alpha: float) -> SpectralField:

@@ -204,9 +204,11 @@ class TestConfig:
         assert err.startswith("validation error:") and "bad.ini" in err and word in err
 
 
-def numeric_ini(tmp_path, section, key, value):
-    """An n = 16 omega-form config with ``key = value`` in ``section``."""
-    sections = {"model": {"n": "16", "formulation": "omega", "t_end": "0.02", "dt": "0.01"},
+def numeric_ini(tmp_path, section, key, value, **model):
+    """An n = 16 omega-form config with ``key = value`` in ``section``, and
+    the [model] keys of ``model`` set (a None value unsets one)."""
+    base = {"n": "16", "formulation": "omega", "t_end": "0.02", "dt": "0.01", **model}
+    sections = {"model": {k: v for k, v in base.items() if v is not None},
                 "diagnostics": {}, "estimates": {"specs": "eq20", "trials": "2"},
                 "output": {"directory": str(tmp_path / "o")}}
     sections[section][key] = value
@@ -238,6 +240,9 @@ class TestNumericValues:
         ("model", "eps0", "0", "simulate"), ("model", "eps0", "1.5", "ledger"),
         ("model", "cadence", "0", "simulate"), ("model", "seed", "-1", "simulate"),
         ("model", "seed", "-1", "ledger"), ("model", "seed", "-1", "estimate"),
+        # dt = 0.01: t_end / dt overflows to no finite step count
+        ("model", "t_end", "1e308", "simulate"), ("model", "t_end", "1e308", "ledger"),
+        ("model", "t_end", "1e308", "estimate"),
     ])
     def test_refused_with_named_key(self, tmp_path, capsys, section, key, value, mode):
         path = numeric_ini(tmp_path, section, key, value)
@@ -245,6 +250,20 @@ class TestNumericValues:
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and key in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "ledger"])
+    @pytest.mark.parametrize("key,value,reason", [
+        ("length", "1", "band (0, 2) selects no modes on this grid"),
+        ("decay", "-1000", "degenerate draw: its L2 norm is nan"),
+    ])
+    def test_undrawable_initial_data_refused(self, tmp_path, capsys, mode, key, value, reason):
+        # the [model] keys that shape the random draw are named, and the
+        # run writes nothing
+        path = numeric_ini(tmp_path, "model", key, value)
+        assert main(["--config", path, mode]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: [model] n = 16, length = ") and reason in err, err
+        assert "decay = " in err and os.listdir(tmp_path / "o") == []
 
     @pytest.mark.parametrize("mode", RUNS)
     def test_omega_run_with_eps0_refused(self, tmp_path, capsys, mode):
@@ -701,6 +720,18 @@ class TestNumericalFailure:
         assert [line.split(",")[0] for line in index[1:]] == written == [
             cli._snapshot_name(i) for i in range(rows)]
         assert not (out / "criteria.json").exists()
+
+    @pytest.mark.parametrize("mode", ["simulate", "ledger"])
+    @pytest.mark.parametrize("t_end, cfl", [("1e10", "1e-300"), ("0.01", "1e-323")])
+    def test_step_count_that_overflows_from_the_guard(self, tmp_path, mode, t_end, cfl):
+        # the CFL guard's dt leaves t_end / dt no finite step count: a
+        # stability failure, as for a non-positive derived dt
+        path = numeric_ini(tmp_path, "model", "cfl", cfl, t_end=t_end, dt=None)
+        assert main(["--config", path, mode]) == EXIT_NUMERICAL
+        lines = (tmp_path / "o" / "series.csv").read_text().splitlines()
+        assert lines[0] == ",".join(cli.SERIES_HEADER) and len(lines) == 2
+        assert lines[1].startswith("DIAGNOSTIC,state outgrew the step-size guard,could not "
+                                   "derive a time step from the CFL guard,")
 
 
 class TestStreaming:

@@ -22,7 +22,7 @@ from fblab.norms import inner
 from fblab.registry import ConstraintError, build_registry
 from fblab.operators import advect
 
-from oracles import hypothesis_satisfying_ids
+from oracles import hypothesis_satisfying_ids, unshared_ratios
 
 TWO_PI = 2 * np.pi
 
@@ -210,18 +210,23 @@ class TestSampling:
         b = estimate_constants([reg["eq20"]], trials=3, grid_sizes=(64,), seed=5)[0]
         assert a.ratios == b.ratios
 
-    def test_constant_velocity_ensemble_gives_zero_ratios(self):
+    def test_constant_velocity_ensemble_gives_zero_ratios(self, monkeypatch):
         # degenerate by construction: the commutator vanishes for constant
-        # V, so the LHS of every trial's fields is 0 (a fields dict with no
-        # "trial" entry is evaluated directly, without a shared draw)
+        # V, so the LHS of every trial's draw is 0
+        import fblab.registry as registry
+
         spec = build_registry(0.75)["eq20"]
         grid = make_grid(64, TWO_PI)
         ones = np.ones((grid.n, grid.n))
         v = (SpectralField.from_physical(grid, 0.3 * ones),
              SpectralField.from_physical(grid, -0.6 * ones))
+
+        def constant_v(grid, seed, role):  # seed is (0, t, 0)
+            return v if role == "v" else random_scalar_field(grid, seed, band=(1, 3))
+
+        monkeypatch.setattr(registry, "_draw_role", constant_v)
         for t in range(3):
-            phi = random_scalar_field(grid, (0, t, 0), band=(1, 3))
-            assert spec.lhs({"v": v, "phi": phi}) < 1e-11
+            assert spec.lhs(spec.draw(grid, (0, t, 0))) < 1e-11
 
     def test_canary_flagged_and_non_gating(self):
         reg = build_registry(0.75)
@@ -251,25 +256,6 @@ class TestSampling:
 class TestSharedDraws:
     """estimate_constants: one draw per (grid, trial, attempt) for every spec."""
 
-    @staticmethod
-    def unshared_ratios(spec, trials, grid_sizes, seed):
-        """Per-trial ratios with no shared draw and no memo: each attempt
-        draws alone, and the evaluators read a fields dict without its
-        TrialDraw, so every norm and v.grad(phi) is computed afresh."""
-        out = {}
-        for n in grid_sizes:
-            grid = make_grid(n, TWO_PI)
-            out[n] = []
-            for t in range(trials):
-                for attempt in range(4):
-                    fields = {k: f for k, f in spec.draw(grid, (seed, t, attempt)).items()
-                              if k != "trial"}
-                    lhs, rhs = spec.lhs(fields), spec.rhs(fields)
-                    if rhs > 1e-14 * max(lhs, 1.0):
-                        out[n].append(lhs / rhs)
-                        break
-        return out
-
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_one_spec_calls(self, seed):
         reg = build_registry(0.75)
@@ -279,7 +265,7 @@ class TestSharedDraws:
         for spec, got in zip(specs, shared):
             # every field: ratios, c_hat, c_hat_per_grid, degenerate, flags
             assert got == estimate_constants([spec], trials=6, grid_sizes=(64, 128), seed=seed)[0]
-            assert got.ratios == self.unshared_ratios(spec, 6, (64, 128), seed), spec.spec_id
+            assert got.ratios == unshared_ratios(spec, 6, (64, 128), seed), spec.spec_id
 
     @pytest.mark.parametrize("ids", [["eq20"], ["aaa"], None], ids=["eq20", "aaa", "all"])
     def test_one_draw_and_one_transport_per_trial(self, monkeypatch, ids):
@@ -315,7 +301,8 @@ class TestSharedDraws:
 
         reports = estimate_constants(specs, trials=3, grid_sizes=(64, 128), seed=4)
         assert all(r.degenerate == 0 for r in reports)
-        roles = (0, 1, 2) if any(s.reads_psi for s in specs) else (0, 1)
+        reads_psi = any(s.kind == "pairing" or any(f[0] == "psi" for f in s.factors) for s in specs)
+        roles = (0, 1, 2) if reads_psi else (0, 1)
         want = {(n, (4, t, 0, role)) for n in (64, 128) for t in range(3) for role in roles}
         assert set(draws) == want and set(draws.values()) == {1}
         assert transports == {(n, t, 0): 1 for n in (64, 128) for t in range(3)}
@@ -408,7 +395,7 @@ class TestSharedDraws:
         order, op = spec.work
         ((got_op, w),) = calls
         assert got_op == op
-        v = spec.draw(make_grid(64, TWO_PI), (1, 0, 0))["v"]
+        v = spec.draw(make_grid(64, TWO_PI), (1, 0, 0)).field("v")
         lam = Multiplier.lambda_pow(order)
         for wc, vc in zip(w, v):
             assert np.array_equal(wc.coef, vc.coef if order == 0.0 else apply_multiplier(vc, lam).coef)
@@ -442,10 +429,10 @@ class TestSharedDraws:
 
         rhs = InequalitySpec.rhs
 
-        def rhs_vanishing_on_attempt_0(spec, fields):
-            if spec.spec_id == "eq201_flaky" and fields["trial"].seed[2] == 0:
+        def rhs_vanishing_on_attempt_0(spec, trial):
+            if spec.spec_id == "eq201_flaky" and trial.seed[2] == 0:
                 return 0.0
-            return rhs(spec, fields)
+            return rhs(spec, trial)
 
         monkeypatch.setattr(InequalitySpec, "rhs", rhs_vanishing_on_attempt_0)
         flaky = dataclasses.replace(base, spec_id="eq201_flaky")
@@ -470,6 +457,6 @@ class TestSharedDraws:
         for n in (64, 128):
             for t in range(3):
                 grid = make_grid(n, TWO_PI)
-                fields = base.draw(grid, (2, t, 1))
-                want = base.lhs(fields) / base.rhs(fields)
+                trial = base.draw(grid, (2, t, 1))
+                want = base.lhs(trial) / base.rhs(trial)
                 assert shared[2].ratios[n][t] == want

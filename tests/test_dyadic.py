@@ -281,7 +281,7 @@ class TestMaximalFunction:
     def test_block_domination_constant_recorded(self):
         g = make_grid(64, TWO_PI)
         f = random_scalar_field(g, 13, band=(0, 4), decay=1.0)
-        c = measure_block_domination(f)
+        c = measure_block_domination(BlockSet(f))
         assert np.isfinite(c) and c < 10.0
 
     def test_domination_resolution_stable(self):
@@ -289,7 +289,7 @@ class TestMaximalFunction:
         for n in (64, 128):
             g = make_grid(n, TWO_PI)
             f = random_scalar_field(g, 14, band=(0, 4), decay=1.0)
-            consts[n] = measure_block_domination(f)
+            consts[n] = measure_block_domination(BlockSet(f))
         assert consts[128] <= 2.0 * consts[64] and consts[64] <= 2.0 * consts[128]
 
     def test_fefferman_stein_recorded_and_stable(self):
